@@ -2,9 +2,11 @@
 
 A weighted core inverse exists exactly when a certain annihilating idempotent
 turns a^n into a unit. This module goes both ways: `decompose_*` extracts the
-idempotent/unit certificate from a computed inverse, and `*_from_*` replays a
-certificate back into the inverse through closed formulas, validating every
-certificate precondition first and failing loudly on violations. It also
+idempotent/unit certificate from a computed inverse, and `replay` (with its
+`*_from_*` shorthands) turns a certificate back into the inverse through one
+closed formula per flavor, validating every certificate precondition first and
+failing loudly on violations. Dual-side results are the core-side ones for
+(a*, f^{-1}) carried back through the involution. It also
 carries the Gram-matrix formulas (exact analogues valid in any Dedekind-finite
 ring, hence in every matrix ring here), weighted-EP detection, and an audit of
 the uniqueness claims for the idempotent certificates.
@@ -20,11 +22,10 @@ from .ginverse import (
     GInverseKind,
     InverseCertificate,
     NotInvertible,
+    _certified,
+    _transport,
     e_core,
     f_dual_core,
-    group_inverse,
-    verify,
-    weighted_mp,
 )
 from .matrix import (
     Mat,
@@ -126,150 +127,136 @@ def _validate_element(
     return unit_inv
 
 
-def _reconstructed(side: Side, a: Mat, w: Weight, value: Mat) -> Mat:
-    kind = GInverseKind.E_CORE if side is Side.CORE else GInverseKind.F_DUAL_CORE
-    report = (
-        verify(kind, a, value, e=w) if side is Side.CORE else verify(kind, a, value, f=w)
-    )
-    if not report.ok:
-        raise RuntimeError(
-            f"internal error: reconstructed {kind.value} inverse fails {report.failed}"
-        )
-    return value
+def _idempotent(a: Mat, e: Weight) -> Mat | NotInvertible:
+    """The canonical annihilating idempotent 1 - a a^{e-core}, or the e_core negative."""
+    cert = e_core(a, e)
+    if isinstance(cert, NotInvertible):
+        return cert
+    return Mat.identity(a.field, a.n) - a * cert.value
+
+
+def _decompose(a: Mat, e: Weight, n: int, flavor: Flavor):
+    p = _idempotent(a, e)
+    if isinstance(p, NotInvertible):
+        return p
+    return p, unit_for(a, p, n, flavor, Side.CORE)
+
+
+def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, built):
+    if isinstance(built, NotInvertible):
+        return built
+    element, unit = built
+    _validate_element(a, w, element, n, flavor, side, unit)
+    return Decomposition(flavor, side, element, unit, n)
 
 
 def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The canonical idempotent p = 1 - a a^{e-core} with its unit a^n + p."""
     _check_n(n)
-    cert = e_core(a, e)
-    if isinstance(cert, NotInvertible):
-        return cert
-    ident = Mat.identity(a.field, a.n)
-    p = ident - a * cert.value
-    unit = a.power(n) + p
-    _validate_element(a, e, p, n, Flavor.IDEM_P, Side.CORE, unit)
-    return Decomposition(Flavor.IDEM_P, Side.CORE, p, unit, n)
+    return _validated(a, e, n, Flavor.IDEM_P, Side.CORE, _decompose(a, e, n, Flavor.IDEM_P))
 
 
 def decompose_q(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The same idempotent paired with the unit a^n (1 - q) + q."""
     _check_n(n)
-    cert = e_core(a, e)
-    if isinstance(cert, NotInvertible):
-        return cert
-    ident = Mat.identity(a.field, a.n)
-    q = ident - a * cert.value
-    unit = a.power(n) * (ident - q) + q
-    _validate_element(a, e, q, n, Flavor.IDEM_Q, Side.CORE, unit)
-    return Decomposition(Flavor.IDEM_Q, Side.CORE, q, unit, n)
+    return _validated(a, e, n, Flavor.IDEM_Q, Side.CORE, _decompose(a, e, n, Flavor.IDEM_Q))
 
 
 def dual_decompose(
     a: Mat, f: Weight, n: int = 1, flavor: Flavor = Flavor.IDEM_P
 ) -> Decomposition | NotInvertible:
-    """Dual-side idempotent p = 1 - a_{f-dual} a with the flavor's unit."""
+    """Dual-side idempotent p = 1 - a_{f-dual} a with the flavor's unit.
+
+    The mirror of the core-side decomposition of (a*, f^{-1}).
+    """
     _check_n(n)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("dual_decompose produces idempotent flavors only")
-    cert = f_dual_core(a, f)
-    if isinstance(cert, NotInvertible):
-        return cert
-    ident = Mat.identity(a.field, a.n)
-    p = ident - cert.value * a
-    unit = unit_for(a, p, n, flavor, Side.DUAL)
-    _validate_element(a, f, p, n, flavor, Side.DUAL, unit)
-    return Decomposition(flavor, Side.DUAL, p, unit, n)
+    return _validated(a, f, n, flavor, Side.DUAL, _transport(_decompose, a, f, n, flavor))
+
+
+# The core-side closed formulas, one per flavor, in terms of a, c = 1 - element
+# and the unit's inverse u: the first for n = 1, the second for n >= 2 with
+# m = a^{n-1}. The dual side evaluates them on (a*, element*, u*) and stars back.
+_FORMULAS = {
+    Flavor.IDEM_P: (lambda a, c, u: u * c, lambda m, c, u: m * u),
+    Flavor.ELEM_S: (lambda a, c, u: u * a * u, lambda m, c, u: m * u),
+    Flavor.IDEM_Q: (lambda a, c, u: c * u, lambda m, c, u: m * c * u),
+    Flavor.ELEM_T: (lambda a, c, u: u * a * c * u, lambda m, c, u: m * c * u),
+}
+
+
+def _replay(a, w, flavor, side, element, n, unit) -> Mat:
+    unit_inv = _validate_element(a, w, element, n, flavor, side, unit)
+    star = (lambda m: m) if side is Side.CORE else Mat.star
+    b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
+    first, rest = _FORMULAS[flavor]
+    value = star(first(b, c, u) if n == 1 else rest(b.power(n - 1), c, u))
+    kind = GInverseKind.E_CORE if side is Side.CORE else GInverseKind.F_DUAL_CORE
+    return _certified(kind, a, (value, {}), e=w, f=w).value
+
+
+def replay(a: Mat, w: Weight, d: Decomposition) -> Mat:
+    """Rebuild the weighted core (w = e) or dual core (w = f) inverse from a certificate.
+
+    Every precondition is checked first, the unit before the element for the
+    flavors s and t, and a violation raises InvalidCertificateError. The result
+    is verified on the equations of the certificate's own side for (a, w).
+    """
+    if d.flavor in (Flavor.ELEM_S, Flavor.ELEM_T):
+        _require(
+            d.unit == unit_for(a, d.element, d.n, d.flavor, d.side),
+            "unit does not match its defining formula",
+        )
+    return _replay(a, w, d.flavor, d.side, d.element, d.n, d.unit)
+
+
+def _replay_as(flavor: Flavor, side: Side, a: Mat, w: Weight, d: Decomposition) -> Mat:
+    if d.flavor is not flavor or d.side is not side:
+        raise InvalidCertificateError(
+            f"expected a {side.value}-side idempotent-{flavor.value} certificate"
+        )
+    return replay(a, w, d)
 
 
 def core_from_pu(a: Mat, e: Weight, d: Decomposition) -> Mat:
     """Rebuild the weighted core inverse from an idempotent/unit certificate."""
-    if d.flavor is not Flavor.IDEM_P or d.side is not Side.CORE:
-        raise InvalidCertificateError("expected a core-side idempotent-p certificate")
-    u_inv = _validate_element(a, e, d.element, d.n, d.flavor, d.side, d.unit)
-    ident = Mat.identity(a.field, a.n)
-    if d.n == 1:
-        value = u_inv * (ident - d.element)
-    else:
-        value = a.power(d.n - 1) * u_inv
-    return _reconstructed(Side.CORE, a, e, value)
+    return _replay_as(Flavor.IDEM_P, Side.CORE, a, e, d)
 
 
 def core_from_s(a: Mat, e: Weight, s: Mat, n: int = 1) -> Mat:
     """Rebuild the weighted core inverse from an element witness (not necessarily idempotent)."""
-    v_inv = _validate_element(a, e, s, n, Flavor.ELEM_S, Side.CORE, None)
-    if n == 1:
-        value = v_inv * a * v_inv
-    else:
-        value = a.power(n - 1) * v_inv
-    return _reconstructed(Side.CORE, a, e, value)
+    return _replay(a, e, Flavor.ELEM_S, Side.CORE, s, n, None)
 
 
 def core_from_qw(a: Mat, e: Weight, d: Decomposition) -> Mat:
-    if d.flavor is not Flavor.IDEM_Q or d.side is not Side.CORE:
-        raise InvalidCertificateError("expected a core-side idempotent-q certificate")
-    w_inv = _validate_element(a, e, d.element, d.n, d.flavor, d.side, d.unit)
-    ident = Mat.identity(a.field, a.n)
-    if d.n == 1:
-        value = (ident - d.element) * w_inv
-    else:
-        value = a.power(d.n - 1) * (ident - d.element) * w_inv
-    return _reconstructed(Side.CORE, a, e, value)
+    return _replay_as(Flavor.IDEM_Q, Side.CORE, a, e, d)
 
 
 def core_from_t(a: Mat, e: Weight, t: Mat, n: int = 1) -> Mat:
-    z_inv = _validate_element(a, e, t, n, Flavor.ELEM_T, Side.CORE, None)
-    ident = Mat.identity(a.field, a.n)
-    if n == 1:
-        value = z_inv * a * (ident - t) * z_inv
-    else:
-        value = a.power(n - 1) * (ident - t) * z_inv
-    return _reconstructed(Side.CORE, a, e, value)
+    return _replay(a, e, Flavor.ELEM_T, Side.CORE, t, n, None)
 
 
 def dual_from_pu(a: Mat, f: Weight, d: Decomposition) -> Mat:
-    if d.flavor is not Flavor.IDEM_P or d.side is not Side.DUAL:
-        raise InvalidCertificateError("expected a dual-side idempotent-p certificate")
-    u_inv = _validate_element(a, f, d.element, d.n, d.flavor, d.side, d.unit)
-    ident = Mat.identity(a.field, a.n)
-    if d.n == 1:
-        value = (ident - d.element) * u_inv
-    else:
-        value = u_inv * a.power(d.n - 1)
-    return _reconstructed(Side.DUAL, a, f, value)
+    return _replay_as(Flavor.IDEM_P, Side.DUAL, a, f, d)
 
 
 def dual_from_s(a: Mat, f: Weight, s: Mat, n: int = 1) -> Mat:
-    v_inv = _validate_element(a, f, s, n, Flavor.ELEM_S, Side.DUAL, None)
-    if n == 1:
-        value = v_inv * a * v_inv
-    else:
-        value = v_inv * a.power(n - 1)
-    return _reconstructed(Side.DUAL, a, f, value)
+    return _replay(a, f, Flavor.ELEM_S, Side.DUAL, s, n, None)
 
 
 def dual_from_qw(a: Mat, f: Weight, d: Decomposition) -> Mat:
-    if d.flavor is not Flavor.IDEM_Q or d.side is not Side.DUAL:
-        raise InvalidCertificateError("expected a dual-side idempotent-q certificate")
-    w_inv = _validate_element(a, f, d.element, d.n, d.flavor, d.side, d.unit)
-    ident = Mat.identity(a.field, a.n)
-    if d.n == 1:
-        value = w_inv * (ident - d.element)
-    else:
-        value = (ident - d.element) * a.power(d.n - 1) * w_inv
-    return _reconstructed(Side.DUAL, a, f, value)
+    return _replay_as(Flavor.IDEM_Q, Side.DUAL, a, f, d)
 
 
 def dual_from_t(a: Mat, f: Weight, t: Mat, n: int = 1) -> Mat:
-    # n >= 2 uses z^{-1} (1 - t) a^{n-1}: the unit must sit on the left for
-    # general (non-idempotent) t, as the star-mirror of the core-side formula;
-    # the opposite ordering only holds for the canonical idempotent.
-    z_inv = _validate_element(a, f, t, n, Flavor.ELEM_T, Side.DUAL, None)
-    ident = Mat.identity(a.field, a.n)
-    if n == 1:
-        value = z_inv * (ident - t) * a * z_inv
-    else:
-        value = z_inv * (ident - t) * a.power(n - 1)
-    return _reconstructed(Side.DUAL, a, f, value)
+    return _replay(a, f, Flavor.ELEM_T, Side.DUAL, t, n, None)
+
+
+def _gram_value(a: Mat, e: Weight, p: Mat) -> Mat | None:
+    """(a* e a + e p)^{-1} a* e, or None when the Gram matrix is singular."""
+    gram_inv = (a.star() * e.value * a + e.value * p).inverse()
+    return None if gram_inv is None else gram_inv * a.star() * e.value
 
 
 def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
@@ -281,33 +268,17 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
-    ident = Mat.identity(a.field, a.n)
-    p = ident - a * cert.value
-    gram = a.star() * e.value * a + e.value * p
-    gram_inv = gram.inverse()
-    if gram_inv is None:
+    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a * cert.value)
+    if value is None:
         raise RuntimeError("internal error: Gram matrix must be invertible here")
-    value = gram_inv * a.star() * e.value
     if value != cert.value:
         raise RuntimeError("internal error: Gram formula disagrees with direct construction")
     return value
 
 
 def dual_gram_formula(a: Mat, f: Weight) -> Mat | NotInvertible:
-    """The weighted dual core inverse as f^{-1} a* (a f^{-1} a* + q f^{-1})^{-1}."""
-    cert = f_dual_core(a, f)
-    if isinstance(cert, NotInvertible):
-        return cert
-    ident = Mat.identity(a.field, a.n)
-    q = ident - cert.value * a
-    gram = a * f.inv * a.star() + q * f.inv
-    gram_inv = gram.inverse()
-    if gram_inv is None:
-        raise RuntimeError("internal error: dual Gram matrix must be invertible here")
-    value = f.inv * a.star() * gram_inv
-    if value != cert.value:
-        raise RuntimeError("internal error: dual Gram formula disagrees with direct construction")
-    return value
+    """The weighted dual core inverse f^{-1} a* (a f^{-1} a* + q f^{-1})^{-1}, mirrored."""
+    return _transport(gram_formula, a, f)
 
 
 def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
@@ -319,11 +290,9 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     _require(p.is_idempotent(), "p must be idempotent")
     _require((e.value * p).is_hermitian(), "(e p)* != e p")
     _require((p * a).is_zero(), "p a != 0")
-    gram = a.star() * e.value * a + e.value * p
-    gram_inv = gram.inverse()
-    if gram_inv is None:
+    recovered = _gram_value(a, e, p)
+    if recovered is None:
         return False
-    recovered = gram_inv * a.star() * e.value
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible) or cert.value != recovered:
         raise RuntimeError(
@@ -343,12 +312,10 @@ def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
     )
     p = None
     if ok:
-        g = group_inverse(a)
-        if isinstance(g, NotInvertible):
-            raise RuntimeError("internal error: EP element must be group invertible")
+        g = ec.witnesses["group_inverse"]
         ident = Mat.identity(a.field, a.n)
-        p = ident - g.value * a
-        if p != ident - a * g.value:
+        p = ident - g * a
+        if p != ident - a * g:
             raise RuntimeError("internal error: group inverse must commute with a")
     return EPReport(ok, ec, fc, p)
 
@@ -416,20 +383,14 @@ def uniqueness_audit(a: Mat, e: Weight, n: int, flavor: Flavor) -> bool:
     an = a.power(n)
     complement = ident - d.element
     zero_row = (a.field.zero(),) * a.n
-    for vec in left_annihilator_basis(an):
-        image = tuple(
-            sum((vec[k] * complement.rows[k][j] for k in range(a.n)), a.field.zero())
-            for j in range(a.n)
-        )
-        if image != zero_row:
-            return False
-    for vec in left_annihilator_basis(complement):
-        image = tuple(
-            sum((vec[k] * an.rows[k][j] for k in range(a.n)), a.field.zero())
-            for j in range(a.n)
-        )
-        if image != zero_row:
-            return False
+    for left, right in ((an, complement), (complement, an)):
+        for vec in left_annihilator_basis(left):
+            image = tuple(
+                sum((vec[k] * right.rows[k][j] for k in range(a.n)), a.field.zero())
+                for j in range(a.n)
+            )
+            if image != zero_row:
+                return False
     return True
 
 
@@ -452,14 +413,9 @@ def random_annihilator_witness(
     _check_n(n)
     if flavor not in (Flavor.ELEM_S, Flavor.ELEM_T):
         raise ValueError("witness generation applies to element flavors only")
-    if side is Side.CORE:
-        cert = e_core(a, w)
-    else:
-        cert = f_dual_core(a, w)
-    if isinstance(cert, NotInvertible):
+    p = _idempotent(a, w) if side is Side.CORE else _transport(_idempotent, a, w)
+    if isinstance(p, NotInvertible):
         raise ValueError("witness generation requires an invertible core instance")
-    ident = Mat.identity(a.field, a.n)
-    p = ident - a * cert.value if side is Side.CORE else ident - cert.value * a
     rng = _random.Random(seed)
     for _ in range(max_tries):
         h = _rand_mat(rng, a.n, a.field)

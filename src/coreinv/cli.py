@@ -12,20 +12,11 @@ import json
 import sys
 
 from .characterize import (
-    Flavor,
     InvalidCertificateError,
     Side,
-    core_from_pu,
-    core_from_qw,
-    core_from_s,
-    core_from_t,
     decomposition_from_json,
-    dual_from_pu,
-    dual_from_qw,
-    dual_from_s,
-    dual_from_t,
     is_weighted_ep,
-    unit_for,
+    replay,
 )
 from .ginverse import (
     GInverseKind,
@@ -75,6 +66,12 @@ def _load_weight(path: str | None, dim, field) -> Weight:
     return w
 
 
+def _result_json(result) -> dict:
+    if isinstance(result, NotInvertible):
+        return not_invertible_to_json(result)
+    return certificate_to_json(result)
+
+
 def cmd_compute(args) -> int:
     a = _load_matrix(args.a)
     e = _load_weight(args.e, a.n, a.field)
@@ -95,10 +92,7 @@ def cmd_compute(args) -> int:
         result = (
             f_dual_core_via_power(a, f, n) if n is not None and n >= 2 else f_dual_core(a, f)
         )
-    if isinstance(result, NotInvertible):
-        _emit(not_invertible_to_json(result), args.out)
-    else:
-        _emit(certificate_to_json(result), args.out)
+    _emit(_result_json(result), args.out)
     return 0
 
 
@@ -121,29 +115,11 @@ def _verify_certificate(args, payload, a: Mat) -> int:
 
 def _verify_decomposition(args, payload, a: Mat) -> int:
     d = decomposition_from_json(payload)
-    if d.side is Side.CORE:
-        w = _load_weight(args.e, a.n, a.field)
-        direct = e_core(a, w)
-        rebuild = {
-            Flavor.IDEM_P: lambda: core_from_pu(a, w, d),
-            Flavor.IDEM_Q: lambda: core_from_qw(a, w, d),
-            Flavor.ELEM_S: lambda: core_from_s(a, w, d.element, d.n),
-            Flavor.ELEM_T: lambda: core_from_t(a, w, d.element, d.n),
-        }[d.flavor]
-    else:
-        w = _load_weight(args.f, a.n, a.field)
-        direct = f_dual_core(a, w)
-        rebuild = {
-            Flavor.IDEM_P: lambda: dual_from_pu(a, w, d),
-            Flavor.IDEM_Q: lambda: dual_from_qw(a, w, d),
-            Flavor.ELEM_S: lambda: dual_from_s(a, w, d.element, d.n),
-            Flavor.ELEM_T: lambda: dual_from_t(a, w, d.element, d.n),
-        }[d.flavor]
+    core = d.side is Side.CORE
+    w = _load_weight(args.e if core else args.f, a.n, a.field)
+    direct = e_core(a, w) if core else f_dual_core(a, w)
     try:
-        if d.flavor in (Flavor.ELEM_S, Flavor.ELEM_T):
-            if d.unit != unit_for(a, d.element, d.n, d.flavor, d.side):
-                raise InvalidCertificateError("unit does not match its defining formula")
-        reconstructed = rebuild()
+        reconstructed = replay(a, w, d)
     except InvalidCertificateError as exc:
         _emit({"ok": False, "error": str(exc)}, args.out)
         return 1
@@ -174,17 +150,11 @@ def cmd_ep(args) -> int:
     e = _load_weight(args.e, a.n, a.field)
     f = _load_weight(args.f, a.n, a.field)
     report = is_weighted_ep(a, e, f)
-
-    def side(result):
-        if isinstance(result, NotInvertible):
-            return not_invertible_to_json(result)
-        return certificate_to_json(result)
-
     _emit(
         {
             "weighted_ep": report.weighted_ep,
-            "e_core": side(report.e_core),
-            "f_dual_core": side(report.f_dual_core),
+            "e_core": _result_json(report.e_core),
+            "f_dual_core": _result_json(report.f_dual_core),
             "p": None if report.p is None else mat_to_json(report.p),
         },
         args.out,
@@ -195,6 +165,9 @@ def cmd_ep(args) -> int:
 def cmd_oracle(args) -> int:
     if args.sample is not None and args.seed is None:
         print("error: --sample requires an explicit --seed", file=sys.stderr)
+        return 2
+    if args.sample is not None and args.sample < 1:
+        print("error: --sample must be at least 1", file=sys.stderr)
         return 2
     try:
         report = cross_check_sweep(
@@ -248,7 +221,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ep = sub.add_parser("ep", help="test whether a is weighted-EP for (e, f)")
     add_common(p_ep)
-    p_ep.add_argument("--n", type=int, choices=range(1, 9), metavar="N")
     p_ep.set_defaults(func=cmd_ep)
 
     p_oracle = sub.add_parser("oracle", help="differential sweep against brute force")

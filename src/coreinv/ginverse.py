@@ -7,6 +7,11 @@ the full defining-equation set of its kind on the result, and returns an
 InverseCertificate carrying both. Non-existence is a typed negative result
 (NotInvertible) naming the membership that failed, never an exception.
 
+The dual side is the core side carried through the involution: x is a dual
+inverse of (a, f) exactly when x* is the matching core inverse of (a*, f^{-1}),
+so the dual constructors run the core-side builders on (a*, f^{-1}) and star
+the result back before certifying it on their own equations.
+
 Equation labels follow the standard numbering for weighted inverses:
 
     (1)  axa = a          (2)  xax = x         (5)  ax = xa
@@ -130,13 +135,54 @@ def verify(
     return VerifyReport(kind, results)
 
 
-def _certified(kind, a, value, witnesses, e=None, f=None, n=None) -> InverseCertificate:
+def _certified(kind, a, built, e=None, f=None, n=None) -> InverseCertificate | NotInvertible:
+    """Certify a builder's (value, witnesses) on the kind's equations; negatives pass through."""
+    if isinstance(built, NotInvertible):
+        return built
+    value, witnesses = built
     report = verify(kind, a, value, e=e, f=f)
     if not report.ok:
         raise RuntimeError(
             f"internal error: constructed {kind.value} inverse fails {report.failed}"
         )
     return InverseCertificate(kind, value, witnesses, n)
+
+
+# Witness and negative names of the core-side builders, renamed for the dual
+# side, where (3e), (6) and (7) become (4f), (8) and (9). Unlisted names are
+# self-dual: a* is group invertible exactly when a is, and in a matrix ring
+# a^2R and Ra^2 fail together, so the group labels keep their text.
+_DUAL = {
+    "ecore": "fdual",
+    "13e": "14f",
+    "inv_13e": "inv_14f",
+    "x": "y",
+    "s": "t",
+    "Ra*ea": "af^-1a*R",
+    "R(a*)^nea": "af^-1(a*)^nR",
+    "Ra^n": "a^nR",
+    "a not in R a* e a": "a not in a f^-1 a* R",
+    "{1,3e} prerequisite failed: a not in R a* e a":
+        "{1,4f} prerequisite failed: a not in a f^-1 a* R",
+    **{f"a not in R (a*)^{n} e a": f"a not in a f^-1 (a*)^{n} R" for n in range(2, MAX_POWER + 1)},
+    **{f"a not in R a^{n}": f"a not in a^{n} R" for n in range(2, MAX_POWER + 1)},
+}
+
+
+def _star_back(built):
+    """Carry a core-side result on (a*, f^-1) back to the dual side of (a, f)."""
+    if isinstance(built, NotInvertible):
+        return NotInvertible(*(_DUAL.get(t, t) for t in (built.kind, built.failed, built.reason)))
+    if isinstance(built, Mat):
+        return built.star()
+    if isinstance(built, dict):
+        return {_DUAL.get(name, name): m.star() for name, m in built.items()}
+    return tuple(_star_back(part) for part in built)
+
+
+def _transport(build, a: Mat, f: Weight, *args):
+    """The dual-side result build(a*, f^-1, ...)*; f^-1 is not validated again."""
+    return _star_back(build(a.star(), f.inverse(), *args))
 
 
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
@@ -149,62 +195,46 @@ def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     if not left.consistent:
         return NotInvertible(GInverseKind.GROUP.value, "Ra^2", "a not in R a^2")
     x, y = right.solution, left.solution
-    value = y * a * x
-    return _certified(GInverseKind.GROUP, a, value, {"x": x, "y": y})
+    return _certified(GInverseKind.GROUP, a, (y * a * x, {"x": x, "y": y}))
 
 
-def inv_13e(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
-    """A {1,3e}-inverse x* e obtained from a witness of a = x (a* e a)."""
+def _inv_13e(a: Mat, e: Weight):
     gram = a.star() * e.value * a
     w = solve_left(gram, a)
     if not w.consistent:
         return NotInvertible(GInverseKind.ONE_THREE_E.value, "Ra*ea", "a not in R a* e a")
     x = w.solution
-    value = x.star() * e.value
-    return _certified(GInverseKind.ONE_THREE_E, a, value, {"x": x}, e=e)
+    return x.star() * e.value, {"x": x}
+
+
+def inv_13e(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
+    """A {1,3e}-inverse x* e obtained from a witness of a = x (a* e a)."""
+    return _certified(GInverseKind.ONE_THREE_E, a, _inv_13e(a, e), e=e)
 
 
 def inv_14f(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
-    """A {1,4f}-inverse f^{-1} y* obtained from a witness of a = (a f^{-1} a*) y."""
-    gram = a * f.inv * a.star()
-    w = solve_right(gram, a)
-    if not w.consistent:
-        return NotInvertible(
-            GInverseKind.ONE_FOUR_F.value, "af^-1a*R", "a not in a f^-1 a* R"
-        )
-    y = w.solution
-    value = f.inv * y.star()
-    return _certified(GInverseKind.ONE_FOUR_F, a, value, {"y": y}, f=f)
+    """A {1,4f}-inverse f^{-1} y* with a = (a f^{-1} a*) y: the mirror inv_13e(a*, f^{-1})*."""
+    return _certified(GInverseKind.ONE_FOUR_F, a, _transport(_inv_13e, a, f), f=f)
 
 
-def e_core(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
-    """The weighted core inverse a^# a a^{(1,3e)}; exists iff both factors do."""
+def _e_core(a: Mat, e: Weight):
     g = group_inverse(a)
     if isinstance(g, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "group", f"group prerequisite failed: {g.reason}")
     i13 = inv_13e(a, e)
     if isinstance(i13, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}")
-    value = g.value * a * i13.value
-    witnesses = {"group_inverse": g.value, "inv_13e": i13.value}
-    return _certified(GInverseKind.E_CORE, a, value, witnesses, e=e)
+    return g.value * a * i13.value, {"group_inverse": g.value, "inv_13e": i13.value}
+
+
+def e_core(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
+    """The weighted core inverse a^# a a^{(1,3e)}; exists iff both factors do."""
+    return _certified(GInverseKind.E_CORE, a, _e_core(a, e), e=e)
 
 
 def f_dual_core(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
-    """The weighted dual core inverse a^{(1,4f)} a a^#."""
-    g = group_inverse(a)
-    if isinstance(g, NotInvertible):
-        return NotInvertible(
-            GInverseKind.F_DUAL_CORE.value, "group", f"group prerequisite failed: {g.reason}"
-        )
-    i14 = inv_14f(a, f)
-    if isinstance(i14, NotInvertible):
-        return NotInvertible(
-            GInverseKind.F_DUAL_CORE.value, "14f", f"{{1,4f}} prerequisite failed: {i14.reason}"
-        )
-    value = i14.value * a * g.value
-    witnesses = {"group_inverse": g.value, "inv_14f": i14.value}
-    return _certified(GInverseKind.F_DUAL_CORE, a, value, witnesses, f=f)
+    """The weighted dual core inverse a^{(1,4f)} a a^#: the mirror e_core(a*, f^{-1})*."""
+    return _certified(GInverseKind.F_DUAL_CORE, a, _transport(_e_core, a, f), f=f)
 
 
 def _check_power(n: int):
@@ -214,13 +244,7 @@ def _check_power(n: int):
         raise ValueError(f"power representation requires 2 <= n <= {MAX_POWER}, got {n}")
 
 
-def e_core_via_power(a: Mat, e: Weight, n: int) -> InverseCertificate | NotInvertible:
-    """The weighted core inverse through its power representation a^{n-1} s* e.
-
-    Requires both memberships a in R (a*)^n e a (yielding the witness s) and
-    a in R a^n; either failing is a certified negative.
-    """
-    _check_power(n)
+def _e_core_via_power(a: Mat, e: Weight, n: int):
     gram = a.star().power(n) * e.value * a
     sw = solve_left(gram, a)
     if not sw.consistent:
@@ -231,25 +255,25 @@ def e_core_via_power(a: Mat, e: Weight, n: int) -> InverseCertificate | NotInver
     if not rw.consistent:
         return NotInvertible(GInverseKind.E_CORE.value, "Ra^n", f"a not in R a^{n}")
     s = sw.solution
-    value = a.power(n - 1) * s.star() * e.value
-    return _certified(GInverseKind.E_CORE, a, value, {"s": s}, e=e, n=n)
+    return a.power(n - 1) * s.star() * e.value, {"s": s}
+
+
+def e_core_via_power(a: Mat, e: Weight, n: int) -> InverseCertificate | NotInvertible:
+    """The weighted core inverse through its power representation a^{n-1} s* e.
+
+    Requires both memberships a in R (a*)^n e a (yielding the witness s) and
+    a in R a^n; either failing is a certified negative.
+    """
+    _check_power(n)
+    return _certified(GInverseKind.E_CORE, a, _e_core_via_power(a, e, n), e=e, n=n)
 
 
 def f_dual_core_via_power(a: Mat, f: Weight, n: int) -> InverseCertificate | NotInvertible:
-    """The weighted dual core inverse through f^{-1} t* a^{n-1}."""
+    """The weighted dual core inverse through f^{-1} t* a^{n-1}, the mirror of the core path."""
     _check_power(n)
-    gram = a * f.inv * a.star().power(n)
-    tw = solve_right(gram, a)
-    if not tw.consistent:
-        return NotInvertible(
-            GInverseKind.F_DUAL_CORE.value, "af^-1(a*)^nR", f"a not in a f^-1 (a*)^{n} R"
-        )
-    rw = solve_right(a.power(n), a)
-    if not rw.consistent:
-        return NotInvertible(GInverseKind.F_DUAL_CORE.value, "a^nR", f"a not in a^{n} R")
-    t = tw.solution
-    value = f.inv * t.star() * a.power(n - 1)
-    return _certified(GInverseKind.F_DUAL_CORE, a, value, {"t": t}, f=f, n=n)
+    return _certified(
+        GInverseKind.F_DUAL_CORE, a, _transport(_e_core_via_power, a, f, n), f=f, n=n
+    )
 
 
 def weighted_mp(a: Mat, e: Weight, f: Weight) -> InverseCertificate | NotInvertible:
@@ -307,9 +331,10 @@ def certificate_from_json(obj) -> InverseCertificate:
     try:
         kind = GInverseKind(obj["kind"])
         value = mat_from_json(obj["value"])
-        witnesses = {
-            str(name): mat_from_json(m) for name, m in obj.get("witnesses", {}).items()
-        }
+        witnesses = obj.get("witnesses", {})
+        if not isinstance(witnesses, dict):
+            raise ValueError("certificate witnesses must be a JSON object")
+        witnesses = {str(name): mat_from_json(m) for name, m in witnesses.items()}
     except KeyError as exc:
         raise ValueError(f"certificate missing field {exc}") from exc
     n = obj.get("n")

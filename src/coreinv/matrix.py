@@ -270,6 +270,12 @@ class Weight:
     def identity(cls, field: ScalarField, n: int) -> "Weight":
         return cls(Mat.identity(field, n))
 
+    def inverse(self) -> "Weight":
+        """The weight w^{-1}; Hermitian and invertible because w is, so not validated again."""
+        w = object.__new__(Weight)
+        w.value, w.inv = self.inv, self.value
+        return w
+
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
@@ -378,9 +384,6 @@ def random_non_group_invertible(dim: int, field: ScalarField, seed: int) -> Mat:
     core = _block_embed(field, dim, blocks + [shift])
     u = _rand_invertible(rng, dim, field)
     return u * core * u.inverse()
-
-
-_BACKENDS = {"Q": lambda obj: QQ, "Qi": lambda obj: QI}
 
 
 def _field_from_json(obj: dict) -> ScalarField:

@@ -286,7 +286,10 @@ class RationalField(ScalarField):
 
     def parse(self, obj):
         if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
-            return self.coerce(obj)
+            try:
+                return self.coerce(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in rational entry {obj!r}") from None
         raise ValueError(f"invalid rational encoding: {obj!r}")
 
     def encode(self, x):

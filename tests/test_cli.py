@@ -63,6 +63,9 @@ def test_compute_rejects_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _ = run(capsys, ["compute", "--kind", "group", "--a", str(path)])
     assert code == 2
+    zero_den = write(tmp_path, "z.json", {"backend": "Q", "dim": 1, "entries": [["1/0"]]})
+    code, _ = run(capsys, ["compute", "--kind", "group", "--a", zero_den])
+    assert code == 2
 
 
 def test_compute_power_path(tmp_path, capsys):
@@ -115,6 +118,9 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     bad = write(tmp_path, "cert.json", {"kind": "ecore"})
     code, _ = run(capsys, ["verify", "--a", a, "--cert", bad])
     assert code == 2
+    bad = write(tmp_path, "cert2.json", {"kind": "ecore", "value": A_OBJ, "witnesses": [1]})
+    code, _ = run(capsys, ["verify", "--a", a, "--cert", bad])
+    assert code == 2
 
 
 def test_ep_verdicts(tmp_path, capsys):
@@ -154,6 +160,9 @@ def test_oracle_exhaustive_and_refusal(tmp_path, capsys):
     assert code == 2  # seed required
     code, out = run(capsys, ["oracle", "--p", "5", "--dim", "3", "--sample", "2", "--seed", "3"])
     assert code == 0
+    for sample in ("0", "-1"):  # checking nothing is not a pass
+        code, out = run(capsys, ["oracle", "--p", "2", "--dim", "2", "--sample", sample, "--seed", "3"])
+        assert code == 2 and out == ""
 
 
 def test_output_is_byte_stable(tmp_path, capsys):

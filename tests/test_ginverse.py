@@ -239,19 +239,48 @@ def test_lemma_r_core_check_booleans_agree():
 
 def test_star_duality_via_inverse_weight():
     # x is the dual core inverse for (a, f) exactly when star(x) is the core
-    # inverse for (star(a), f^{-1}); transport goes through the inverse weight.
-    for seed in range(10):
-        a = random_group_invertible(3, QI, seed=1000 + seed)
-        f = random_weight(3, QI, seed=1100 + seed, definite=True)
+    # inverse for (star(a), f^{-1}); transport goes through the inverse weight,
+    # and the witnesses map as y = x*, t = s* and inv_14f = inv_13e*.
+    cases = [(QI, seed) for seed in range(10)] + [(QQ, 21), (QQ, 23), (GF(5), 32), (GF(5), 35)]
+    for field, seed in cases:
+        a = random_group_invertible(3, field, seed=1000 + seed)
+        f = random_weight(3, field, seed=1100 + seed, definite=True)
+        f_inv = f.inverse()
+        assert f_inv == Weight(f.inv) and f_inv.inv == f.value
         dual = f_dual_core(a, f)
-        mirrored = e_core(a.star(), Weight(f.inv))
+        mirrored = e_core(a.star(), f_inv)
         assert not isinstance(dual, NotInvertible)
         assert not isinstance(mirrored, NotInvertible)
         assert dual.value.star() == mirrored.value
-        assert verify(
-            GInverseKind.E_CORE, a.star(), dual.value.star(), e=Weight(f.inv)
-        ).ok
+        assert verify(GInverseKind.E_CORE, a.star(), dual.value.star(), e=f_inv).ok
         assert verify(GInverseKind.F_DUAL_CORE, a, mirrored.value.star(), f=f).ok
+        assert dual.witnesses == {
+            "group_inverse": mirrored.witnesses["group_inverse"].star(),
+            "inv_14f": mirrored.witnesses["inv_13e"].star(),
+        }
+        assert inv_14f(a, f).witnesses == {"y": inv_13e(a.star(), f_inv).witnesses["x"].star()}
+        powered = f_dual_core_via_power(a, f, 2)
+        assert powered.witnesses == {
+            "t": e_core_via_power(a.star(), f_inv, 2).witnesses["s"].star()
+        }
+    # negatives carried back keep their dual-side labels
+    iso = Mat(QQ, [[1, 1], [1, 1]])  # a f^{-1} a* = 0 for f = diag(1, -1)
+    f = Weight(Mat(QQ, [[1, 0], [0, -1]]))
+    assert inv_14f(iso, f) == NotInvertible("14f", "af^-1a*R", "a not in a f^-1 a* R")
+    assert f_dual_core(iso, f) == NotInvertible(
+        "fdual", "14f", "{1,4f} prerequisite failed: a not in a f^-1 a* R"
+    )
+    assert f_dual_core_via_power(iso, f, 2) == NotInvertible(
+        "fdual", "af^-1(a*)^nR", "a not in a f^-1 (a*)^2 R"
+    )
+    nil = Mat(GF(5), [[0, 1], [0, 0]])
+    i5 = Weight.identity(GF(5), 2)
+    assert f_dual_core(nil, i5) == NotInvertible(
+        "fdual", "group", "group prerequisite failed: a not in a^2 R"
+    )
+    assert f_dual_core_via_power(nil, i5, 3) == NotInvertible(
+        "fdual", "af^-1(a*)^nR", "a not in a f^-1 (a*)^3 R"
+    )
 
 
 def test_nonsquare_power_and_zero_edge():
