@@ -23,6 +23,7 @@ from .ginverse import (
     InverseCertificate,
     NotInvertible,
     _certified,
+    _check_n,
     _transport,
     e_core,
     f_dual_core,
@@ -35,9 +36,6 @@ from .matrix import (
     mat_from_json,
     mat_to_json,
 )
-
-MAX_UNIT_POWER = 8
-
 
 class Flavor(str, Enum):
     IDEM_P = "p"
@@ -79,13 +77,6 @@ class EPReport:
         return self.weighted_ep
 
 
-def _check_n(n: int):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1 or n > MAX_UNIT_POWER:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_UNIT_POWER}, got {n}")
-
-
 def unit_for(a: Mat, element: Mat, n: int, flavor: Flavor, side: Side) -> Mat:
     """The unit candidate the flavor's clause pairs with the element."""
     ident = Mat.identity(a.field, a.n)
@@ -109,8 +100,12 @@ def _validate_element(
     _check_n(n)
     a._compat(element)
     name = flavor.value
+    expected = unit_for(a, element, n, flavor, side)
+    unit_ok = unit is None or unit == expected
     if flavor in (Flavor.IDEM_P, Flavor.IDEM_Q):
         _require(element.is_idempotent(), f"{name} must be idempotent")
+    else:  # the element flavors check their unit first
+        _require(unit_ok, "unit does not match its defining formula")
     _require(
         (w.value * element).is_hermitian(),
         f"weighted element must be Hermitian: (w {name})* != w {name}",
@@ -119,9 +114,7 @@ def _validate_element(
         _require((element * a).is_zero(), f"{name} a != 0")
     else:
         _require((a * element).is_zero(), f"a {name} != 0")
-    expected = unit_for(a, element, n, flavor, side)
-    if unit is not None:
-        _require(unit == expected, "unit does not match its defining formula")
+    _require(unit_ok, "unit does not match its defining formula")
     unit_inv = expected.inverse()
     _require(unit_inv is not None, "unit is not invertible")
     return unit_inv
@@ -203,11 +196,6 @@ def replay(a: Mat, w: Weight, d: Decomposition) -> Mat:
     flavors s and t, and a violation raises InvalidCertificateError. The result
     is verified on the equations of the certificate's own side for (a, w).
     """
-    if d.flavor in (Flavor.ELEM_S, Flavor.ELEM_T):
-        _require(
-            d.unit == unit_for(a, d.element, d.n, d.flavor, d.side),
-            "unit does not match its defining formula",
-        )
     return _replay(a, w, d.flavor, d.side, d.element, d.n, d.unit)
 
 
@@ -345,15 +333,10 @@ def ep_decompose(a: Mat, e: Weight, f: Weight, n: int = 1) -> Decomposition | No
 def ep_from_s(a: Mat, e: Weight, f: Weight, s: Mat, n: int = 1) -> Mat:
     """Certify weighted-EP from a two-sided element witness; returns the common inverse.
 
-    Requires (e s)* = e s, (f s)* = f s, a s = s a = 0 and a^n + s invertible.
-    The core and dual reconstructions then coincide because a commutes with
-    the unit, and the equality is checked exactly.
+    Requires (e s)* = e s, (f s)* = f s, a s = s a = 0 and a^n + s invertible;
+    the core and dual replays check these (InvalidCertificateError) and then
+    coincide because a commutes with the unit, which is checked exactly.
     """
-    _check_n(n)
-    _require((e.value * s).is_hermitian(), "(e s)* != e s")
-    _require((f.value * s).is_hermitian(), "(f s)* != f s")
-    _require((s * a).is_zero(), "s a != 0")
-    _require((a * s).is_zero(), "a s != 0")
     core_value = core_from_s(a, e, s, n)
     dual_value = dual_from_s(a, f, s, n)
     if core_value != dual_value:

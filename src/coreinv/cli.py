@@ -1,8 +1,10 @@
 """Command-line front door: compute, verify, test weighted-EP, run oracle sweeps.
 
-Exit codes separate three outcomes: 0 for a completed computation (including a
+Exit codes separate four outcomes: 0 for a completed computation (including a
 negative mathematical answer), 1 for a failed verification or oracle mismatch,
-and 2 for malformed or invalid input. Output is deterministic JSON.
+2 for malformed or invalid input, and 3 for an internal error, a broken
+invariant of coreinv itself such as a constructed inverse that fails its own
+equations. Output is deterministic JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .characterize import (
     replay,
 )
 from .ginverse import (
+    MAX_POWER,
     GInverseKind,
     NotInvertible,
     certificate_from_json,
@@ -41,7 +44,10 @@ from .scalar import SUPPORTED_PRIMES
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(obj, out: str | None):
@@ -206,9 +212,9 @@ def _parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--n",
         type=int,
-        choices=range(1, 9),
+        choices=range(1, MAX_POWER + 1),
         metavar="N",
-        help="power-representation exponent (1..8); n >= 2 selects the power path",
+        help=f"power-representation exponent (1..{MAX_POWER}); n >= 2 selects the power path",
     )
     p_compute.set_defaults(func=cmd_compute)
 
@@ -226,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="differential sweep against brute force")
     p_oracle.add_argument("--p", type=int, required=True, choices=SUPPORTED_PRIMES)
     p_oracle.add_argument("--dim", type=int, required=True)
-    p_oracle.add_argument("--n", type=int, choices=range(1, 9), metavar="N")
+    p_oracle.add_argument("--n", type=int, choices=range(1, MAX_POWER + 1), metavar="N")
     p_oracle.add_argument("--sample", type=int, help="sampled mode: instances per sweep")
     p_oracle.add_argument("--seed", type=int, help="seed for sampled mode (required)")
     p_oracle.add_argument("--out")
@@ -241,6 +247,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():  # console-script shim

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from functools import cached_property
 
 from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
 
@@ -89,30 +90,39 @@ EQUATIONS: dict[GInverseKind, tuple[str, ...]] = {
     GInverseKind.F_DUAL_CORE: ("(1)", "(2)", "(4f)", "(8)", "(9)"),
 }
 
-_NEEDS_E = {GInverseKind.ONE_THREE_E, GInverseKind.WEIGHTED_MP, GInverseKind.E_CORE}
-_NEEDS_F = {GInverseKind.ONE_FOUR_F, GInverseKind.WEIGHTED_MP, GInverseKind.F_DUAL_CORE}
+# Each label's predicate over the shared products p.ax = a·x and p.xa = x·a; exact
+# associativity makes (ax)a the same matrix as a(xa), so each decides its equation.
+_PREDICATES = {
+    "(1)": lambda a, x, p, e, f: p.ax * a == a,
+    "(2)": lambda a, x, p, e, f: p.xa * x == x,
+    "(3e)": lambda a, x, p, e, f: (e.value * p.ax).is_hermitian(),
+    "(4f)": lambda a, x, p, e, f: (f.value * p.xa).is_hermitian(),
+    "(5)": lambda a, x, p, e, f: p.ax == p.xa,
+    "(6)": lambda a, x, p, e, f: p.xa * a == a,
+    "(7)": lambda a, x, p, e, f: p.ax * x == x,
+    "(8)": lambda a, x, p, e, f: a * p.ax == a,
+    "(9)": lambda a, x, p, e, f: x * p.xa == x,
+}
 
 
-def _evaluate(label: str, a: Mat, x: Mat, e: Weight | None, f: Weight | None) -> bool:
-    if label == "(1)":
-        return a * x * a == a
-    if label == "(2)":
-        return x * a * x == x
-    if label == "(3e)":
-        return (e.value * a * x).is_hermitian()
-    if label == "(4f)":
-        return (f.value * x * a).is_hermitian()
-    if label == "(5)":
-        return a * x == x * a
-    if label == "(6)":
-        return x * a * a == a
-    if label == "(7)":
-        return a * x * x == x
-    if label == "(8)":
-        return a * a * x == a
-    if label == "(9)":
-        return x * x * a == x
-    raise ValueError(f"unknown equation label {label!r}")
+def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
+    """(e, f) with None for a weight the kind's equations do not use: e serves
+    (3e) and f serves (4f). A weight they use that is missing raises ValueError."""
+    labels = EQUATIONS[kind]
+    for label, w, name in (("(3e)", e, "e"), ("(4f)", f, "f")):
+        if label in labels and w is None:
+            raise ValueError(f"kind {kind.value} requires the weight {name}")
+    return (e if "(3e)" in labels else None, f if "(4f)" in labels else None)
+
+
+class _Products:
+    """The products a·x and x·a of one verify call, each formed at most once."""
+
+    def __init__(self, a: Mat, x: Mat):
+        self.a, self.x = a, x
+
+    ax = cached_property(lambda self: self.a * self.x)
+    xa = cached_property(lambda self: self.x * self.a)
 
 
 def verify(
@@ -124,15 +134,12 @@ def verify(
 ) -> VerifyReport:
     """Evaluate every defining equation of `kind` for the candidate x exactly."""
     kind = GInverseKind(kind)
-    if kind in _NEEDS_E and e is None:
-        raise ValueError(f"kind {kind.value} requires the weight e")
-    if kind in _NEEDS_F and f is None:
-        raise ValueError(f"kind {kind.value} requires the weight f")
+    e, f = _weights_used(kind, e, f)
     a._compat(x)
-    results = tuple(
-        (label, _evaluate(label, a, x, e, f)) for label in EQUATIONS[kind]
+    p = _Products(a, x)
+    return VerifyReport(
+        kind, tuple((label, _PREDICATES[label](a, x, p, e, f)) for label in EQUATIONS[kind])
     )
-    return VerifyReport(kind, results)
 
 
 def _certified(kind, a, built, e=None, f=None, n=None) -> InverseCertificate | NotInvertible:
@@ -237,11 +244,12 @@ def f_dual_core(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
     return _certified(GInverseKind.F_DUAL_CORE, a, _transport(_e_core, a, f), f=f)
 
 
-def _check_power(n: int):
+def _check_n(n: int, least: int = 1):
+    """Reject an exponent n outside least..MAX_POWER, the one bound on every power."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an int, got {n!r}")
-    if n < 2 or n > MAX_POWER:
-        raise ValueError(f"power representation requires 2 <= n <= {MAX_POWER}, got {n}")
+    if n < least or n > MAX_POWER:
+        raise ValueError(f"n must satisfy {least} <= n <= {MAX_POWER}, got {n}")
 
 
 def _e_core_via_power(a: Mat, e: Weight, n: int):
@@ -264,13 +272,13 @@ def e_core_via_power(a: Mat, e: Weight, n: int) -> InverseCertificate | NotInver
     Requires both memberships a in R (a*)^n e a (yielding the witness s) and
     a in R a^n; either failing is a certified negative.
     """
-    _check_power(n)
+    _check_n(n, 2)
     return _certified(GInverseKind.E_CORE, a, _e_core_via_power(a, e, n), e=e, n=n)
 
 
 def f_dual_core_via_power(a: Mat, f: Weight, n: int) -> InverseCertificate | NotInvertible:
     """The weighted dual core inverse through f^{-1} t* a^{n-1}, the mirror of the core path."""
-    _check_power(n)
+    _check_n(n, 2)
     return _certified(
         GInverseKind.F_DUAL_CORE, a, _transport(_e_core_via_power, a, f, n), f=f, n=n
     )
@@ -306,7 +314,7 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     Returns (a in R a* e a and a in a^n R, a in R (a*)^n e a); the two booleans
     agree for every input, which the test suite asserts.
     """
-    _check_power(n)
+    _check_n(n, 2)
     first = (
         solve_left(a.star() * e.value * a, a).consistent
         and solve_right(a.power(n), a).consistent

@@ -288,12 +288,6 @@ class Weight:
         return f"Weight({self.value!r})"
 
 
-def is_hermitian_wrt(w: Weight, m: Mat) -> bool:
-    """True iff w @ m equals its own conjugate-transpose."""
-    w.value._compat(m)
-    return (w.value * m).is_hermitian()
-
-
 def _rand_mat(rng, dim: int, field: ScalarField) -> Mat:
     return Mat._wrap(
         field, tuple(tuple(field.random(rng) for _ in range(dim)) for _ in range(dim))

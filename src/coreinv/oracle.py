@@ -16,6 +16,7 @@ from itertools import product
 from .ginverse import (
     GInverseKind,
     NotInvertible,
+    _weights_used,
     e_core,
     e_core_via_power,
     f_dual_core,
@@ -49,9 +50,15 @@ class EnumerationSpace:
         return self.count <= EXHAUSTIVE_BOUND
 
     def matrices(self):
+        """An iterator over every matrix; a space beyond EXHAUSTIVE_BOUND is refused."""
+        if not self.exhaustive:
+            raise SpaceTooLargeError(
+                f"space M_{self.dim}(F_{self.p}) has {self.count} matrices"
+                f" (> {EXHAUSTIVE_BOUND}); only a sample of it can be checked"
+            )
         n = self.dim
-        for flat in product(range(self.p), repeat=n * n):
-            yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        flats = product(range(self.p), repeat=n * n)
+        return (tuple(flat[i * n : (i + 1) * n] for i in range(n)) for flat in flats)
 
 
 def _mmul(x, y, p):
@@ -164,30 +171,20 @@ def _satisfies(kind: GInverseKind, a, x, e, f, p) -> bool:
 
 
 def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | None):
-    n = len(a_raw)
-    e_raw = f_raw = None
-    if kind in (GInverseKind.ONE_THREE_E, GInverseKind.WEIGHTED_MP, GInverseKind.E_CORE):
-        if e is None:
-            raise ValueError(f"kind {kind.value} requires the weight e")
-        e_raw, ep = _raw(e.value)
-        if ep != p or len(e_raw) != n:
-            raise ValueError("weight e does not match the matrix backend")
-    if kind in (GInverseKind.ONE_FOUR_F, GInverseKind.WEIGHTED_MP, GInverseKind.F_DUAL_CORE):
-        if f is None:
-            raise ValueError(f"kind {kind.value} requires the weight f")
-        f_raw, fp = _raw(f.value)
-        if fp != p or len(f_raw) != n:
-            raise ValueError("weight f does not match the matrix backend")
-    return e_raw, f_raw
+    """Raw forms of the weights the kind's equations use; None for the others."""
+    raws = []
+    for w, name in zip(_weights_used(kind, e, f), "ef"):
+        raw = None
+        if w is not None:
+            raw, wp = _raw(w.value)
+            if wp != p or len(raw) != len(a_raw):
+                raise ValueError(f"weight {name} does not match the matrix backend")
+        raws.append(raw)
+    return tuple(raws)
 
 
 def _candidates(space: EnumerationSpace, sample: int | None, seed: int | None):
     if sample is None:
-        if not space.exhaustive:
-            raise SpaceTooLargeError(
-                f"candidate space M_{space.dim}(F_{space.p}) has {space.count} matrices"
-                f" (> {EXHAUSTIVE_BOUND}); pass a sample size"
-            )
         return space.matrices()
     if seed is None:
         raise ValueError("sampled enumeration requires a seed")
@@ -229,12 +226,7 @@ def brute_solutions(
 
 @lru_cache(maxsize=None)
 def _idempotents(p: int, n: int):
-    space = EnumerationSpace(p, n)
-    if not space.exhaustive:
-        raise SpaceTooLargeError(
-            f"idempotent enumeration over M_{n}(F_{p}) exceeds the exhaustive bound"
-        )
-    return tuple(x for x in space.matrices() if _mmul(x, x, p) == x)
+    return tuple(x for x in EnumerationSpace(p, n).matrices() if _mmul(x, x, p) == x)
 
 
 def brute_idempotent_certificates(
@@ -307,33 +299,23 @@ def cross_check(
     the power-representation paths must match the direct ones as well.
     """
     a_raw, p = _raw(a)
-    e_raw, _ = _weight_raws(GInverseKind.E_CORE, a_raw, p, e, None)
-    f_raw_only, _ = _raw(f.value)
+    e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     sampled = sample is not None
+    constructed = {
+        GInverseKind.GROUP: group_inverse(a),
+        GInverseKind.E_CORE: e_core(a, e),
+        GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
+        GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),
+    }
     checks = []
-    pairs = (
-        (GInverseKind.GROUP, group_inverse(a), None, None),
-        (GInverseKind.E_CORE, e_core(a, e), e_raw, None),
-        (GInverseKind.F_DUAL_CORE, f_dual_core(a, f), None, f_raw_only),
-        (GInverseKind.WEIGHTED_MP, weighted_mp(a, e, f), e_raw, f_raw_only),
-    )
-    for kind, constructed, er, fr in pairs:
-        brute = brute_solutions(
-            kind,
-            a,
-            e=e if er is not None else None,
-            f=f if fr is not None else None,
-            sample=sample,
-            seed=seed,
-        )
-        checks.append(_compare(kind, constructed, brute, a_raw, er, fr, p, sampled))
+    for kind, result in constructed.items():
+        brute = brute_solutions(kind, a, e=e, f=f, sample=sample, seed=seed)
+        checks.append(_compare(kind, result, brute, a_raw, e_raw, f_raw, p, sampled))
     if n >= 2:
-        direct = e_core(a, e)
         powered = e_core_via_power(a, e, n)
-        checks.append(_power_entry("ecore_power", direct, powered))
-        direct = f_dual_core(a, f)
+        checks.append(_power_entry("ecore_power", constructed[GInverseKind.E_CORE], powered))
         powered = f_dual_core_via_power(a, f, n)
-        checks.append(_power_entry("fdual_power", direct, powered))
+        checks.append(_power_entry("fdual_power", constructed[GInverseKind.F_DUAL_CORE], powered))
     ok = all(c["ok"] for c in checks)
     return {
         "ok": ok,
@@ -398,13 +380,9 @@ def cross_check_sweep(
             mismatches.append(report)
 
     if sample is None:
-        if not space.exhaustive:
-            raise SpaceTooLargeError(
-                f"space M_{dim}(F_{p}) has {space.count} matrices"
-                f" (> {EXHAUSTIVE_BOUND}); pass a sample size"
-            )
+        matrices = space.matrices()
         weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
-        for a_raw in space.matrices():
+        for a_raw in matrices:
             a = _to_mat(a_raw, p)
             for w in weights:
                 record(cross_check(a, w, w, n=n))

@@ -13,9 +13,26 @@ from fractions import Fraction
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
+# Digits allowed in a decoded rational's numerator and denominator: CPython's
+# int/str conversion limit, which JSON integer entries already meet.
+MAX_ENTRY_DIGITS = 4300
+
 
 class BackendMismatchError(TypeError):
     """Operands belong to different scalar backends."""
+
+
+def _check_entry_size(text: str):
+    """Reject a rational literal whose numerator or denominator, before reduction,
+    could exceed MAX_ENTRY_DIGITS digits; it is checked before any number is built."""
+    if len(text) <= MAX_ENTRY_DIGITS and "e" not in text and "E" not in text:
+        return  # without an exponent no part has more digits than the text has characters
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    parts = mantissa.split("/")
+    digits = max(len(p.strip().lstrip("+-").replace("_", "").replace(".", "")) for p in parts)
+    if len(exp) > len(str(MAX_ENTRY_DIGITS)) or digits + int(exp or 0) > MAX_ENTRY_DIGITS:
+        raise ValueError(f"rational entry has more than {MAX_ENTRY_DIGITS} digits")
 
 
 def _reject_float(value):
@@ -285,6 +302,8 @@ class RationalField(ScalarField):
         return Fraction(1) / self.coerce(x)
 
     def parse(self, obj):
+        if isinstance(obj, str):
+            _check_entry_size(obj)
         if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
             try:
                 return self.coerce(obj)
@@ -398,10 +417,6 @@ class PrimeField(ScalarField):
     def random(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
-    def elements(self):
-        for v in range(self.p):
-            yield PrimeFieldElement(v, self.p)
-
     def __eq__(self, other):
         return type(other) is PrimeField and other.p == self.p
 
@@ -426,45 +441,3 @@ def GF(p: int) -> PrimeField:
         _PRIME_FIELDS[p] = field = PrimeField(p)
         return field
 
-
-def backend_of(x) -> ScalarField:
-    """The backend a scalar belongs to; plain ints are ambiguous and rejected."""
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, GaussianRational):
-        return QI
-    if isinstance(x, PrimeFieldElement):
-        return GF(x.p)
-    if isinstance(x, int):
-        raise TypeError("plain ints are backend-ambiguous; coerce through a field first")
-    raise TypeError(f"not a scalar: {x!r}")
-
-
-def _same_backend(x, y) -> ScalarField:
-    bx, by = backend_of(x), backend_of(y)
-    if bx != by:
-        raise BackendMismatchError(f"mixed scalar backends: {bx} vs {by}")
-    return bx
-
-
-def scalar_add(x, y):
-    _same_backend(x, y)
-    return x + y
-
-
-def scalar_mul(x, y):
-    _same_backend(x, y)
-    return x * y
-
-
-def scalar_neg(x):
-    backend_of(x)
-    return -x
-
-
-def scalar_inv(x):
-    return backend_of(x).inv(x)
-
-
-def scalar_conj(x):
-    return backend_of(x).conj(x)

@@ -1,12 +1,22 @@
 """CLI contract: exit codes, JSON shapes, byte-stable output."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coreinv.ginverse
 
 from coreinv import (
     QQ,
     Mat,
+    VerifyReport,
     Weight,
     decompose_idempotent,
     decomposition_to_json,
@@ -66,6 +76,22 @@ def test_compute_rejects_malformed_json(tmp_path, capsys):
     zero_den = write(tmp_path, "z.json", {"backend": "Q", "dim": 1, "entries": [["1/0"]]})
     code, _ = run(capsys, ["compute", "--kind", "group", "--a", zero_den])
     assert code == 2
+    # entries beyond 4300 digits are refused before any number is built from them
+    for backend, entry in (
+        ("Q", "1e999999"),
+        ("Q", "1e999999999"),
+        ("Q", "1e-999999999"),
+        ("Q", "1/" + "9" * 4301),
+        ("Qi", ["1", "1e999999999"]),
+    ):
+        huge = write(tmp_path, "h.json", {"backend": backend, "dim": 1, "entries": [[entry]]})
+        start = time.perf_counter()
+        code, _ = run(capsys, ["compute", "--kind", "group", "--a", huge])
+        assert code == 2 and time.perf_counter() - start < 1.0
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, _ = run(capsys, ["compute", "--kind", "group", "--a", str(deep)])
+    assert code == 2
 
 
 def test_compute_power_path(tmp_path, capsys):
@@ -121,6 +147,13 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     bad = write(tmp_path, "cert2.json", {"kind": "ecore", "value": A_OBJ, "witnesses": [1]})
     code, _ = run(capsys, ["verify", "--a", a, "--cert", bad])
     assert code == 2
+    # an exponent past the bound is refused before a^n is formed
+    nil = {"backend": "Q", "dim": 2, "entries": [["0", "0"], ["0", "1"]]}
+    huge_n = {"flavor": "s", "side": "core", "n": 10**9, "element": nil, "unit": A_OBJ}
+    bad = write(tmp_path, "cert3.json", huge_n)
+    start = time.perf_counter()
+    code, _ = run(capsys, ["verify", "--a", a, "--cert", bad])
+    assert code == 2 and time.perf_counter() - start < 1.0
 
 
 def test_ep_verdicts(tmp_path, capsys):
@@ -185,3 +218,119 @@ def test_unknown_kind_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--kind", "drazin", "--a", a])
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def failing_verify(kind, a, x, e=None, f=None):
+        return VerifyReport(kind, (("(1)", False),))
+
+    monkeypatch.setattr(coreinv.ginverse, "verify", failing_verify)
+    a = write(tmp_path, "a.json", A_OBJ)
+    code = main(["compute", "--kind", "group", "--a", a])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: internal error:")
+    assert "Traceback" not in captured.err
+
+
+def containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2)
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3), containers, max_leaves=5
+)
+BAD_ENTRY = st.sampled_from(
+    ["1/0", "1e999999", "1e-999999999", "1e4299", "1.5", "x", "", ["1"], ["1", "2", "3"]]
+) | JUNK
+FAULTS = [None] * 8 + ["entry"] * 4 + ["ragged", "dim", "backend", "p", "junk"]
+
+
+def entries(backend, values):
+    """A strategy for valid entries of the backend built from the given integer strings."""
+    ints = st.sampled_from(values)
+    if backend == "Qi":
+        return st.tuples(ints, ints | st.just("1/2")).map(list)
+    return ints | st.just("1/2") if backend == "Q" else ints
+
+
+@st.composite
+def matrix_json(draw, backend, dim, diagonal=False):
+    """A matrix object over (backend, dim): valid, or with one fault injected.
+
+    A diagonal one has nonzero real entries, so it is a valid weight when fault-free.
+    """
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "junk":
+        return draw(JUNK)
+    zero = ["0", "0"] if backend == "Qi" else "0"
+    if diagonal:
+        real = st.sampled_from(["1", "2", "-1"]).map(lambda v: [v, "0"] if backend == "Qi" else v)
+        rows = [[draw(real) if i == j else zero for j in range(dim)] for i in range(dim)]
+    else:
+        good = entries(backend, ["0", "1", "2", "-1"])
+        rows = [[draw(good) for _ in range(dim)] for _ in range(dim)]
+    if fault == "entry":
+        rows[draw(st.integers(0, dim - 1))][draw(st.integers(0, dim - 1))] = draw(BAD_ENTRY)
+    if fault == "ragged":
+        rows[-1] = rows[-1][:-1]
+    obj = {"backend": backend, "dim": dim, "entries": rows}
+    if fault == "dim":
+        obj["dim"] = draw(st.sampled_from([0, dim + 1, True, "2", None]))
+    if fault == "backend":
+        obj["backend"] = draw(st.sampled_from(["R", "Q" if backend != "Q" else "Qi", None]))
+    if backend == "Fp" or fault == "backend":
+        obj["p"] = draw(st.sampled_from([7, True, "3"])) if fault == "p" else 3
+    return obj
+
+
+@st.composite
+def cli_inputs(draw):
+    """The --a, --e and --cert JSON of one call, mostly over one backend and dim."""
+    backend = draw(st.sampled_from(["Q", "Qi", "Fp"]))
+    dim = draw(st.integers(1, 3))
+    mat = matrix_json(backend, dim)
+    kinds = ["group", "13e", "14f", "wmp", "ecore", "fdual"]
+    witness = {
+        "kind": st.sampled_from(kinds + ["x"]),
+        "value": mat,
+        "witnesses": st.dictionaries(st.sampled_from(["x", "s"]), mat, max_size=1) | st.just([1]),
+        "n": st.sampled_from([None, None, None, 2, 1.5, True]),
+    }
+    decomposition = {
+        "flavor": st.sampled_from(["p", "s", "q", "t", "x"]),
+        "side": st.sampled_from(["core", "dual", "core", "dual", "x"]),
+        "n": st.sampled_from([1, 2, 3, 0, 9, 10**9, True, "1"]),
+        "element": mat,
+        "unit": mat,
+    }
+    cert = st.fixed_dictionaries(witness) | st.fixed_dictionaries(decomposition) | JUNK
+    weight = st.none() | matrix_json(backend, dim, diagonal=True) | mat
+    return draw(mat), draw(weight), draw(cert)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(
+    st.sampled_from(["compute", "verify", "ep"]),
+    st.sampled_from(["group", "13e", "14f", "wmp", "ecore", "fdual"]),
+    cli_inputs(),
+)
+def test_fuzzed_input_never_escapes(command, kind, inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in zip(("a", "e", "cert"), inputs):
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        argv = [command, "--a", paths["a"]]
+        if inputs[1] is not None:
+            argv += ["--e", paths["e"]]
+        if command == "compute":
+            argv += ["--kind", kind]
+        if command == "verify":
+            argv += ["--cert", paths["cert"]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

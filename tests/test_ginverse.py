@@ -202,6 +202,31 @@ def test_verify_requires_weights():
         verify(GInverseKind.WEIGHTED_MP, A, A, e=I2)
 
 
+def test_every_kind_rejects_a_missing_weight_it_needs():
+    f2 = GF(2)
+    a = Mat(f2, [[1, 1], [0, 0]])
+    w = Weight.identity(f2, 2)
+    needs = {
+        GInverseKind.GROUP: "",
+        GInverseKind.ONE_THREE_E: "e",
+        GInverseKind.ONE_FOUR_F: "f",
+        GInverseKind.WEIGHTED_MP: "ef",
+        GInverseKind.E_CORE: "e",
+        GInverseKind.F_DUAL_CORE: "f",
+    }
+    for kind, needed in needs.items():
+        for missing in "ef":
+            weights = {"e": w, "f": w, missing: None}
+            if missing in needed:
+                with pytest.raises(ValueError, match=f"requires the weight {missing}"):
+                    verify(kind, a, a, **weights)
+                with pytest.raises(ValueError, match=f"requires the weight {missing}"):
+                    brute_solutions(kind, a, **weights)
+            else:
+                verify(kind, a, a, **weights)
+                brute_solutions(kind, a, **weights)
+
+
 def test_unweighted_reduction_matches_classical_core_equations():
     for seed in range(8):
         a = random_group_invertible(2, QQ, seed=700 + seed)

@@ -15,7 +15,6 @@ from coreinv import (
     GaussianRational,
     Mat,
     Weight,
-    is_hermitian_wrt,
     left_annihilator_basis,
     mat_from_json,
     mat_to_json,
@@ -122,12 +121,13 @@ def test_inverse_coincides_with_both_solves(a):
 
 def test_is_hermitian_wrt():
     ident = Weight.identity(QQ, 2)
-    assert is_hermitian_wrt(ident, Mat(QQ, [[0, 0], [0, 1]]))
-    assert not is_hermitian_wrt(ident, Mat(QQ, [[0, 1], [0, 0]]))
+    assert (ident.value * Mat(QQ, [[0, 0], [0, 1]])).is_hermitian()
+    assert not (ident.value * Mat(QQ, [[0, 1], [0, 0]])).is_hermitian()
     w = Weight(Mat(QQ, [[1, 0], [0, 2]]))
     m = Mat(QQ, [[0, 0], [0, 1]])
     assert (w.value * m).star() == w.value * m
-    assert is_hermitian_wrt(w, m)
+    assert (w.value * m).is_hermitian()
+    assert not (w.value * Mat(QQ, [[0, 1], [1, 0]])).is_hermitian()
 
 
 def test_is_idempotent():

@@ -36,6 +36,8 @@ def test_enumeration_space_counts():
     assert EnumerationSpace(5, 3).count == 5**9
     assert EnumerationSpace(3, 3).exhaustive
     assert not EnumerationSpace(5, 3).exhaustive
+    with pytest.raises(SpaceTooLargeError):
+        EnumerationSpace(5, 3).matrices()
 
 
 def test_enumeration_order_is_lexicographic():
