@@ -39,13 +39,20 @@ from .ginverse import (
 )
 from .matrix import Mat, Weight, mat_from_json, mat_to_json
 from .oracle import SpaceTooLargeError, cross_check_sweep
-from .scalar import SUPPORTED_PRIMES
+from .scalar import MAX_ENTRY_DIGITS, SUPPORTED_PRIMES
+
+
+def _bounded_int(text: str) -> int:
+    # `main` lifts the int/str conversion limit, so JSON integers are bounded here
+    if len(text.lstrip("-")) > MAX_ENTRY_DIGITS:
+        raise ValueError(f"JSON integer has more than {MAX_ENTRY_DIGITS} digits")
+    return int(text)
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_bounded_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -242,6 +249,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # Every decoded literal is bounded by MAX_ENTRY_DIGITS, but a computed answer
+    # may have longer entries, which must still print.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -250,6 +261,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entrypoint():  # console-script shim

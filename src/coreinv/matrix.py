@@ -1,10 +1,12 @@
 """Dense square matrices over an exact scalar backend.
 
 The ring involution is conjugate-transpose: plain transpose on prime fields
-(identity conjugation) and Hermitian transpose on Gaussian rationals. Linear
-solves run reduced row echelon form with a fixed pivoting rule (columns left
-to right, first nonzero row) and zero all free variables, so every witness is
-deterministic and certificates replay byte-for-byte.
+(identity conjugation) and Hermitian transpose on Gaussian rationals. Products
+and row reductions run in the field's own integer kernels (`ScalarField.matmul`
+and `ScalarField.rref`). Linear solves run reduced row echelon form with a
+fixed pivoting rule (columns left to right, first nonzero row) and zero all
+free variables, so every witness is deterministic and certificates replay
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -97,18 +99,7 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._compat(other)
-        n = self.n
-        cols = tuple(zip(*other.rows))
-        out = []
-        for arow in self.rows:
-            row = []
-            for col in cols:
-                acc = arow[0] * col[0]
-                for k in range(1, n):
-                    acc = acc + arow[k] * col[k]
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat._wrap(self.field, tuple(out))
+        return Mat._wrap(self.field, self.field.matmul(self.rows, other.rows))
 
     def scale(self, s) -> "Mat":
         s = self.field.coerce(s)
@@ -125,8 +116,10 @@ class Mat:
     def power(self, k: int) -> "Mat":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"matrix power requires an integer k >= 0, got {k!r}")
-        acc = Mat.identity(self.field, self.n)
-        for _ in range(k):
+        if k == 0:
+            return Mat.identity(self.field, self.n)
+        acc = self
+        for _ in range(k - 1):
             acc = acc * self
         return acc
 
@@ -174,45 +167,13 @@ class SolveWitness:
     consistent: bool
 
 
-def _rref(aug: list[list], lead: int, field: ScalarField) -> list[tuple[int, int]]:
-    """In-place RREF on the first `lead` columns of `aug`; returns (row, col) pivots.
-
-    Pivot rule: scan columns left to right, take the first row with a nonzero
-    entry at or below the current row. Rows are fully reduced above and below.
-    """
-    nrows = len(aug)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(lead):
-        pivot_row = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [inv * v for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
     """Solve a @ x = b exactly. Free variables of the witness are zeroed."""
     a._compat(b)
     n = a.n
     field = a.field
     aug = [list(a.rows[i]) + list(b.rows[i]) for i in range(n)]
-    pivots = _rref(aug, n, field)
+    pivots = field.rref(aug, n)
     for r in range(len(pivots), n):
         if any(aug[r][n + j] for j in range(n)):
             return SolveWitness(None, False)
@@ -237,7 +198,7 @@ def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
     field = m.field
     n = m.n
     aug = [list(r) for r in m.transpose().rows]
-    pivots = _rref(aug, n, field)
+    pivots = field.rref(aug, n)
     pivot_cols = {c for _, c in pivots}
     zero, one = field.zero(), field.one()
     basis = []

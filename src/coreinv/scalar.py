@@ -10,11 +10,13 @@ Floats are rejected everywhere; there is no approximate mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
-# Digits allowed in a decoded rational's numerator and denominator: CPython's
-# int/str conversion limit, which JSON integer entries already meet.
+# Digits allowed in a decoded entry's numerator and denominator: CPython's
+# default int/str conversion limit.
 MAX_ENTRY_DIGITS = 4300
 
 
@@ -23,7 +25,7 @@ class BackendMismatchError(TypeError):
 
 
 def _check_entry_size(text: str):
-    """Reject a rational literal whose numerator or denominator, before reduction,
+    """Reject an entry literal whose numerator or denominator, before reduction,
     could exceed MAX_ENTRY_DIGITS digits; it is checked before any number is built."""
     if len(text) <= MAX_ENTRY_DIGITS and "e" not in text and "E" not in text:
         return  # without an exponent no part has more digits than the text has characters
@@ -32,7 +34,7 @@ def _check_entry_size(text: str):
     parts = mantissa.split("/")
     digits = max(len(p.strip().lstrip("+-").replace("_", "").replace(".", "")) for p in parts)
     if len(exp) > len(str(MAX_ENTRY_DIGITS)) or digits + int(exp or 0) > MAX_ENTRY_DIGITS:
-        raise ValueError(f"rational entry has more than {MAX_ENTRY_DIGITS} digits")
+        raise ValueError(f"entry has more than {MAX_ENTRY_DIGITS} digits")
 
 
 def _reject_float(value):
@@ -41,6 +43,14 @@ def _reject_float(value):
             "floats are not exact scalars; use int, Fraction or 'n/d' strings"
         )
     return value
+
+
+def _gaussian(re: Fraction, im: Fraction) -> "GaussianRational":
+    """Internal constructor from two canonical Fractions; skips the public checks."""
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 class GaussianRational:
@@ -53,13 +63,13 @@ class GaussianRational:
         self.im = Fraction(_reject_float(im))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _gaussian(self.re / norm, -self.im / norm)
 
     @staticmethod
     def _coerce(other):
@@ -73,7 +83,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gaussian(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -81,19 +91,19 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gaussian(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _gaussian(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        return _gaussian(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
@@ -112,7 +122,7 @@ class GaussianRational:
         return o * self.inverse()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -238,8 +248,34 @@ class PrimeFieldElement:
         return str(self.value)
 
 
+_ZERO = Fraction(0)
+_GAUSSIAN_ZERO = _gaussian(_ZERO, _ZERO)
+
+
+def _over_lcm(fracs) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their lcm denominator d."""
+    d = lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (d // q.denominator) for q in fracs], d
+
+
+def _split(zs) -> tuple[list[int], list[int], int]:
+    """Gaussian rationals as integer re and im numerators over the lcm denominator
+    d of all the parts."""
+    d = lcm(*(z.re.denominator for z in zs), *(z.im.denominator for z in zs))
+    re = [z.re.numerator * (d // z.re.denominator) for z in zs]
+    im = [z.im.numerator * (d // z.im.denominator) for z in zs]
+    return re, im, d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 class ScalarField:
-    """A scalar backend: element constructors, conjugation, codecs, sampling."""
+    """A scalar backend: element constructors, conjugation, codecs, sampling, and
+    the integer kernels behind matrix products and row reductions."""
 
     tag: str
 
@@ -271,6 +307,71 @@ class ScalarField:
         raise NotImplementedError
 
     def random(self, rng):
+        raise NotImplementedError
+
+    def matmul(self, x_rows, y_rows) -> tuple:
+        """The product of two square matrices given as row tuples of this field's
+        elements, as a tuple of row tuples of canonical elements. Each entry is one
+        integer dot product, reduced once."""
+        raise NotImplementedError
+
+    def rref(self, aug: list[list], lead: int) -> list[tuple[int, int]]:
+        """In-place RREF on the first `lead` columns of `aug`; returns (row, col) pivots.
+
+        Pivot rule: scan columns left to right, take the first row with a nonzero
+        entry at or below the current row. Rows are fully reduced above and below.
+
+        Each row is first cleared to integers (`_int_row`). Fraction-free
+        Gauss-Jordan then replaces a row by pivot * row - entry * pivot_row
+        (`_eliminate`), which keeps every row a nonzero multiple of the same row
+        of the reduction over the field, so the pivots and zero patterns are the
+        RREF's. At the end each pivot row is divided by its pivot, one division
+        per entry (`_divide`), and holds canonical elements. The rows from
+        len(pivots) on are zero in the first `lead` columns and keep only the
+        RREF's zero pattern, as bools: callers read them only by truth value,
+        as `solve_right` does with any() to test consistency.
+        """
+        rows = [self._int_row(r) for r in aug]
+        nonzero, eliminate = self._int_nonzero, self._eliminate
+        nrows = len(rows)
+        pivots: list[tuple[int, int]] = []
+        r = 0
+        for c in range(lead):
+            for i in range(r, nrows):
+                if nonzero(rows[i], c):
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            prow = rows[r]
+            for i, row in enumerate(rows):
+                if i != r and nonzero(row, c):
+                    rows[i] = eliminate(row, prow, c)
+            pivots.append((r, c))
+            r += 1
+            if r == nrows:
+                break
+        for i, c in pivots:
+            aug[i] = self._divide(rows[i], c)
+        for i in range(r, nrows):
+            aug[i] = [nonzero(rows[i], j) for j in range(len(aug[i]))]
+        return pivots
+
+    # Integer hooks of `rref`. A row of ints stands for a nonzero multiple of a
+    # row of elements; only the direction of that row matters until `_divide`.
+
+    def _int_row(self, row) -> list[int]:
+        raise NotImplementedError
+
+    def _int_nonzero(self, row: list[int], c: int) -> bool:
+        return row[c] != 0
+
+    def _eliminate(self, row: list[int], prow: list[int], c: int) -> list[int]:
+        """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
+        raise NotImplementedError
+
+    def _divide(self, row: list[int], c: int) -> list:
+        """The row as elements, scaled so that its entry at column c is one."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -316,6 +417,26 @@ class RationalField(ScalarField):
 
     def random(self, rng):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def matmul(self, x_rows, y_rows):
+        # each row of x and column of y as integer numerators over their lcm denominator
+        xs = [_over_lcm(r) for r in x_rows]
+        ys = [_over_lcm(c) for c in zip(*y_rows)]
+        return tuple(
+            tuple(Fraction(sum(map(mul, xn, yn)), xd * yd) for yn, yd in ys)
+            for xn, xd in xs
+        )
+
+    def _int_row(self, row):
+        return _primitive(_over_lcm(row)[0])
+
+    def _eliminate(self, row, prow, c):
+        p, f = prow[c], row[c]
+        return _primitive([p * a - f * b for a, b in zip(row, prow)])
+
+    def _divide(self, row, c):
+        p = row[c]
+        return [Fraction(v, p) if v else _ZERO for v in row]
 
     def __eq__(self, other):
         return type(other) is RationalField
@@ -368,6 +489,51 @@ class GaussianRationalField(ScalarField):
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
         )
 
+    def matmul(self, x_rows, y_rows):
+        # re and im parts of each row of x and column of y share one denominator;
+        # (xr + xi)(yr + yi) gives the imaginary part with three dot products, not four
+        ys = [(yr, yi, list(map(add, yr, yi)), yd) for yr, yi, yd in map(_split, zip(*y_rows))]
+        out = []
+        for xr, xi, xd in map(_split, x_rows):
+            xsum = list(map(add, xr, xi))
+            row = []
+            for yr, yi, ysum, yd in ys:
+                rr, ii = sum(map(mul, xr, yr)), sum(map(mul, xi, yi))
+                d = xd * yd
+                im = sum(map(mul, xsum, ysum)) - rr - ii
+                row.append(_gaussian(Fraction(rr - ii, d), Fraction(im, d)))
+            out.append(tuple(row))
+        return tuple(out)
+
+    # An integer row is the re parts followed by the im parts.
+
+    def _int_row(self, row):
+        re, im, _ = _split(row)
+        return _primitive(re + im)
+
+    def _int_nonzero(self, row, c):
+        return row[c] != 0 or row[c + len(row) // 2] != 0
+
+    def _eliminate(self, row, prow, c):
+        m = len(row) // 2
+        pr, pi, fr, fi = prow[c], prow[c + m], row[c], row[c + m]
+        parts = list(zip(row[:m], row[m:], prow[:m], prow[m:]))
+        re = [pr * ar - pi * ai - fr * br + fi * bi for ar, ai, br, bi in parts]
+        im = [pr * ai + pi * ar - fr * bi - fi * br for ar, ai, br, bi in parts]
+        return _primitive(re + im)
+
+    def _divide(self, row, c):
+        # v / p = v * conj(p) / |p|^2
+        m = len(row) // 2
+        pr, pi = row[c], row[c + m]
+        norm = pr * pr + pi * pi
+        return [
+            _gaussian(Fraction(ar * pr + ai * pi, norm), Fraction(ai * pr - ar * pi, norm))
+            if ar or ai
+            else _GAUSSIAN_ZERO
+            for ar, ai in zip(row[:m], row[m:])
+        ]
+
     def __eq__(self, other):
         return type(other) is GaussianRationalField
 
@@ -384,6 +550,7 @@ class PrimeField(ScalarField):
         if p not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported prime modulus {p}; supported: {SUPPORTED_PRIMES}")
         self.p = p
+        self._elements = tuple(PrimeFieldElement(k, p) for k in range(p))
 
     def from_int(self, k):
         return PrimeFieldElement(k, self.p)
@@ -407,6 +574,8 @@ class PrimeField(ScalarField):
         return self.coerce(x).inverse()
 
     def parse(self, obj):
+        if isinstance(obj, str):
+            _check_entry_size(obj)
         if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
             return self.coerce(obj)
         raise ValueError(f"invalid F{self.p} encoding: {obj!r}")
@@ -416,6 +585,24 @@ class PrimeField(ScalarField):
 
     def random(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
+
+    def matmul(self, x_rows, y_rows):
+        p, elements = self.p, self._elements
+        xs = [[v.value for v in r] for r in x_rows]
+        ys = [[v.value for v in c] for c in zip(*y_rows)]
+        return tuple(tuple(elements[sum(map(mul, xr, yc)) % p] for yc in ys) for xr in xs)
+
+    def _int_row(self, row):
+        return [v.value for v in row]
+
+    def _eliminate(self, row, prow, c):
+        pivot, f, p = prow[c], row[c], self.p
+        return [(pivot * a - f * b) % p for a, b in zip(row, prow)]
+
+    def _divide(self, row, c):
+        p, elements = self.p, self._elements
+        inv = pow(row[c], p - 2, p)
+        return [elements[v * inv % p] for v in row]
 
     def __eq__(self, other):
         return type(other) is PrimeField and other.p == self.p

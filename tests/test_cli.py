@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 
@@ -20,6 +21,7 @@ from coreinv import (
     Weight,
     decompose_idempotent,
     decomposition_to_json,
+    group_inverse,
     mat_to_json,
 )
 from coreinv.cli import main
@@ -83,15 +85,39 @@ def test_compute_rejects_malformed_json(tmp_path, capsys):
         ("Q", "1e-999999999"),
         ("Q", "1/" + "9" * 4301),
         ("Qi", ["1", "1e999999999"]),
+        ("Fp", "9" * 4301),
     ):
-        huge = write(tmp_path, "h.json", {"backend": backend, "dim": 1, "entries": [[entry]]})
+        obj = {"backend": backend, "dim": 1, "entries": [[entry]], "p": 3}
+        huge = write(tmp_path, "h.json", obj)
         start = time.perf_counter()
         code, _ = run(capsys, ["compute", "--kind", "group", "--a", huge])
         assert code == 2 and time.perf_counter() - start < 1.0
+    # so are JSON integers, though the CLI lifts the int/str limit to print answers
+    raw = tmp_path / "raw.json"
+    raw.write_text('{"backend": "Q", "dim": 1, "entries": [[' + "9" * 1000000 + "]]}")
+    start = time.perf_counter()
+    code, _ = run(capsys, ["compute", "--kind", "group", "--a", str(raw)])
+    assert code == 2 and time.perf_counter() - start < 1.0
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
     code, _ = run(capsys, ["compute", "--kind", "group", "--a", str(deep)])
     assert code == 2
+
+
+def test_answer_longer_than_the_entry_bound_prints(tmp_path, capsys):
+    # the inverse's denominator 2 * (10**4300 - 1) - 1 has 4301 digits
+    big = "9" * 4300
+    a = write(tmp_path, "a.json", {"backend": "Q", "dim": 2, "entries": [[big, "1"], ["1", "2"]]})
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, ["compute", "--kind", "group", "--a", a])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    expected = group_inverse(Mat(QQ, [[int(big), 1], [1, 2]])).value
+    sys.set_int_max_str_digits(0)
+    try:
+        entries = [[str(v) for v in row] for row in expected.rows]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["value"]["entries"] == entries
 
 
 def test_compute_power_path(tmp_path, capsys):

@@ -14,6 +14,7 @@ from coreinv import (
     DimensionMismatchError,
     GaussianRational,
     Mat,
+    PrimeFieldElement,
     Weight,
     left_annihilator_basis,
     mat_from_json,
@@ -85,6 +86,9 @@ def test_solve_right_examples():
     assert w.solution == Mat(QQ, [[1, 1], [0, 0]])
     w0 = solve_right(Mat.zeros(QQ, 2), Mat(QQ, [[1, 0], [0, 0]]))
     assert not w0.consistent and w0.solution is None
+    # the leftover row of the reduction is i: its real part alone would read consistent
+    onesi = Mat(QI, [[1, 1], [1, 1]])
+    assert not solve_right(onesi, Mat(QI, [[1, 0], [GaussianRational(1, 1), 0]])).consistent
 
 
 def test_solve_left_examples():
@@ -231,3 +235,138 @@ def test_mat_from_json_rejects_malformed():
         mat_from_json({"backend": "Fp", "dim": 1, "entries": [["1"]]})
     with pytest.raises(ValueError):
         mat_from_json({"backend": "Q", "dim": 1, "entries": [[0.5]]})
+
+
+def test_public_constructors_still_validate():
+    # the kernels build elements through internal fast paths; the public ones still check
+    with pytest.raises(TypeError):
+        GaussianRational(1.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1, Fraction(1, 2) + 0.5)
+    with pytest.raises(ValueError):
+        PrimeFieldElement(1, 7)
+    with pytest.raises(TypeError):
+        PrimeFieldElement(1.0, 5)
+    with pytest.raises(TypeError):
+        Mat(QQ, [[0.5]])
+    with pytest.raises(TypeError):
+        Mat(QI, [[1, 0.5], [0, 1]])
+
+
+# Differential check of the field kernels behind Mat.__mul__ and the solves
+# against a product and a Gauss-Jordan reduction written with element operators.
+
+
+def ref_mul(x, y):
+    n = len(x)
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(1, n)), x[i][0] * y[0][j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def ref_rref(rows, lead, field):
+    """RREF by element operators with the same pivot rule; returns (rows, pivots)."""
+    aug = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(lead):
+        i = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if i is None:
+            continue
+        aug[r], aug[i] = aug[i], aug[r]
+        inv = field.one() / aug[r][c]
+        aug[r] = [inv * v for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(aug):
+            break
+    return aug, pivots
+
+
+def ref_solve_right(a, b, field):
+    """(consistent, solution rows) of a x = b, free variables zeroed."""
+    n = len(a)
+    aug, pivots = ref_rref([list(ra) + list(rb) for ra, rb in zip(a, b)], n, field)
+    if any(any(row[n:]) for row in aug[len(pivots):]):
+        return False, None
+    x = [[field.zero()] * n for _ in range(n)]
+    for r, c in pivots:
+        x[c] = aug[r][n:]
+    return True, x
+
+
+def ref_left_annihilator_basis(m, field):
+    n = len(m)
+    aug, pivots = ref_rref([list(col) for col in zip(*m)], n, field)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(n):
+        if fc not in pivot_cols:
+            vec = [field.zero()] * n
+            vec[fc] = field.one()
+            for r, c in pivots:
+                vec[c] = -aug[r][fc]
+            basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+BIG = st.builds(lambda s, v: s * v, st.sampled_from([1, -1]), st.integers(10**199, 10**200))
+BIG_RATIONALS = st.builds(
+    Fraction, st.integers(-3, 3) | BIG, st.integers(1, 3) | st.integers(10**199, 10**200)
+)
+KERNEL_ENTRIES = {
+    "Q": (QQ, rationals | BIG_RATIONALS),
+    "Qi": (QI, st.builds(GaussianRational, rationals | BIG_RATIONALS, rationals | BIG_RATIONALS)),
+    **{f"F{p}": (GF(p), st.integers(0, p - 1).map(GF(p).from_int)) for p in (2, 3, 5)},
+}
+
+
+@st.composite
+def kernel_cases(draw, field, elems):
+    """Three dim x dim row lists (a, b, c) over the field, dim 1..6; a is often rank-deficient."""
+    dim = draw(st.integers(1, 6))
+    square = st.lists(st.lists(elems, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    a, b, c = draw(square), draw(square), draw(square)
+    if draw(st.booleans()):
+        # u diag(mask) v has rank at most the number of ones in the mask
+        mask = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=dim, max_size=dim))
+        diag = [[field.from_int(mask[i] if i == j else 0) for j in range(dim)] for i in range(dim)]
+        a = ref_mul(ref_mul(a, diag), b)
+    return a, b, c
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ENTRIES))
+def test_kernels_match_element_reference(name):
+    field, elems = KERNEL_ENTRIES[name]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kernel_cases(field, elems))
+    def check(case):
+        a, b, c = case
+        ma, mb, mc = (Mat(field, r) for r in (a, b, c))
+        assert ma * mb == Mat(field, ref_mul(a, b))
+        assert mb * ma == Mat(field, ref_mul(b, a))
+        ab = ref_mul(a, b)
+        for rhs in (c, ab):
+            ok, x = ref_solve_right(a, rhs, field)
+            w = solve_right(ma, Mat(field, rhs))
+            assert w.consistent == ok
+            assert w.solution == (Mat(field, x) if ok else None)
+            ok, x = ref_solve_right(transpose(a), transpose(rhs), field)
+            w = solve_left(ma, Mat(field, rhs))
+            assert w.consistent == ok
+            assert w.solution == (Mat(field, transpose(x)) if ok else None)
+        assert solve_right(ma, Mat(field, ab)).consistent
+        ok, x = ref_solve_right(a, Mat.identity(field, len(a)).rows, field)
+        assert ma.inverse() == (Mat(field, x) if ok else None)
+        assert left_annihilator_basis(ma) == ref_left_annihilator_basis(a, field)
+
+    check()
