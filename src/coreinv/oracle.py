@@ -3,7 +3,10 @@
 Candidates are enumerated as raw integer tuples in lexicographic row-major
 order and checked with this module's own mod-p arithmetic, so the oracle
 shares no code path with the solver-based constructions it cross-checks.
-Equation evaluation short-circuits on the first failure per candidate.
+Every kind requires equation (1), a·x·a = a, so one pass over the candidates
+keeps only the inner inverses of `a`, with the weight-free equations each
+satisfies; a weight pair then only filters them by (3e) and (4f), which
+yields the solution sets of all six kinds at once.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ def _msub(x, y, p):
 
 
 def _mpow(x, k, p):
-    n = len(x)
-    acc = _eye(n)
-    for _ in range(k):
+    if k == 0:
+        return _eye(len(x))
+    acc = x
+    for _ in range(k - 1):
         acc = _mmul(acc, x, p)
     return acc
 
@@ -131,43 +135,73 @@ def _to_mat(raw, p) -> Mat:
     return Mat(GF(p), [list(r) for r in raw])
 
 
-def _satisfies(kind: GInverseKind, a, x, e, f, p) -> bool:
-    ax = _mmul(a, x, p)
-    if kind is GInverseKind.GROUP:
+# The equations each kind adds to (1). The oracle keeps its own copy of the
+# kind definitions rather than reading ginverse.EQUATIONS.
+_KIND_LABELS = {
+    GInverseKind.GROUP: frozenset({"(2)", "(5)"}),
+    GInverseKind.ONE_THREE_E: frozenset({"(3e)"}),
+    GInverseKind.ONE_FOUR_F: frozenset({"(4f)"}),
+    GInverseKind.WEIGHTED_MP: frozenset({"(2)", "(3e)", "(4f)"}),
+    GInverseKind.E_CORE: frozenset({"(2)", "(3e)", "(6)", "(7)"}),
+    GInverseKind.F_DUAL_CORE: frozenset({"(2)", "(4f)", "(8)", "(9)"}),
+}
+
+
+def _inner_inverses(a, p, candidates):
+    """The candidates x with a·x·a = a, each as (x, a·x, x·a, labels of the
+    weight-free equations (2), (5), (6), (7), (8), (9) that x satisfies)."""
+    found, seen = [], {}
+    for x in candidates:
+        ax = _mmul(a, x, p)
+        if _mmul(ax, a, p) != a:
+            continue
         xa = _mmul(x, a, p)
-        return _mmul(ax, a, p) == a and _mmul(xa, x, p) == x and ax == xa
-    if kind is GInverseKind.ONE_THREE_E:
-        return _mmul(ax, a, p) == a and _hermitian(_mmul(e, ax, p))
-    if kind is GInverseKind.ONE_FOUR_F:
-        xa = _mmul(x, a, p)
-        return _mmul(ax, a, p) == a and _hermitian(_mmul(f, xa, p))
-    if kind is GInverseKind.WEIGHTED_MP:
-        xa = _mmul(x, a, p)
-        return (
-            _mmul(ax, a, p) == a
-            and _mmul(xa, x, p) == x
-            and _hermitian(_mmul(e, ax, p))
-            and _hermitian(_mmul(f, xa, p))
+        holds = (
+            ("(2)", _mmul(xa, x, p) == x),
+            ("(5)", ax == xa),
+            ("(6)", _mmul(xa, a, p) == a),
+            ("(7)", _mmul(ax, x, p) == x),
+            ("(8)", _mmul(a, ax, p) == a),
+            ("(9)", _mmul(x, xa, p) == x),
         )
-    if kind is GInverseKind.E_CORE:
-        xa = _mmul(x, a, p)
-        return (
-            _mmul(ax, a, p) == a
-            and _mmul(xa, x, p) == x
-            and _hermitian(_mmul(e, ax, p))
-            and _mmul(xa, a, p) == a
-            and _mmul(ax, x, p) == x
-        )
-    if kind is GInverseKind.F_DUAL_CORE:
-        xa = _mmul(x, a, p)
-        return (
-            _mmul(ax, a, p) == a
-            and _mmul(xa, x, p) == x
-            and _hermitian(_mmul(f, xa, p))
-            and _mmul(a, ax, p) == a
-            and _mmul(x, xa, p) == x
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+        labels = frozenset(label for label, ok in holds if ok)
+        # the inner inverses of one a share few distinct a·x, x·a and label sets;
+        # a cached pass keeps one copy of each
+        ax, xa, labels = (seen.setdefault(v, v) for v in (ax, xa, labels))
+        found.append((x, ax, xa, labels))
+    return tuple(found)
+
+
+# Sweeps visit the space a-major, so each a is searched once for all its
+# weights; 128 entries hold all of M_2(F_3).
+@lru_cache(maxsize=128)
+def _all_inner_inverses(a, p):
+    return _inner_inverses(a, p, EnumerationSpace(p, len(a)).matrices())
+
+
+def _solutions(a, p, e, f, inner):
+    """Each kind's solutions among the inner inverses `inner` of a, as sets of raw
+    matrices; a kind whose weight is None is left out."""
+    kinds = [
+        kind
+        for kind, labels in _KIND_LABELS.items()
+        if (e is not None or "(3e)" not in labels) and (f is not None or "(4f)" not in labels)
+    ]
+    # a·x and x·a take few distinct values among the inner inverses of one a,
+    # so (3e) and (4f) are decided once per distinct product
+    sym_e = {} if e is None else {m: _hermitian(_mmul(e, m, p)) for m in {i[1] for i in inner}}
+    sym_f = {} if f is None else {m: _hermitian(_mmul(f, m, p)) for m in {i[2] for i in inner}}
+    found = {kind: set() for kind in kinds}
+    for x, ax, xa, free in inner:
+        holds = set(free)
+        if sym_e.get(ax):
+            holds.add("(3e)")
+        if sym_f.get(xa):
+            holds.add("(4f)")
+        for kind in kinds:
+            if _KIND_LABELS[kind] <= holds:
+                found[kind].add(x)
+    return found
 
 
 def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | None):
@@ -183,21 +217,20 @@ def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | Non
     return tuple(raws)
 
 
-def _candidates(space: EnumerationSpace, sample: int | None, seed: int | None):
+def _brute(a, p, e, f, sample: int | None, seed: int | None):
+    """Every kind's brute solution set (see _solutions) from one pass over the
+    candidates: all of M_n(F_p), or `sample` seeded draws from it."""
     if sample is None:
-        return space.matrices()
+        return _solutions(a, p, e, f, _all_inner_inverses(a, p))
     if seed is None:
         raise ValueError("sampled enumeration requires a seed")
     rng = _random.Random(seed)
-    n = space.dim
-
-    def sampled():
-        for _ in range(sample):
-            yield tuple(
-                tuple(rng.randrange(space.p) for _ in range(n)) for _ in range(n)
-            )
-
-    return sampled()
+    n = len(a)
+    draws = (
+        tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        for _ in range(sample)
+    )
+    return _solutions(a, p, e, f, _inner_inverses(a, p, draws))
 
 
 def brute_solutions(
@@ -216,12 +249,7 @@ def brute_solutions(
     kind = GInverseKind(kind)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(kind, a_raw, p, e, f)
-    space = EnumerationSpace(p, a.n)
-    found = set()
-    for x in _candidates(space, sample, seed):
-        if _satisfies(kind, a_raw, x, e_raw, f_raw, p):
-            found.add(_to_mat(x, p))
-    return found
+    return {_to_mat(x, p) for x in _brute(a_raw, p, e_raw, f_raw, sample, seed)[kind]}
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +291,9 @@ def brute_idempotent_certificates(
     return found
 
 
-def _compare(kind, constructed, brute: set[Mat], a_raw, e_raw, f_raw, p, sampled: bool):
+def _compare(kind, constructed, brute: set, own: set, sampled: bool):
+    """The report entry of one kind; `brute` holds the brute solutions and `own`
+    those of the constructed values that satisfy the kind's equations, raw."""
     entry = {
         "kind": kind.value,
         "constructed": None
@@ -274,12 +304,8 @@ def _compare(kind, constructed, brute: set[Mat], a_raw, e_raw, f_raw, p, sampled
     if isinstance(constructed, NotInvertible):
         ok = len(brute) == 0
     else:
-        value_raw, _ = _raw(constructed.value)
-        ok = _satisfies(kind, a_raw, value_raw, e_raw, f_raw, p)
-        if sampled:
-            ok = ok and brute <= {constructed.value}
-        else:
-            ok = ok and brute == {constructed.value}
+        value, _ = _raw(constructed.value)
+        ok = value in own and (brute <= {value} if sampled else brute == {value})
     entry["ok"] = ok
     return entry
 
@@ -307,10 +333,13 @@ def cross_check(
         GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),
     }
-    checks = []
-    for kind, result in constructed.items():
-        brute = brute_solutions(kind, a, e=e, f=f, sample=sample, seed=seed)
-        checks.append(_compare(kind, result, brute, a_raw, e_raw, f_raw, p, sampled))
+    brute = _brute(a_raw, p, e_raw, f_raw, sample, seed)
+    values = {_raw(r.value)[0] for r in constructed.values() if not isinstance(r, NotInvertible)}
+    own = _solutions(a_raw, p, e_raw, f_raw, _inner_inverses(a_raw, p, values))
+    checks = [
+        _compare(kind, result, brute[kind], own[kind], sampled)
+        for kind, result in constructed.items()
+    ]
     if n >= 2:
         powered = e_core_via_power(a, e, n)
         checks.append(_power_entry("ecore_power", constructed[GInverseKind.E_CORE], powered))

@@ -295,9 +295,6 @@ class ScalarField:
     def conj(self, x):
         raise NotImplementedError
 
-    def inv(self, x):
-        raise NotImplementedError
-
     def parse(self, obj):
         """Decode a JSON-level entry into a scalar."""
         raise NotImplementedError
@@ -399,9 +396,6 @@ class RationalField(ScalarField):
     def conj(self, x):
         return self.coerce(x)
 
-    def inv(self, x):
-        return Fraction(1) / self.coerce(x)
-
     def parse(self, obj):
         if isinstance(obj, str):
             _check_entry_size(obj)
@@ -467,9 +461,6 @@ class GaussianRationalField(ScalarField):
 
     def conj(self, x):
         return self.coerce(x).conjugate()
-
-    def inv(self, x):
-        return self.coerce(x).inverse()
 
     def parse(self, obj):
         if isinstance(obj, (list, tuple)):
@@ -569,9 +560,6 @@ class PrimeField(ScalarField):
 
     def conj(self, x):
         return self.coerce(x)
-
-    def inv(self, x):
-        return self.coerce(x).inverse()
 
     def parse(self, obj):
         if isinstance(obj, str):

@@ -1,5 +1,9 @@
 """Brute-force enumeration: solution sets, idempotent certificates, cross-checks."""
 
+import random
+from functools import reduce
+from itertools import product
+
 import pytest
 
 from coreinv import (
@@ -20,8 +24,10 @@ from coreinv import (
     e_core,
     f_dual_core,
     group_inverse,
+    random_weight,
     weighted_mp,
 )
+from coreinv.oracle import iter_invertible_symmetric
 
 F2, F3 = GF(2), GF(3)
 E2 = Weight.identity(F2, 2)
@@ -167,3 +173,151 @@ def test_sweep_sampled():
     assert report["mismatches"] == []
     with pytest.raises(ValueError):
         cross_check_sweep(5, 3, sample=3)
+
+
+# A per-candidate reference for the oracle's shared pass: each kind's defining
+# equations evaluated on one candidate, with a mod-p product of its own.
+_REF_EQUATIONS = {
+    GInverseKind.GROUP: ("1", "2", "5"),
+    GInverseKind.ONE_THREE_E: ("1", "3e"),
+    GInverseKind.ONE_FOUR_F: ("1", "4f"),
+    GInverseKind.WEIGHTED_MP: ("1", "2", "3e", "4f"),
+    GInverseKind.E_CORE: ("1", "2", "3e", "6", "7"),
+    GInverseKind.F_DUAL_CORE: ("1", "2", "4f", "8", "9"),
+}
+
+
+def _ref_satisfies(kind, a, x, e, f, p):
+    n = len(a)
+
+    def m(*factors):
+        return reduce(
+            lambda u, v: tuple(
+                tuple(sum(u[i][k] * v[k][j] for k in range(n)) % p for j in range(n))
+                for i in range(n)
+            ),
+            factors,
+        )
+
+    def symmetric(y):
+        return all(y[i][j] == y[j][i] for i in range(n) for j in range(n))
+
+    equation = {
+        "1": lambda: m(a, x, a) == a,
+        "2": lambda: m(x, a, x) == x,
+        "3e": lambda: symmetric(m(e, a, x)),
+        "4f": lambda: symmetric(m(f, x, a)),
+        "5": lambda: m(a, x) == m(x, a),
+        "6": lambda: m(x, a, a) == a,
+        "7": lambda: m(a, x, x) == x,
+        "8": lambda: m(a, a, x) == a,
+        "9": lambda: m(x, x, a) == x,
+    }
+    return all(equation[label]() for label in _REF_EQUATIONS[kind])
+
+
+def _raw(m):
+    return tuple(tuple(v.value for v in row) for row in m.rows)
+
+
+def _check_against_reference(a, e, f, candidates, sample=None, seed=None):
+    """Assert brute_solutions equals the reference over `candidates` for all six
+    kinds; returns the number of solutions per kind."""
+    p = a.field.p
+    a_raw, e_raw, f_raw = _raw(a), _raw(e.value), _raw(f.value)
+    counts = {}
+    for kind in GInverseKind:
+        expected = {x for x in candidates if _ref_satisfies(kind, a_raw, x, e_raw, f_raw, p)}
+        got = brute_solutions(kind, a, e=e, f=f, sample=sample, seed=seed)
+        assert {_raw(x) for x in got} == expected, (kind, a, e, f)
+        counts[kind] = len(expected)
+    return counts
+
+
+def _isotropic(w):
+    """Some nonzero v has v^T w v = 0: the finite-field analogue of an indefinite weight."""
+    raw, p, n = _raw(w.value), w.value.field.p, w.value.n
+    return any(
+        any(v) and sum(v[i] * raw[i][j] * v[j] for i in range(n) for j in range(n)) % p == 0
+        for v in product(range(p), repeat=n)
+    )
+
+
+def _weight_pairs(p):
+    """(e, f) pairs with e != f, definite and indefinite weights on both sides."""
+    field = GF(p)
+    if p == 2:
+        ws = [Weight(Mat(field, [list(r) for r in w])) for w in iter_invertible_symmetric(2, 2)]
+        return [(e, f) for e in ws for f in ws if e != f]
+    definite = [random_weight(2, field, seed=s, definite=True) for s in (1, 3)]
+    indefinite = [random_weight(2, field, seed=s) for s in (1, 2)]
+    assert not any(_isotropic(w) for w in definite)
+    assert all(_isotropic(w) for w in indefinite)
+    return [
+        (definite[0], indefinite[0]),
+        (indefinite[1], definite[1]),
+        (indefinite[0], indefinite[1]),
+        (definite[1], definite[0]),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shared_pass_matches_reference_exhaustive(p):
+    pairs = _weight_pairs(p)
+    assert all(e != f for e, f in pairs)
+    space = list(EnumerationSpace(p, 2).matrices())
+    totals = dict.fromkeys(GInverseKind, 0)
+    for a_raw in space:
+        a = Mat(GF(p), [list(r) for r in a_raw])
+        for e, f in pairs:
+            for kind, count in _check_against_reference(a, e, f, space).items():
+                totals[kind] += count
+    assert all(totals.values()), totals
+
+
+def test_shared_pass_matches_reference_sampled():
+    F5 = GF(5)
+    rng = random.Random(2024)
+    matrices = [
+        Mat.zeros(F5, 3),
+        Mat(F5, [[1, 2, 0], [2, 4, 0], [0, 0, 0]]),
+        Mat(F5, [[1, 0, 2], [0, 1, 3], [0, 0, 0]]),
+        Mat(F5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)]),
+    ]
+    e = random_weight(3, F5, seed=5, definite=True)
+    f = random_weight(3, F5, seed=6)
+    totals = dict.fromkeys(GInverseKind, 0)
+    for i, a in enumerate(matrices):
+        seed = 100 + i
+        draw = random.Random(seed)
+        candidates = [
+            tuple(tuple(draw.randrange(5) for _ in range(3)) for _ in range(3))
+            for _ in range(300)
+        ]
+        for kind, count in _check_against_reference(a, e, f, candidates, 300, seed).items():
+            totals[kind] += count
+    assert totals[GInverseKind.ONE_THREE_E] and totals[GInverseKind.ONE_FOUR_F], totals
+
+
+def test_shared_pass_cold_and_warm_cache():
+    from coreinv.oracle import _all_inner_inverses
+
+    e, f = _weight_pairs(3)[0]
+    space = list(EnumerationSpace(3, 2).matrices())
+
+    def sets(order):
+        return {
+            (a_raw, kind): brute_solutions(kind, Mat(F3, [list(r) for r in a_raw]), e=e, f=f)
+            for a_raw in order
+            for kind in GInverseKind
+        }
+
+    _all_inner_inverses.cache_clear()
+    cold = sets(reversed(space))
+    assert _all_inner_inverses.cache_info().misses == len(space)
+    warm = sets(space)
+    assert _all_inner_inverses.cache_info().misses == len(space)
+    assert cold == warm
+    for a_raw in space[::10]:
+        a = Mat(F3, [list(r) for r in a_raw])
+        _check_against_reference(a, e, f, space)

@@ -39,10 +39,9 @@ def test_gaussian_conjugate_product():
 
 
 def test_scalar_inv_examples():
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert GF(5).inv(GF(5).from_int(2)) == GF(5).from_int(3)
-    assert QI.inv(GaussianRational(0, 1)) == GaussianRational(0, -1)
+    assert 1 / Fraction(2, 3) == Fraction(3, 2)
     assert 1 / GF(5).from_int(2) == GF(5).from_int(3)
+    assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
 
 
 def test_scalar_conj_examples():
@@ -53,11 +52,11 @@ def test_scalar_conj_examples():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
+        1 / Fraction(0)
     with pytest.raises(ZeroDivisionError):
-        QI.inv(GaussianRational(0, 0))
+        1 / GaussianRational(0, 0)
     with pytest.raises(ZeroDivisionError):
-        GF(3).inv(GF(3).from_int(0))
+        1 / GF(3).from_int(0)
 
 
 def test_mixed_backend_rejected():
@@ -103,14 +102,14 @@ def test_conjugation_additive_multiplicative(z, w):
 @given(gaussians)
 def test_inverse_is_involutive_gaussian(z):
     if z:
-        assert QI.inv(QI.inv(z)) == z
+        assert 1 / (1 / z) == z
 
 
 @given(fp_elements(5))
 def test_inverse_is_involutive_f5(x):
     if x:
-        assert GF(5).inv(GF(5).inv(x)) == x
-        assert x * GF(5).inv(x) == GF(5).one()
+        assert 1 / (1 / x) == x
+        assert x * (1 / x) == GF(5).one()
 
 
 @given(rationals)
