@@ -24,6 +24,7 @@ from .ginverse import (
     NotInvertible,
     _certified,
     _check_n,
+    _instance,
     _transport,
     e_core,
     f_dual_core,
@@ -291,6 +292,7 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
 
 def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
     """Weighted-EP test: both weighted core inverses exist and coincide."""
+    a = _instance(a)  # both share a^#
     ec = e_core(a, e)
     fc = f_dual_core(a, f)
     ok = (
@@ -315,6 +317,7 @@ def ep_decompose(a: Mat, e: Weight, f: Weight, n: int = 1) -> Decomposition | No
     dual-side conditions: (f p)* = f p and a p = 0.
     """
     _check_n(n)
+    a = _instance(a)
     report = is_weighted_ep(a, e, f)
     if not report.weighted_ep:
         return NotInvertible("ep", "ep", "a is not weighted-EP for these weights")

@@ -22,6 +22,7 @@ Equation labels follow the standard numbering for weighted inverses:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
@@ -176,15 +177,18 @@ _DUAL = {
 }
 
 
-def _star_back(built):
+_CORE = {dual: core for core, dual in _DUAL.items()}
+
+
+def _star_back(built, names=_DUAL):
     """Carry a core-side result on (a*, f^-1) back to the dual side of (a, f)."""
     if isinstance(built, NotInvertible):
-        return NotInvertible(*(_DUAL.get(t, t) for t in (built.kind, built.failed, built.reason)))
+        return NotInvertible(*(names.get(t, t) for t in (built.kind, built.failed, built.reason)))
     if isinstance(built, Mat):
         return built.star()
     if isinstance(built, dict):
-        return {_DUAL.get(name, name): m.star() for name, m in built.items()}
-    return tuple(_star_back(part) for part in built)
+        return {names.get(name, name): m.star() for name, m in built.items()}
+    return tuple(_star_back(part, names) for part in built)
 
 
 def _transport(build, a: Mat, f: Weight, *args):
@@ -192,9 +196,65 @@ def _transport(build, a: Mat, f: Weight, *args):
     return _star_back(build(a.star(), f.inverse(), *args))
 
 
+class _Instance(Mat):
+    """The matrix a within one top-level call: star() and power(k) are formed once,
+    and each prerequisite is solved and certified once, by its public constructor.
+    The constructions of one call share it in place of a. Its mirror, the instance
+    of a*, reads its own off the core side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) =
+    inv_14f(a, f)*. The mirror points back weakly, so the two form no cycle.
+    """
+
+    def __init__(self, a: Mat, core: _Instance | None = None):
+        self.field, self.n, self.rows = a.field, a.n, a.rows
+        self._powers, self._slots, self._mirror = [a], {}, None
+        self._core = core and weakref.ref(core)
+
+    def star(self) -> _Instance:
+        if self._core:
+            return self._core()
+        if self._mirror is None:
+            self._mirror = _Instance(super().star(), self)
+        return self._mirror
+
+    def power(self, k: int) -> Mat:
+        while len(self._powers) < k:
+            self._powers.append(self._powers[-1] * self)
+        return self._powers[k - 1] if k >= 1 else super().power(k)
+
+    def _once(self, kind: str, make, w: Weight | None = None):
+        """make() once per kind and weight. A weight is keyed by the identity of its
+        matrix, which the slot keeps alive so that no other matrix can take it:
+        hashing a weight by value would cost a sizeable share of a solve."""
+        key = (kind, None if w is None else id(w.value))
+        if key not in self._slots:
+            self._slots[key] = (w and w.value, make())
+        return self._slots[key][1]
+
+    def group(self):
+        if self._core:  # (a*)^# = (a^#)*; a group negative keeps its text
+            return _star_back(_value(self._core().group()), {})
+        return self._once("group", lambda: group_inverse(self))
+
+    def inv_13e(self, e: Weight):
+        if self._core:  # inv_13e(a*, f^-1) = inv_14f(a, f)*, under core-side names
+            return _star_back(_value(self._core().inv_14f(e.inverse())), _CORE)
+        return self._once("13e", lambda: inv_13e(self, e), e)
+
+    def inv_14f(self, f: Weight):
+        return self._once("14f", lambda: inv_14f(self, f), f)
+
+
+def _instance(a: Mat) -> _Instance:
+    return a if isinstance(a, _Instance) else _Instance(a)
+
+
+def _value(result):
+    return result.value if isinstance(result, InverseCertificate) else result
+
+
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     """The group inverse, from witnesses of a = a^2 x and a = y a^2."""
-    a2 = a * a
+    a2 = a.power(2)
     right = solve_right(a2, a)
     if not right.consistent:
         return NotInvertible(GInverseKind.GROUP.value, "a^2R", "a not in a^2 R")
@@ -224,23 +284,25 @@ def inv_14f(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
     return _certified(GInverseKind.ONE_FOUR_F, a, _transport(_inv_13e, a, f), f=f)
 
 
-def _e_core(a: Mat, e: Weight):
-    g = group_inverse(a)
+def _e_core(a: _Instance, e: Weight):
+    g = _value(a.group())
     if isinstance(g, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "group", f"group prerequisite failed: {g.reason}")
-    i13 = inv_13e(a, e)
+    i13 = _value(a.inv_13e(e))
     if isinstance(i13, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}")
-    return g.value * a * i13.value, {"group_inverse": g.value, "inv_13e": i13.value}
+    return g * a * i13, {"group_inverse": g, "inv_13e": i13}
 
 
 def e_core(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
     """The weighted core inverse a^# a a^{(1,3e)}; exists iff both factors do."""
+    a = _instance(a)
     return _certified(GInverseKind.E_CORE, a, _e_core(a, e), e=e)
 
 
 def f_dual_core(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
     """The weighted dual core inverse a^{(1,4f)} a a^#: the mirror e_core(a*, f^{-1})*."""
+    a = _instance(a)
     return _certified(GInverseKind.F_DUAL_CORE, a, _transport(_e_core, a, f), f=f)
 
 
@@ -273,39 +335,37 @@ def e_core_via_power(a: Mat, e: Weight, n: int) -> InverseCertificate | NotInver
     a in R a^n; either failing is a certified negative.
     """
     _check_n(n, 2)
+    a = _instance(a)
     return _certified(GInverseKind.E_CORE, a, _e_core_via_power(a, e, n), e=e, n=n)
 
 
 def f_dual_core_via_power(a: Mat, f: Weight, n: int) -> InverseCertificate | NotInvertible:
     """The weighted dual core inverse through f^{-1} t* a^{n-1}, the mirror of the core path."""
     _check_n(n, 2)
+    a = _instance(a)
     return _certified(
         GInverseKind.F_DUAL_CORE, a, _transport(_e_core_via_power, a, f, n), f=f, n=n
     )
 
 
 def weighted_mp(a: Mat, e: Weight, f: Weight) -> InverseCertificate | NotInvertible:
-    """The weighted Moore-Penrose inverse via the a^{(1,4f)} a a^{(1,3e)} candidate."""
-    i13 = inv_13e(a, e)
+    """The weighted Moore-Penrose inverse y a x with x = a^{(1,3e)} and y = a^{(1,4f)}.
+
+    It exists iff x and y do: y a x always satisfies (1), (2), (3e) and (4f).
+    """
+    a = _instance(a)
+    i13 = _value(a.inv_13e(e))
     if isinstance(i13, NotInvertible):
         return NotInvertible(
             GInverseKind.WEIGHTED_MP.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}"
         )
-    i14 = inv_14f(a, f)
+    i14 = _value(a.inv_14f(f))
     if isinstance(i14, NotInvertible):
         return NotInvertible(
             GInverseKind.WEIGHTED_MP.value, "14f", f"{{1,4f}} prerequisite failed: {i14.reason}"
         )
-    value = i14.value * a * i13.value
-    report = verify(GInverseKind.WEIGHTED_MP, a, value, e=e, f=f)
-    if not report.ok:
-        return NotInvertible(
-            GInverseKind.WEIGHTED_MP.value,
-            "verification",
-            f"candidate failed equations {report.failed}",
-        )
-    witnesses = {"inv_13e": i13.value, "inv_14f": i14.value}
-    return InverseCertificate(GInverseKind.WEIGHTED_MP, value, witnesses)
+    built = (i14 * a * i13, {"inv_13e": i13, "inv_14f": i14})
+    return _certified(GInverseKind.WEIGHTED_MP, a, built, e=e, f=f)
 
 
 def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
@@ -315,6 +375,7 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     agree for every input, which the test suite asserts.
     """
     _check_n(n, 2)
+    a = _instance(a)
     first = (
         solve_left(a.star() * e.value * a, a).consistent
         and solve_right(a.power(n), a).consistent

@@ -110,8 +110,7 @@ class Mat:
 
     def star(self) -> "Mat":
         """Conjugate-transpose, the ring involution."""
-        conj = self.field.conj
-        return Mat._wrap(self.field, tuple(tuple(conj(v) for v in col) for col in zip(*self.rows)))
+        return Mat._wrap(self.field, self.field.star(self.rows))
 
     def power(self, k: int) -> "Mat":
         if not isinstance(k, int) or k < 0:

@@ -19,12 +19,12 @@ from itertools import product
 from .ginverse import (
     GInverseKind,
     NotInvertible,
+    _instance,
     _weights_used,
     e_core,
     e_core_via_power,
     f_dual_core,
     f_dual_core_via_power,
-    group_inverse,
     weighted_mp,
 )
 from .matrix import Mat, Weight, mat_to_json, random_weight, weight_to_json
@@ -322,13 +322,15 @@ def cross_check(
 
     For each of the four uniquely-determined kinds, the constructed value (or
     negative result) must agree with the brute-force solution set; with n >= 2
-    the power-representation paths must match the direct ones as well.
+    the power-representation paths must match the direct ones as well. They all
+    share one instance of a, so each prerequisite is solved once.
     """
+    a = _instance(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     sampled = sample is not None
     constructed = {
-        GInverseKind.GROUP: group_inverse(a),
+        GInverseKind.GROUP: a.group(),
         GInverseKind.E_CORE: e_core(a, e),
         GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),
@@ -412,7 +414,7 @@ def cross_check_sweep(
         matrices = space.matrices()
         weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
         for a_raw in matrices:
-            a = _to_mat(a_raw, p)
+            a = _instance(_to_mat(a_raw, p))  # shared by all the weights of a
             for w in weights:
                 record(cross_check(a, w, w, n=n))
     else:

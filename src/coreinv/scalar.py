@@ -295,6 +295,11 @@ class ScalarField:
     def conj(self, x):
         raise NotImplementedError
 
+    def star(self, rows) -> tuple:
+        """The conjugate transpose of a square matrix given as row tuples of this
+        field's elements: the plain transpose where conjugation is the identity."""
+        return tuple(zip(*rows))
+
     def parse(self, obj):
         """Decode a JSON-level entry into a scalar."""
         raise NotImplementedError
@@ -461,6 +466,9 @@ class GaussianRationalField(ScalarField):
 
     def conj(self, x):
         return self.coerce(x).conjugate()
+
+    def star(self, rows):
+        return tuple(tuple(v.conjugate() for v in col) for col in zip(*rows))
 
     def parse(self, obj):
         if isinstance(obj, (list, tuple)):

@@ -16,6 +16,7 @@ import coreinv.ginverse
 
 from coreinv import (
     QQ,
+    GInverseKind,
     Mat,
     VerifyReport,
     Weight,
@@ -247,16 +248,23 @@ def test_unknown_kind_is_usage_error(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    def failing_verify(kind, a, x, e=None, f=None):
-        return VerifyReport(kind, (("(1)", False),))
-
-    monkeypatch.setattr(coreinv.ginverse, "verify", failing_verify)
+    # a constructed value that fails its own equations is an internal error,
+    # for every kind (weighted_mp included: no input can reach that failure)
+    real_verify = coreinv.ginverse.verify
     a = write(tmp_path, "a.json", A_OBJ)
-    code = main(["compute", "--kind", "group", "--a", a])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: internal error:")
-    assert "Traceback" not in captured.err
+    for kind in ("group", "wmp"):
+
+        def failing_verify(k, a, x, e=None, f=None, _kind=kind):
+            if k is not GInverseKind(_kind):
+                return real_verify(k, a, x, e=e, f=f)
+            return VerifyReport(k, (("(1)", False),))
+
+        monkeypatch.setattr(coreinv.ginverse, "verify", failing_verify)
+        code = main(["compute", "--kind", kind, "--a", a])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", kind
+        assert captured.err.startswith("error: internal error:")
+        assert "Traceback" not in captured.err
 
 
 def containers(inner):

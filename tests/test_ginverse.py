@@ -1,7 +1,10 @@
 """Constructions and verification of the six generalized-inverse kinds."""
 
+import gc
+
 import pytest
 
+import coreinv.ginverse
 from coreinv import (
     GF,
     QI,
@@ -13,6 +16,7 @@ from coreinv import (
     brute_solutions,
     certificate_from_json,
     certificate_to_json,
+    cross_check,
     e_core,
     e_core_via_power,
     f_dual_core,
@@ -20,6 +24,7 @@ from coreinv import (
     group_inverse,
     inv_13e,
     inv_14f,
+    is_weighted_ep,
     lemma_r_core_check,
     random_group_invertible,
     random_mat,
@@ -283,6 +288,8 @@ def test_star_duality_via_inverse_weight():
             "group_inverse": mirrored.witnesses["group_inverse"].star(),
             "inv_14f": mirrored.witnesses["inv_13e"].star(),
         }
+        # the dual side reads a^# off the core side: (a*)^# = (a^#)*
+        assert dual.witnesses["group_inverse"] == group_inverse(a).value
         assert inv_14f(a, f).witnesses == {"y": inv_13e(a.star(), f_inv).witnesses["x"].star()}
         powered = f_dual_core_via_power(a, f, 2)
         assert powered.witnesses == {
@@ -325,3 +332,56 @@ def test_certificate_json_round_trip():
         certificate_from_json({"kind": "nope", "value": obj["value"]})
     with pytest.raises(ValueError):
         certificate_from_json({"value": obj["value"]})
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the solves and verify calls the constructions make."""
+    counts = {"solve": 0, "verify": 0}
+    for name, key in (("solve_left", "solve"), ("solve_right", "solve"), ("verify", "verify")):
+        fn = getattr(coreinv.ginverse, name)
+
+        def counted(*args, _fn=fn, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(coreinv.ginverse, name, counted)
+    return counts
+
+
+def test_cross_check_solves_each_prerequisite_once(work):
+    # all six constructions exist: group, {1,3e} and {1,4f} are solved once each
+    # (2 + 1 + 1), each power path twice (2 + 2), and each of the 8 values is
+    # verified once
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
+    assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
+    assert work == {"solve": 8, "verify": 8}
+
+
+def test_weighted_ep_solves_the_group_inverse_once(work):
+    # group (2 solves), {1,3e} and {1,4f} (1 each); 5 verified values
+    rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
+    assert rep.weighted_ep
+    assert work == {"solve": 4, "verify": 5}
+
+
+def test_constructions_leave_no_cyclic_garbage():
+    a = random_group_invertible(8, QI, seed=5, rank=5)
+    w = random_weight(8, QI, seed=6, definite=True)
+    f3 = GF(3)
+    b, i3 = Mat(f3, [[1, 1], [0, 0]]), Weight.identity(f3, 2)
+    calls = (
+        lambda: cross_check(b, i3, i3, n=2),
+        lambda: is_weighted_ep(a, w, w),
+        lambda: f_dual_core_via_power(a, w, 3),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -354,6 +354,7 @@ def test_kernels_match_element_reference(name):
         ma, mb, mc = (Mat(field, r) for r in (a, b, c))
         assert ma * mb == Mat(field, ref_mul(a, b))
         assert mb * ma == Mat(field, ref_mul(b, a))
+        assert ma.star() == Mat(field, [[field.conj(v) for v in col] for col in zip(*a)])
         ab = ref_mul(a, b)
         for rhs in (c, ab):
             ok, x = ref_solve_right(a, rhs, field)
