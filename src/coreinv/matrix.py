@@ -22,6 +22,10 @@ from .scalar import (
     ScalarField,
 )
 
+# Largest dimension accepted on decode. Exact elimination is polynomial in the
+# dimension but not cheap, so untrusted JSON may not ask for any size.
+MAX_DIM = 32
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
@@ -362,6 +366,8 @@ def mat_from_json(obj) -> Mat:
     dim = obj.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"invalid dim: {dim!r}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim {dim} exceeds the maximum {MAX_DIM}")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError("entries must be a dim x dim array")

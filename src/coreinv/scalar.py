@@ -273,6 +273,27 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
+def _exact_quotient(re: list[int], im: list[int], dr: int, di: int) -> list[int]:
+    """The Gaussian integers re[j] + im[j] i divided by d = dr + di i, as re parts
+    followed by im parts: x conj(d) / |d|^2, or x / dr when d is real. The caller
+    guarantees that d divides every entry, so a remainder is a broken invariant,
+    not bad input."""
+    if di:
+        re, im = (
+            [xr * dr + xi * di for xr, xi in zip(re, im)],
+            [xi * dr - xr * di for xr, xi in zip(re, im)],
+        )
+        dr = dr * dr + di * di
+    qs = []
+    for x in re + im:
+        if x:
+            x, rem = divmod(x, dr)
+            if rem:
+                raise RuntimeError("internal error: rref pivot does not divide a row exactly")
+        qs.append(x)
+    return qs
+
+
 class ScalarField:
     """A scalar backend: element constructors, conjugation, codecs, sampling, and
     the integer kernels behind matrix products and row reductions."""
@@ -324,19 +345,31 @@ class ScalarField:
         entry at or below the current row. Rows are fully reduced above and below.
 
         Each row is first cleared to integers (`_int_row`). Fraction-free
-        Gauss-Jordan then replaces a row by pivot * row - entry * pivot_row
-        (`_eliminate`), which keeps every row a nonzero multiple of the same row
-        of the reduction over the field, so the pivots and zero patterns are the
+        Gauss-Jordan then replaces every other row by pivot * row - entry *
+        pivot_row, up to a nonzero factor the field chooses (`_eliminate`, which
+        also receives the previous pivot row and column, or None at the first
+        pivot). Every row stays a nonzero multiple of the same row of the
+        reduction over the field, so the pivots and zero patterns are the
         RREF's. At the end each pivot row is divided by its pivot, one division
         per entry (`_divide`), and holds canonical elements. The rows from
         len(pivots) on are zero in the first `lead` columns and keep only the
         RREF's zero pattern, as bools: callers read them only by truth value,
         as `solve_right` does with any() to test consistency.
+
+        The factor is where the fields differ. Q divides each new row by the gcd
+        of its entries, its whole content, which keeps its rows smaller than
+        the minors below (dividing by the previous pivot instead made Q solves
+        at dim 16 more than twice as slow). Over Q(i) that gcd is only the
+        rational content, so Gaussian factors of the pivots would pile up step
+        after step: Q(i) divides exactly by the previous pivot (Bareiss), also
+        the rows already zero at the pivot column, which keeps every entry a
+        minor of the cleared input. F_p reduces modulo p.
         """
         rows = [self._int_row(r) for r in aug]
         nonzero, eliminate = self._int_nonzero, self._eliminate
         nrows = len(rows)
         pivots: list[tuple[int, int]] = []
+        prev = None
         r = 0
         for c in range(lead):
             for i in range(r, nrows):
@@ -347,8 +380,10 @@ class ScalarField:
             rows[r], rows[i] = rows[i], rows[r]
             prow = rows[r]
             for i, row in enumerate(rows):
-                if i != r and nonzero(row, c):
-                    rows[i] = eliminate(row, prow, c)
+                if i != r:
+                    rows[i] = eliminate(row, prow, c, prev)
+            # rows are replaced, never mutated, so prow keeps this step's pivot
+            prev = (prow, c)
             pivots.append((r, c))
             r += 1
             if r == nrows:
@@ -368,8 +403,10 @@ class ScalarField:
     def _int_nonzero(self, row: list[int], c: int) -> bool:
         return row[c] != 0
 
-    def _eliminate(self, row: list[int], prow: list[int], c: int) -> list[int]:
-        """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
+    def _eliminate(self, row: list[int], prow: list[int], c: int, prev) -> list[int]:
+        """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c.
+
+        prev is the pivot row and column of the previous step, or None."""
         raise NotImplementedError
 
     def _divide(self, row: list[int], c: int) -> list:
@@ -429,8 +466,10 @@ class RationalField(ScalarField):
     def _int_row(self, row):
         return _primitive(_over_lcm(row)[0])
 
-    def _eliminate(self, row, prow, c):
+    def _eliminate(self, row, prow, c, prev):
         p, f = prow[c], row[c]
+        if not f:
+            return row
         return _primitive([p * a - f * b for a, b in zip(row, prow)])
 
     def _divide(self, row, c):
@@ -513,13 +552,18 @@ class GaussianRationalField(ScalarField):
     def _int_nonzero(self, row, c):
         return row[c] != 0 or row[c + len(row) // 2] != 0
 
-    def _eliminate(self, row, prow, c):
+    def _eliminate(self, row, prow, c, prev):
+        # (p_k * row - row[c] * prow) / p_{k-1} with p_0 = 1, also for a row already
+        # zero at column c: every entry stays a minor of the cleared input
         m = len(row) // 2
         pr, pi, fr, fi = prow[c], prow[c + m], row[c], row[c + m]
         parts = list(zip(row[:m], row[m:], prow[:m], prow[m:]))
         re = [pr * ar - pi * ai - fr * br + fi * bi for ar, ai, br, bi in parts]
         im = [pr * ai + pi * ar - fr * bi - fi * br for ar, ai, br, bi in parts]
-        return _primitive(re + im)
+        if prev is None:
+            return re + im
+        last, lc = prev
+        return _exact_quotient(re, im, last[lc], last[lc + m])
 
     def _divide(self, row, c):
         # v / p = v * conj(p) / |p|^2
@@ -591,8 +635,10 @@ class PrimeField(ScalarField):
     def _int_row(self, row):
         return [v.value for v in row]
 
-    def _eliminate(self, row, prow, c):
+    def _eliminate(self, row, prow, c, prev):
         pivot, f, p = prow[c], row[c], self.p
+        if not f:
+            return row
         return [(pivot * a - f * b) % p for a, b in zip(row, prow)]
 
     def _divide(self, row, c):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import coreinv.ginverse
 
 from coreinv import (
+    QI,
     QQ,
     GInverseKind,
     Mat,
@@ -26,6 +27,7 @@ from coreinv import (
     mat_to_json,
 )
 from coreinv.cli import main
+from coreinv.matrix import MAX_DIM
 
 A_OBJ = {"backend": "Q", "dim": 2, "entries": [["1", "1"], ["0", "0"]]}
 NIL_OBJ = {"backend": "Q", "dim": 2, "entries": [["0", "1"], ["0", "0"]]}
@@ -103,6 +105,26 @@ def test_compute_rejects_malformed_json(tmp_path, capsys):
     deep.write_text("[" * 100000)
     code, _ = run(capsys, ["compute", "--kind", "group", "--a", str(deep)])
     assert code == 2
+
+
+def test_oversized_dim_exits_2(tmp_path, capsys):
+    ones = [["1"] * (MAX_DIM + 1) for _ in range(MAX_DIM + 1)]
+    big = write(tmp_path, "big.json", {"backend": "Qi", "dim": MAX_DIM + 1, "entries": ones})
+    a = write(tmp_path, "a.json", A_OBJ)
+    # entries null: the dimension is refused before the entries are read
+    huge = {"backend": "Q", "dim": 10**9, "entries": None}
+    cert = write(tmp_path, "cert.json", {"kind": "group", "value": huge, "witnesses": {}})
+    for argv in (
+        ["compute", "--kind", "ecore", "--a", big],
+        ["ep", "--a", big],
+        ["verify", "--a", big, "--cert", cert],
+        ["verify", "--a", a, "--cert", cert],
+        ["compute", "--kind", "ecore", "--a", a, "--e", write(tmp_path, "e.json", huge)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert "exceeds the maximum" in captured.err
 
 
 def test_answer_longer_than_the_entry_bound_prints(tmp_path, capsys):
@@ -265,6 +287,25 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
         assert code == 3 and captured.out == "", kind
         assert captured.err.startswith("error: internal error:")
         assert "Traceback" not in captured.err
+    # so is a remainder in rref's exact division by the previous pivot, here from a
+    # Q(i) hook that leaves rows already zero at the pivot column unscaled
+    monkeypatch.undo()
+    real_eliminate = QI._eliminate
+
+    def unscaled(row, prow, c, prev):
+        if not (row[c] or row[c + len(row) // 2]):
+            return row
+        return real_eliminate(row, prow, c, prev)
+
+    entries = [[["-1", "-1"], ["0", "-1"]], [["0", "0"], ["-2", "1"]]]
+    tri = write(tmp_path, "tri.json", {"backend": "Qi", "dim": 2, "entries": entries})
+    assert main(["compute", "--kind", "group", "--a", tri]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(QI, "_eliminate", unscaled)
+    code = main(["compute", "--kind", "group", "--a", tri])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: internal error: rref pivot does not divide")
 
 
 def containers(inner):
@@ -310,7 +351,7 @@ def matrix_json(draw, backend, dim, diagonal=False):
         rows[-1] = rows[-1][:-1]
     obj = {"backend": backend, "dim": dim, "entries": rows}
     if fault == "dim":
-        obj["dim"] = draw(st.sampled_from([0, dim + 1, True, "2", None]))
+        obj["dim"] = draw(st.sampled_from([0, dim + 1, MAX_DIM + 1, 10**9, True, "2", None]))
     if fault == "backend":
         obj["backend"] = draw(st.sampled_from(["R", "Q" if backend != "Q" else "Qi", None]))
     if backend == "Fp" or fault == "backend":

@@ -1,6 +1,7 @@
 """Matrix ring: involution laws, exact solves, generators, JSON codecs."""
 
 from fractions import Fraction
+from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from coreinv import (
     BackendMismatchError,
     DimensionMismatchError,
     GaussianRational,
+    GInverseKind,
     Mat,
     PrimeFieldElement,
     Weight,
+    e_core,
+    f_dual_core,
     left_annihilator_basis,
     mat_from_json,
     mat_to_json,
@@ -25,8 +29,11 @@ from coreinv import (
     random_weight,
     solve_left,
     solve_right,
+    verify,
     weight_from_json,
+    weighted_mp,
 )
+from coreinv.matrix import MAX_DIM
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -235,6 +242,11 @@ def test_mat_from_json_rejects_malformed():
         mat_from_json({"backend": "Fp", "dim": 1, "entries": [["1"]]})
     with pytest.raises(ValueError):
         mat_from_json({"backend": "Q", "dim": 1, "entries": [[0.5]]})
+    # the dimension is refused before any entry is read
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        mat_from_json({"backend": "Q", "dim": MAX_DIM + 1, "entries": None})
+    square = [["1"] * MAX_DIM for _ in range(MAX_DIM)]
+    assert mat_from_json({"backend": "Q", "dim": MAX_DIM, "entries": square}).n == MAX_DIM
 
 
 def test_public_constructors_still_validate():
@@ -371,3 +383,63 @@ def test_kernels_match_element_reference(name):
         assert left_annihilator_basis(ma) == ref_left_annihilator_basis(a, field)
 
     check()
+
+
+def test_qi_rref_zero_rows_keep_the_pivot_scale():
+    # Column 1 is zero and skipped. Row 1 is zero at the first pivot column, so it is
+    # only scaled there, then gives the second pivot: a reduction that leaves such a
+    # row unscaled divides 2 - i by the first pivot, 2, at the next step.
+    i = GaussianRational(0, 1)
+    cases = [
+        [[2, 0, 1, 1], [0, 0, 3, 1 + i], [1, 0, 1, 2]],
+        [[2, 0, 1, 1, i], [0, 0, 3, 1 + i, 0], [1, 0, 1, 2, 1], [3, 0, 5, 4 + i, 2]],
+    ]
+    for rows in cases:
+        rows = [[QI.coerce(v) for v in r] for r in rows]
+        aug = [list(r) for r in rows]
+        expected, pivots = ref_rref(rows, 4, QI)
+        assert QI.rref(aug, 4) == pivots
+        assert aug[: len(pivots)] == expected[: len(pivots)]
+        assert [[bool(v) for v in r] for r in aug[len(pivots):]] == [
+            [bool(v) for v in r] for r in expected[len(pivots):]
+        ]
+
+
+def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
+    """The systems that e_core solves for a dim-12 Q(i) instance, a^2 x = a for the
+    group inverse and x (a* e a) = a for the {1,3e}-inverse: every integer row the
+    reduction forms stays within Hadamard's bound on the minors of the cleared
+    input. Dividing out only the rational content of each row let the rows of the
+    first system reach 261,095 bits."""
+    a = random_group_invertible(12, QI, seed=1000)
+    e = random_weight(12, QI, seed=2000)
+    gram = (a.star() * e.value * a).transpose()
+
+    def recording(hook, out):
+        def run(*args):
+            row = hook(*args)
+            out.append(row)
+            return row
+
+        return run
+
+    def bits(rows):
+        return max(abs(v).bit_length() for row in rows for v in row)
+
+    for lhs, rhs in ((a * a, a), (gram, a.transpose())):
+        aug = [list(g) + list(r) for g, r in zip(lhs.rows, rhs.rows)]
+        inputs, formed = [], []
+        monkeypatch.setattr(QI, "_int_row", recording(QI._int_row, inputs))
+        monkeypatch.setattr(QI, "_eliminate", recording(QI._eliminate, formed))
+        rank = len(QI.rref(aug, 12))
+        monkeypatch.undo()
+        # every row is a minor of order k <= rank of the cleared rows (b-bit parts),
+        # so by Hadamard it has at most k * (b + 1/2 + log2(k) / 2) + 1 bits
+        assert rank == 12 and formed
+        assert bits(formed) <= rank * (bits(inputs) + log2(len(aug[0])))
+    for kind, cert in (
+        (GInverseKind.E_CORE, e_core(a, e)),
+        (GInverseKind.F_DUAL_CORE, f_dual_core(a, e)),
+        (GInverseKind.WEIGHTED_MP, weighted_mp(a, e, e)),
+    ):
+        assert verify(kind, a, cert.value, e=e, f=e).ok
