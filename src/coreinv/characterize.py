@@ -147,12 +147,14 @@ def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, built):
 def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The canonical idempotent p = 1 - a a^{e-core} with its unit a^n + p."""
     _check_n(n)
+    a = _instance(a)
     return _validated(a, e, n, Flavor.IDEM_P, Side.CORE, _decompose(a, e, n, Flavor.IDEM_P))
 
 
 def decompose_q(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The same idempotent paired with the unit a^n (1 - q) + q."""
     _check_n(n)
+    a = _instance(a)
     return _validated(a, e, n, Flavor.IDEM_Q, Side.CORE, _decompose(a, e, n, Flavor.IDEM_Q))
 
 
@@ -166,6 +168,7 @@ def dual_decompose(
     _check_n(n)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("dual_decompose produces idempotent flavors only")
+    a = _instance(a)
     return _validated(a, f, n, flavor, Side.DUAL, _transport(_decompose, a, f, n, flavor))
 
 
@@ -181,6 +184,7 @@ _FORMULAS = {
 
 
 def _replay(a, w, flavor, side, element, n, unit) -> Mat:
+    a = _instance(a)
     unit_inv = _validate_element(a, w, element, n, flavor, side, unit)
     star = (lambda m: m) if side is Side.CORE else Mat.star
     b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
@@ -254,6 +258,7 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     Valid because matrix rings are Dedekind-finite; the Gram matrix is
     guaranteed invertible whenever the core inverse exists.
     """
+    a = _instance(a)
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
@@ -267,7 +272,7 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
 
 def dual_gram_formula(a: Mat, f: Weight) -> Mat | NotInvertible:
     """The weighted dual core inverse f^{-1} a* (a f^{-1} a* + q f^{-1})^{-1}, mirrored."""
-    return _transport(gram_formula, a, f)
+    return _transport(gram_formula, _instance(a), f)
 
 
 def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
@@ -276,6 +281,7 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     A positive answer certifies core invertibility (Dedekind-finiteness of the
     matrix ring), and the recovered inverse is checked against the direct one.
     """
+    a = _instance(a)
     _require(p.is_idempotent(), "p must be idempotent")
     _require((e.value * p).is_hermitian(), "(e p)* != e p")
     _require((p * a).is_zero(), "p a != 0")
@@ -340,6 +346,7 @@ def ep_from_s(a: Mat, e: Weight, f: Weight, s: Mat, n: int = 1) -> Mat:
     the core and dual replays check these (InvalidCertificateError) and then
     coincide because a commutes with the unit, which is checked exactly.
     """
+    a = _instance(a)
     core_value = core_from_s(a, e, s, n)
     dual_value = dual_from_s(a, f, s, n)
     if core_value != dual_value:
@@ -358,6 +365,7 @@ def uniqueness_audit(a: Mat, e: Weight, n: int, flavor: Flavor) -> bool:
     _check_n(n)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("uniqueness_audit applies to idempotent flavors only")
+    a = _instance(a)
     if a.field.tag == "Fp":
         from .oracle import brute_idempotent_certificates
 
@@ -399,6 +407,7 @@ def random_annihilator_witness(
     _check_n(n)
     if flavor not in (Flavor.ELEM_S, Flavor.ELEM_T):
         raise ValueError("witness generation applies to element flavors only")
+    a = _instance(a)
     p = _idempotent(a, w) if side is Side.CORE else _transport(_idempotent, a, w)
     if isinstance(p, NotInvertible):
         raise ValueError("witness generation requires an invertible core instance")

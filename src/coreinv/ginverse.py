@@ -202,11 +202,16 @@ class _Instance(Mat):
     The constructions of one call share it in place of a. Its mirror, the instance
     of a*, reads its own off the core side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) =
     inv_14f(a, f)*. The mirror points back weakly, so the two form no cycle.
+
+    It starts from the operand forms a already holds and keeps the ones it forms
+    itself, so a call leaves none on the caller's a. Every product, a^2 = a·a
+    included, takes the instance as its factor, never a.
     """
 
     def __init__(self, a: Mat, core: _Instance | None = None):
         self.field, self.n, self.rows = a.field, a.n, a.rows
-        self._powers, self._slots, self._mirror = [a], {}, None
+        self._left, self._right = a._left, a._right
+        self._powers, self._slots, self._mirror = [], {}, None
         self._core = core and weakref.ref(core)
 
     def star(self) -> _Instance:
@@ -217,9 +222,12 @@ class _Instance(Mat):
         return self._mirror
 
     def power(self, k: int) -> Mat:
-        while len(self._powers) < k:
-            self._powers.append(self._powers[-1] * self)
-        return self._powers[k - 1] if k >= 1 else super().power(k)
+        if k < 2:
+            return self if k == 1 else super().power(k)
+        powers = self._powers  # a^2, a^3, ...
+        while len(powers) < k - 1:
+            powers.append((powers[-1] if powers else self) * self)
+        return powers[k - 2]
 
     def _once(self, kind: str, make, w: Weight | None = None):
         """make() once per kind and weight. A weight is keyed by the identity of its
@@ -254,6 +262,7 @@ def _value(result):
 
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     """The group inverse, from witnesses of a = a^2 x and a = y a^2."""
+    a = _instance(a)
     a2 = a.power(2)
     right = solve_right(a2, a)
     if not right.consistent:
@@ -276,11 +285,13 @@ def _inv_13e(a: Mat, e: Weight):
 
 def inv_13e(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
     """A {1,3e}-inverse x* e obtained from a witness of a = x (a* e a)."""
+    a = _instance(a)
     return _certified(GInverseKind.ONE_THREE_E, a, _inv_13e(a, e), e=e)
 
 
 def inv_14f(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
     """A {1,4f}-inverse f^{-1} y* with a = (a f^{-1} a*) y: the mirror inv_13e(a*, f^{-1})*."""
+    a = _instance(a)
     return _certified(GInverseKind.ONE_FOUR_F, a, _transport(_inv_13e, a, f), f=f)
 
 

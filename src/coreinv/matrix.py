@@ -32,9 +32,15 @@ class DimensionMismatchError(ValueError):
 
 
 class Mat:
-    """An n-by-n matrix over a single scalar backend. Immutable, exact equality."""
+    """An n-by-n matrix over a single scalar backend. Immutable, exact equality.
 
-    __slots__ = ("field", "n", "rows")
+    A matrix keeps its field's operand forms (`ScalarField._operand`) of its rows,
+    for products where it is the left factor, and of its columns, for products
+    where it is the right factor. Each side is formed on its first use and lives
+    as long as the matrix does.
+    """
+
+    __slots__ = ("field", "n", "rows", "_left", "_right")
 
     def __init__(self, field: ScalarField, rows):
         data = [list(r) for r in rows]
@@ -44,6 +50,7 @@ class Mat:
         self.field = field
         self.n = n
         self.rows = tuple(tuple(field.coerce(v) for v in r) for r in data)
+        self._left = self._right = None
 
     @classmethod
     def _wrap(cls, field, rows):
@@ -52,6 +59,7 @@ class Mat:
         m.field = field
         m.n = len(rows)
         m.rows = rows
+        m._left = m._right = None
         return m
 
     @classmethod
@@ -103,7 +111,12 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._compat(other)
-        return Mat._wrap(self.field, self.field.matmul(self.rows, other.rows))
+        field = self.field
+        if self._left is None:
+            self._left = list(map(field._operand, self.rows))
+        if other._right is None:
+            other._right = list(map(field._operand, zip(*other.rows)))
+        return Mat._wrap(field, field.matmul(self._left, other._right))
 
     def scale(self, s) -> "Mat":
         s = self.field.coerce(s)

@@ -252,6 +252,18 @@ _ZERO = Fraction(0)
 _GAUSSIAN_ZERO = _gaussian(_ZERO, _ZERO)
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The canonical Fraction n/d for d > 0: reduced by one gcd, with its two slots
+    set directly instead of through Fraction.__new__."""
+    g = gcd(n, d)
+    q = object.__new__(Fraction)
+    if g == 1:
+        q._numerator, q._denominator = n, d
+    else:
+        q._numerator, q._denominator = n // g, d // g
+    return q
+
+
 def _over_lcm(fracs) -> tuple[list[int], int]:
     """Fractions as integer numerators over their lcm denominator d."""
     d = lcm(*(q.denominator for q in fracs))
@@ -332,10 +344,14 @@ class ScalarField:
     def random(self, rng):
         raise NotImplementedError
 
-    def matmul(self, x_rows, y_rows) -> tuple:
-        """The product of two square matrices given as row tuples of this field's
-        elements, as a tuple of row tuples of canonical elements. Each entry is one
-        integer dot product, reduced once."""
+    def _operand(self, vector):
+        """A row or column of elements in the integer form `matmul` takes."""
+        raise NotImplementedError
+
+    def matmul(self, xs, ys) -> tuple:
+        """The product of two square matrices x and y, given as the `_operand` forms
+        of the rows of x and of the columns of y, as a tuple of row tuples of
+        canonical elements. Each entry is one integer dot product, reduced once."""
         raise NotImplementedError
 
     def rref(self, aug: list[list], lead: int) -> list[tuple[int, int]]:
@@ -454,12 +470,13 @@ class RationalField(ScalarField):
     def random(self, rng):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
-    def matmul(self, x_rows, y_rows):
-        # each row of x and column of y as integer numerators over their lcm denominator
-        xs = [_over_lcm(r) for r in x_rows]
-        ys = [_over_lcm(c) for c in zip(*y_rows)]
+    def _operand(self, vector):
+        # integer numerators over their lcm denominator
+        return _over_lcm(vector)
+
+    def matmul(self, xs, ys):
         return tuple(
-            tuple(Fraction(sum(map(mul, xn, yn)), xd * yd) for yn, yd in ys)
+            tuple(_fraction(sum(map(mul, xn, yn)), xd * yd) for yn, yd in ys)
             for xn, xd in xs
         )
 
@@ -474,7 +491,9 @@ class RationalField(ScalarField):
 
     def _divide(self, row, c):
         p = row[c]
-        return [Fraction(v, p) if v else _ZERO for v in row]
+        if p < 0:
+            p, row = -p, [-v for v in row]
+        return [_fraction(v, p) if v else _ZERO for v in row]
 
     def __eq__(self, other):
         return type(other) is RationalField
@@ -527,19 +546,21 @@ class GaussianRationalField(ScalarField):
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
         )
 
-    def matmul(self, x_rows, y_rows):
-        # re and im parts of each row of x and column of y share one denominator;
+    def _operand(self, vector):
+        # re and im parts over one denominator, and their sums:
         # (xr + xi)(yr + yi) gives the imaginary part with three dot products, not four
-        ys = [(yr, yi, list(map(add, yr, yi)), yd) for yr, yi, yd in map(_split, zip(*y_rows))]
+        re, im, d = _split(vector)
+        return re, im, list(map(add, re, im)), d
+
+    def matmul(self, xs, ys):
         out = []
-        for xr, xi, xd in map(_split, x_rows):
-            xsum = list(map(add, xr, xi))
+        for xr, xi, xsum, xd in xs:
             row = []
             for yr, yi, ysum, yd in ys:
                 rr, ii = sum(map(mul, xr, yr)), sum(map(mul, xi, yi))
                 d = xd * yd
                 im = sum(map(mul, xsum, ysum)) - rr - ii
-                row.append(_gaussian(Fraction(rr - ii, d), Fraction(im, d)))
+                row.append(_gaussian(_fraction(rr - ii, d), _fraction(im, d)))
             out.append(tuple(row))
         return tuple(out)
 
@@ -571,7 +592,7 @@ class GaussianRationalField(ScalarField):
         pr, pi = row[c], row[c + m]
         norm = pr * pr + pi * pi
         return [
-            _gaussian(Fraction(ar * pr + ai * pi, norm), Fraction(ai * pr - ar * pi, norm))
+            _gaussian(_fraction(ar * pr + ai * pi, norm), _fraction(ai * pr - ar * pi, norm))
             if ar or ai
             else _GAUSSIAN_ZERO
             for ar, ai in zip(row[:m], row[m:])
@@ -626,10 +647,11 @@ class PrimeField(ScalarField):
     def random(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
-    def matmul(self, x_rows, y_rows):
+    def _operand(self, vector):
+        return [v.value for v in vector]
+
+    def matmul(self, xs, ys):
         p, elements = self.p, self._elements
-        xs = [[v.value for v in r] for r in x_rows]
-        ys = [[v.value for v in c] for c in zip(*y_rows)]
         return tuple(tuple(elements[sum(map(mul, xr, yc)) % p] for yc in ys) for xr in xs)
 
     def _int_row(self, row):

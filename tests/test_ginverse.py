@@ -17,10 +17,12 @@ from coreinv import (
     certificate_from_json,
     certificate_to_json,
     cross_check,
+    decompose_idempotent,
     e_core,
     e_core_via_power,
     f_dual_core,
     f_dual_core_via_power,
+    gram_formula,
     group_inverse,
     inv_13e,
     inv_14f,
@@ -30,6 +32,7 @@ from coreinv import (
     random_mat,
     random_non_group_invertible,
     random_weight,
+    replay,
     verify,
     weighted_mp,
 )
@@ -385,3 +388,77 @@ def test_constructions_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Vectors converted to operand form by one call on fresh dim-8 inputs: a call
+# that formed the same side of a matrix twice (the caller's a next to its
+# instance, say, or a^2 = a·a with two factors) would go over.
+OPERAND_BUDGET = {"e_core": 184, "weighted_mp": 208, "is_weighted_ep": 328}
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=str)
+def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
+    vectors, converted = [0], []
+    operand, mul = field._operand, Mat.__mul__
+
+    def counted_operand(vector):
+        vectors[0] += 1
+        return operand(vector)
+
+    def logged_mul(x, y):
+        # a side is converted when its slot is empty; matrices that share one rows
+        # tuple, as an instance and its matrix do, count as one matrix
+        for m, side, form in ((x, "rows", x._left), (y, "cols", y._right)):
+            if form is None:
+                converted.append((m.rows, side))
+        return mul(x, y)
+
+    monkeypatch.setattr(field, "_operand", counted_operand)
+    monkeypatch.setattr(Mat, "__mul__", logged_mul)
+    calls = {
+        "e_core": lambda a, e, f: e_core(a, e),
+        "weighted_mp": weighted_mp,
+        "is_weighted_ep": is_weighted_ep,
+    }
+    for name, call in calls.items():
+        a = random_group_invertible(8, field, seed=1, rank=6)
+        e = random_weight(8, field, seed=101)
+        f = random_weight(8, field, seed=201)
+        vectors[0] = 0
+        converted.clear()
+        call(a, e, f)
+        keys = [(id(rows), side) for rows, side in converted]
+        assert len(set(keys)) == len(keys), name
+        assert vectors[0] == 8 * len(keys) <= OPERAND_BUDGET[name], name
+
+
+def test_calls_leave_no_operand_forms_on_the_callers_matrix():
+    """Operand forms live as long as their matrix; a call keeps them on the instance
+    it makes of the caller's a (and on the weights), never on a itself."""
+    f3 = GF(3)
+    cases = [
+        (random_group_invertible(4, QI, seed=3, rank=2),
+         random_weight(4, QI, seed=4, definite=True), random_weight(4, QI, seed=5, definite=True)),
+        (Mat(f3, [[1, 1], [0, 0]]), Weight.identity(f3, 2), Weight(Mat(f3, [[1, 1], [1, 2]]))),
+    ]
+    for a, e, f in cases:
+        calls = {
+            "group_inverse": lambda: group_inverse(a),
+            "inv_13e": lambda: inv_13e(a, e),
+            "inv_14f": lambda: inv_14f(a, f),
+            "e_core": lambda: e_core(a, e),
+            "f_dual_core": lambda: f_dual_core(a, f),
+            "weighted_mp": lambda: weighted_mp(a, e, f),
+            "e_core_via_power": lambda: e_core_via_power(a, e, 2),
+            "f_dual_core_via_power": lambda: f_dual_core_via_power(a, f, 3),
+            "is_weighted_ep": lambda: is_weighted_ep(a, e, f),
+            "decompose_idempotent": lambda: decompose_idempotent(a, e, 2),
+            "gram_formula": lambda: gram_formula(a, e),
+            "replay": lambda: replay(a, e, decompose_idempotent(Mat(a.field, a.rows), e, 2)),
+        }
+        if a.field == f3:
+            calls["cross_check"] = lambda: cross_check(a, e, f, n=2)["ok"]
+        for name, call in calls.items():
+            result = call()
+            assert result is not False and not isinstance(result, NotInvertible), name
+            assert (a._left, a._right) == (None, None), name

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreinv import (
@@ -15,6 +15,7 @@ from coreinv import (
     Mat,
     PrimeFieldElement,
 )
+from coreinv.scalar import _fraction
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -161,3 +162,28 @@ def test_str_forms():
     assert str(GaussianRational(0, -1)) == "-i"
     assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
     assert str(PrimeFieldElement(4, 5)) == "4"
+
+
+BIG = 10**299  # 300 digits
+SHARED = st.integers(1, 10**6)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.integers(-(10**6), 10**6) | st.integers(-10 * BIG, 10 * BIG) | st.just(0),
+    st.integers(1, 10**6) | st.integers(1, 10 * BIG),
+    SHARED,
+)
+@example(0, 1, 1)
+@example(0, 7, 1)
+@example(-5, 1, 1)
+@example(-12, 18, 1)
+@example(-(3 * BIG + 3), 6, 1)
+@example(BIG, BIG, 1)
+def test_internal_fraction_is_the_canonical_fraction(n, d, g):
+    # n * g / d * g shares the factor g, which the one gcd has to remove
+    for num, den in ((n, d), (n * g, d * g)):
+        q, ref = _fraction(num, den), Fraction(num, den)
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
+        assert q == ref and hash(q) == hash(ref) and str(q) == str(ref)
