@@ -29,14 +29,12 @@ from .ginverse import (
     e_core,
     f_dual_core,
 )
-from .matrix import (
-    Mat,
-    Weight,
-    _rand_mat,
-    left_annihilator_basis,
-    mat_from_json,
-    mat_to_json,
-)
+from .matrix import Mat, Weight, _rand_mat, mat_from_json, mat_to_json, solve_right
+from .oracle import brute_idempotent_certificates
+
+# Draws random_annihilator_witness makes before it gives up.
+_WITNESS_TRIES = 32
+
 
 class Flavor(str, Enum):
     IDEM_P = "p"
@@ -360,32 +358,22 @@ def uniqueness_audit(a: Mat, e: Weight, n: int, flavor: Flavor) -> bool:
     On prime-field backends this enumerates every idempotent satisfying the
     clause and demands exactly one. On exact rational backends it verifies the
     annihilator identity behind the uniqueness argument: left annihilators of
-    a^n and of 1 - p coincide.
+    a^n and of 1 - p coincide. Since v x = 0 constrains the columns of x, the
+    left annihilators of x lie in those of y exactly when y is in x R, so the
+    identity is two consistency checks of the solver.
     """
     _check_n(n)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("uniqueness_audit applies to idempotent flavors only")
     a = _instance(a)
     if a.field.tag == "Fp":
-        from .oracle import brute_idempotent_certificates
-
         return len(brute_idempotent_certificates(a, e, n, flavor)) == 1
     d = decompose_idempotent(a, e, n) if flavor is Flavor.IDEM_P else decompose_q(a, e, n)
     if isinstance(d, NotInvertible):
         raise ValueError("uniqueness_audit requires a weighted-core-invertible matrix")
-    ident = Mat.identity(a.field, a.n)
     an = a.power(n)
-    complement = ident - d.element
-    zero_row = (a.field.zero(),) * a.n
-    for left, right in ((an, complement), (complement, an)):
-        for vec in left_annihilator_basis(left):
-            image = tuple(
-                sum((vec[k] * right.rows[k][j] for k in range(a.n)), a.field.zero())
-                for j in range(a.n)
-            )
-            if image != zero_row:
-                return False
-    return True
+    complement = Mat.identity(a.field, a.n) - d.element
+    return solve_right(an, complement).consistent and solve_right(complement, an).consistent
 
 
 def random_annihilator_witness(
@@ -395,7 +383,6 @@ def random_annihilator_witness(
     seed: int,
     side: Side = Side.CORE,
     flavor: Flavor = Flavor.ELEM_S,
-    max_tries: int = 32,
 ) -> Mat:
     """A random element witness for the element-flavored clauses.
 
@@ -412,14 +399,14 @@ def random_annihilator_witness(
     if isinstance(p, NotInvertible):
         raise ValueError("witness generation requires an invertible core instance")
     rng = _random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_WITNESS_TRIES):
         h = _rand_mat(rng, a.n, a.field)
         m = w.value * p * h * p
         s = w.inv * (m + m.star())
         unit = unit_for(a, s, n, flavor, side)
         if unit.is_invertible():
             return s
-    raise RuntimeError(f"witness generation failed after {max_tries} attempts")
+    raise RuntimeError(f"witness generation failed after {_WITNESS_TRIES} attempts")
 
 
 def decomposition_to_json(d: Decomposition) -> dict:

@@ -20,7 +20,6 @@ from .ginverse import (
     GInverseKind,
     NotInvertible,
     _instance,
-    _weights_used,
     e_core,
     e_core_via_power,
     f_dual_core,
@@ -205,11 +204,15 @@ def _solutions(a, p, e, f, inner):
 
 
 def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | None):
-    """Raw forms of the weights the kind's equations use; None for the others."""
+    """Raw forms of the weights the kind's equations use: e serves (3e) and f
+    serves (4f); None for the others. A weight they use that is missing raises
+    ValueError."""
     raws = []
-    for w, name in zip(_weights_used(kind, e, f), "ef"):
+    for label, w, name in (("(3e)", e, "e"), ("(4f)", f, "f")):
         raw = None
-        if w is not None:
+        if label in _KIND_LABELS[kind]:
+            if w is None:
+                raise ValueError(f"kind {kind.value} requires the weight {name}")
             raw, wp = _raw(w.value)
             if wp != p or len(raw) != len(a_raw):
                 raise ValueError(f"weight {name} does not match the matrix backend")
@@ -217,13 +220,20 @@ def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | Non
     return tuple(raws)
 
 
+def _check_sample(sample: int, seed: int | None):
+    """A sampled run needs a seed and at least one draw: checking nothing is not a pass."""
+    if seed is None:
+        raise ValueError("sampled mode requires a seed")
+    if sample < 1:
+        raise ValueError("sample must be at least 1")
+
+
 def _brute(a, p, e, f, sample: int | None, seed: int | None):
     """Every kind's brute solution set (see _solutions) from one pass over the
     candidates: all of M_n(F_p), or `sample` seeded draws from it."""
     if sample is None:
         return _solutions(a, p, e, f, _all_inner_inverses(a, p))
-    if seed is None:
-        raise ValueError("sampled enumeration requires a seed")
+    _check_sample(sample, seed)
     rng = _random.Random(seed)
     n = len(a)
     draws = (
@@ -257,18 +267,14 @@ def _idempotents(p: int, n: int):
     return tuple(x for x in EnumerationSpace(p, n).matrices() if _mmul(x, x, p) == x)
 
 
-def brute_idempotent_certificates(
-    a: Mat, e: Weight, n: int, flavor
-) -> set[Mat]:
+def brute_idempotent_certificates(a: Mat, e: Weight, n: int, flavor: str) -> set[Mat]:
     """All idempotents satisfying the given clause for a, by exhaustive search.
 
     flavor "p": (e q)* = e q, q a = 0 and a^n + q invertible;
     flavor "q": same annihilation conditions with unit a^n (1 - q) + q.
+    A characterize.Flavor member is a str and may be passed as well.
     """
-    from .characterize import Flavor
-
-    flavor = Flavor(flavor)
-    if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
+    if flavor not in ("p", "q"):
         raise ValueError("idempotent enumeration applies to idempotent flavors only")
     a_raw, p = _raw(a)
     e_raw, _ = _weight_raws(GInverseKind.E_CORE, a_raw, p, e, None)
@@ -282,7 +288,7 @@ def brute_idempotent_certificates(
             continue
         if _mmul(q, a_raw, p) != zero:
             continue
-        if flavor is Flavor.IDEM_P:
+        if flavor == "p":
             unit = _madd(an, q, p)
         else:
             unit = _madd(_mmul(an, _msub(eye, q, p), p), q, p)
@@ -291,23 +297,23 @@ def brute_idempotent_certificates(
     return found
 
 
-def _compare(kind, constructed, brute: set, own: set, sampled: bool):
+def _compare(kind, constructed, brute: set, own: set):
     """The report entry of one kind; `brute` holds the brute solutions and `own`
-    those of the constructed values that satisfy the kind's equations, raw."""
-    entry = {
-        "kind": kind.value,
-        "constructed": None
-        if isinstance(constructed, NotInvertible)
-        else mat_to_json(constructed.value),
-        "brute_count": len(brute),
-    }
-    if isinstance(constructed, NotInvertible):
-        ok = len(brute) == 0
+    those of the constructed values that satisfy the kind's equations, raw. A
+    value passes when it solves the equations and no other solution turns up;
+    where `own` is an exhaustive `brute`, that is brute == {value}."""
+    negative = isinstance(constructed, NotInvertible)
+    if negative:
+        ok = not brute
     else:
         value, _ = _raw(constructed.value)
-        ok = value in own and (brute <= {value} if sampled else brute == {value})
-    entry["ok"] = ok
-    return entry
+        ok = value in own and brute <= {value}
+    return {
+        "kind": kind.value,
+        "constructed": None if negative else mat_to_json(constructed.value),
+        "brute_count": len(brute),
+        "ok": ok,
+    }
 
 
 def cross_check(
@@ -328,7 +334,6 @@ def cross_check(
     a = _instance(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
-    sampled = sample is not None
     constructed = {
         GInverseKind.GROUP: a.group(),
         GInverseKind.E_CORE: e_core(a, e),
@@ -336,12 +341,13 @@ def cross_check(
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),
     }
     brute = _brute(a_raw, p, e_raw, f_raw, sample, seed)
-    values = {_raw(r.value)[0] for r in constructed.values() if not isinstance(r, NotInvertible)}
-    own = _solutions(a_raw, p, e_raw, f_raw, _inner_inverses(a_raw, p, values))
-    checks = [
-        _compare(kind, result, brute[kind], own[kind], sampled)
-        for kind, result in constructed.items()
-    ]
+    own = brute  # an exhaustive pass holds every solution
+    if sample is not None:
+        values = {
+            _raw(r.value)[0] for r in constructed.values() if not isinstance(r, NotInvertible)
+        }
+        own = _solutions(a_raw, p, e_raw, f_raw, _inner_inverses(a_raw, p, values))
+    checks = [_compare(kind, r, brute[kind], own[kind]) for kind, r in constructed.items()]
     if n >= 2:
         powered = e_core_via_power(a, e, n)
         checks.append(_power_entry("ecore_power", constructed[GInverseKind.E_CORE], powered))
@@ -386,6 +392,19 @@ def iter_invertible_symmetric(p: int, dim: int):
             yield raw
 
 
+def _sampled_reports(space: EnumerationSpace, n: int, sample: int, seed: int):
+    """cross_check on `sample` seeded random (matrix, weight) instances; beyond the
+    exhaustive bound each instance samples its candidates as well."""
+    rng = _random.Random(seed)
+    p, dim, field = space.p, space.dim, GF(space.p)
+    inner_sample = None if space.exhaustive else sample
+    for _ in range(sample):
+        a = Mat(field, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
+        w = random_weight(dim, field, seed=rng.randrange(2**63))
+        inner_seed = None if inner_sample is None else rng.randrange(2**63)
+        yield cross_check(a, w, w, n=n, sample=inner_sample, seed=inner_seed)
+
+
 def cross_check_sweep(
     p: int,
     dim: int,
@@ -396,37 +415,24 @@ def cross_check_sweep(
     """Run cross_check over a whole space, with e = f = w per symmetric weight w.
 
     Exhaustive mode visits every matrix and every invertible symmetric weight;
-    sampled mode draws `sample` seeded random (matrix, weight) instances and
-    samples the candidate space per instance as well.
+    sampled mode draws `sample` >= 1 seeded random (matrix, weight) instances
+    and requires a seed.
     """
     space = EnumerationSpace(p, dim)
-    field = GF(p)
-    checked = 0
-    mismatches = []
-
-    def record(report):
-        nonlocal checked
+    if sample is None:
+        matrices = space.matrices()  # an oversized space is refused before any weight is listed
+        weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
+        instances = (_instance(_to_mat(a_raw, p)) for a_raw in matrices)
+        # `a` is bound once per matrix, so all the weights of a share its instance
+        reports = (cross_check(a, w, w, n=n) for a in instances for w in weights)
+    else:
+        _check_sample(sample, seed)
+        reports = _sampled_reports(space, n, sample, seed)
+    checked, mismatches = 0, []
+    for report in reports:
         checked += 1
         if not report["ok"]:
             mismatches.append(report)
-
-    if sample is None:
-        matrices = space.matrices()
-        weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
-        for a_raw in matrices:
-            a = _instance(_to_mat(a_raw, p))  # shared by all the weights of a
-            for w in weights:
-                record(cross_check(a, w, w, n=n))
-    else:
-        if seed is None:
-            raise ValueError("sampled sweeps require a seed")
-        rng = _random.Random(seed)
-        for _ in range(sample):
-            a = Mat(field, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
-            w = random_weight(dim, field, seed=rng.randrange(2**63))
-            inner_sample = sample if not space.exhaustive else None
-            inner_seed = rng.randrange(2**63) if inner_sample is not None else None
-            record(cross_check(a, w, w, n=n, sample=inner_sample, seed=inner_seed))
     return {
         "space": {
             "p": p,

@@ -6,12 +6,14 @@ from itertools import product
 
 import pytest
 
+import coreinv.oracle
 from coreinv import (
     GF,
     QQ,
     EnumerationSpace,
     Flavor,
     GInverseKind,
+    InverseCertificate,
     Mat,
     NotInvertible,
     SpaceTooLargeError,
@@ -154,14 +156,28 @@ def test_cross_check_is_deterministic():
     assert cross_check(a, E3, E3, n=2) == cross_check(a, E3, E3, n=2)
 
 
-def test_sweep_f2_exhaustive():
+def test_sweep_f2_exhaustive(monkeypatch):
+    checked = []
+    check = coreinv.oracle.cross_check
+
+    def spy(a, *args, **kwargs):
+        checked.append(a)
+        return check(a, *args, **kwargs)
+
+    monkeypatch.setattr(coreinv.oracle, "cross_check", spy)
     report = cross_check_sweep(2, 2, n=2)
     assert report["space"] == {"p": 2, "dim": 2, "count": 16, "exhaustive": True}
     assert report["checked"] == 16 * 4  # 4 invertible symmetric weights over F2
     assert report["mismatches"] == []
+    # all the weights of one matrix share its instance
+    assert len(checked) == 64 and len({id(a) for a in checked}) == 16
 
 
-def test_sweep_refuses_large_space_without_sample():
+def test_sweep_refuses_large_space_without_sample(monkeypatch):
+    def no_weights(p, dim):
+        raise AssertionError("weights listed before the space was refused")
+
+    monkeypatch.setattr(coreinv.oracle, "iter_invertible_symmetric", no_weights)
     with pytest.raises(SpaceTooLargeError):
         cross_check_sweep(5, 3)
 
@@ -173,6 +189,53 @@ def test_sweep_sampled():
     assert report["mismatches"] == []
     with pytest.raises(ValueError):
         cross_check_sweep(5, 3, sample=3)
+
+
+def test_sampled_mode_refuses_to_check_nothing():
+    # an oracle call that checks zero candidates or instances is not a pass
+    nil = Mat(F3, [[0, 1], [0, 0]])
+    for sample in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            cross_check(nil, E3, E3, sample=sample, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            brute_solutions(GInverseKind.E_CORE, nil, e=E3, sample=sample, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            cross_check_sweep(2, 2, sample=sample, seed=1)
+    with pytest.raises(ValueError, match="requires a seed"):
+        cross_check(nil, E3, E3, sample=5)
+
+
+def _bogus_e_core(monkeypatch, value):
+    """Make cross_check's e-core constructor return `value`, unverified."""
+    cert = InverseCertificate(GInverseKind.E_CORE, value)
+    monkeypatch.setattr(coreinv.oracle, "e_core", lambda a, e: cert)
+
+
+def _ecore_entry(report):
+    return next(c for c in report["checks"] if c["kind"] == "ecore")
+
+
+def test_cross_check_requires_the_constructed_value_to_solve(monkeypatch):
+    # The brute force may find nothing to disagree with: a kind without a
+    # solution, or a sample that misses it. The constructed value must then
+    # still satisfy the kind's equations itself.
+    nil = Mat(F3, [[0, 1], [0, 0]])  # no e-core inverse exists
+    assert cross_check(nil, E3, E3)["ok"]
+    _bogus_e_core(monkeypatch, Mat.zeros(F3, 2))
+    report = cross_check(nil, E3, E3)
+    assert _ecore_entry(report)["brute_count"] == 0
+    assert not _ecore_entry(report)["ok"] and not report["ok"]
+    monkeypatch.undo()
+
+    F5 = GF(5)
+    ident, e5 = Mat.identity(F5, 3), Weight.identity(F5, 3)
+    report = cross_check(ident, e5, e5, sample=5, seed=1)
+    assert _ecore_entry(report)["brute_count"] == 0  # the sample misses the identity
+    assert report["ok"]  # the identity solves its own equations
+    _bogus_e_core(monkeypatch, Mat.zeros(F5, 3))
+    report = cross_check(ident, e5, e5, sample=5, seed=1)
+    assert _ecore_entry(report)["brute_count"] == 0
+    assert not _ecore_entry(report)["ok"] and not report["ok"]
 
 
 # A per-candidate reference for the oracle's shared pass: each kind's defining
