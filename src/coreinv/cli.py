@@ -73,10 +73,10 @@ def _load_matrix(path: str) -> Mat:
 def _load_weight(path: str | None, dim, field) -> Weight:
     if path is None:
         return Weight.identity(field, dim)
-    w = Weight(mat_from_json(_load_json(path)))
-    if w.value.n != dim or w.value.field != field:
+    m = mat_from_json(_load_json(path))
+    if m.n != dim or m.field != field:
         raise ValueError("weight does not match the matrix dimension/backend")
-    return w
+    return Weight(m)
 
 
 def _result_json(result) -> dict:
@@ -130,12 +130,12 @@ def _verify_decomposition(args, payload, a: Mat) -> int:
     d = decomposition_from_json(payload)
     core = d.side is Side.CORE
     w = _load_weight(args.e if core else args.f, a.n, a.field)
-    direct = e_core(a, w) if core else f_dual_core(a, w)
     try:
         reconstructed = replay(a, w, d)
     except InvalidCertificateError as exc:
         _emit({"ok": False, "error": str(exc)}, args.out)
         return 1
+    direct = e_core(a, w) if core else f_dual_core(a, w)
     ok = not isinstance(direct, NotInvertible) and reconstructed == direct.value
     _emit(
         {

@@ -143,8 +143,8 @@ class Mat:
 
     def inverse(self) -> "Mat | None":
         """The two-sided inverse, or None when singular (a result, not an error)."""
-        w = solve_right(self, Mat.identity(self.field, self.n))
-        return w.solution if w.consistent else None
+        x = _solve(self.field, self.rows, Mat.identity(self.field, self.n).rows)
+        return None if x is None else Mat._wrap(self.field, x)
 
     def is_invertible(self) -> bool:
         return self.inverse() is not None
@@ -180,51 +180,52 @@ class SolveWitness:
     """Outcome of a linear matrix solve; solution is None when inconsistent."""
 
     solution: Mat | None
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return self.solution is not None
+
+
+def _solve(field: ScalarField, lhs, rhs) -> tuple | None:
+    """The rows of x with lhs x = rhs (n row tuples each): the pivot rows of the
+    RREF at their pivot columns, free variables zeroed; None if inconsistent."""
+    n = len(lhs)
+    reduced = field.rref([l + r for l, r in zip(lhs, rhs)], n)
+    if reduced is None:
+        return None
+    x = [(field.zero(),) * n] * n
+    for c, row in zip(*reduced):
+        x[c] = tuple(row[n:])
+    return tuple(x)
 
 
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
     """Solve a @ x = b exactly. Free variables of the witness are zeroed."""
     a._compat(b)
-    n = a.n
-    field = a.field
-    aug = [list(a.rows[i]) + list(b.rows[i]) for i in range(n)]
-    pivots = field.rref(aug, n)
-    for r in range(len(pivots), n):
-        if any(aug[r][n + j] for j in range(n)):
-            return SolveWitness(None, False)
-    zero = field.zero()
-    x = [[zero] * n for _ in range(n)]
-    for r, c in pivots:
-        x[c] = aug[r][n:]
-    sol = Mat._wrap(field, tuple(tuple(row) for row in x))
-    return SolveWitness(sol, True)
+    x = _solve(a.field, a.rows, b.rows)
+    return SolveWitness(None if x is None else Mat._wrap(a.field, x))
 
 
 def solve_left(a: Mat, b: Mat) -> SolveWitness:
-    """Solve x @ a = b exactly, mirrored through plain transposition."""
-    w = solve_right(a.transpose(), b.transpose())
-    if not w.consistent:
-        return w
-    return SolveWitness(w.solution.transpose(), True)
+    """Solve x @ a = b exactly, as a^T x^T = b^T on the columns of a and b."""
+    a._compat(b)
+    xt = _solve(a.field, tuple(zip(*a.rows)), tuple(zip(*b.rows)))
+    return SolveWitness(None if xt is None else Mat._wrap(a.field, tuple(zip(*xt))))
 
 
 def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
     """A canonical basis of row vectors v with v @ m = 0."""
-    field = m.field
-    n = m.n
-    aug = [list(r) for r in m.transpose().rows]
-    pivots = field.rref(aug, n)
-    pivot_cols = {c for _, c in pivots}
+    field, n = m.field, m.n
+    pivots, reduced = field.rref(list(zip(*m.rows)), n)
     zero, one = field.zero(), field.one()
     basis = []
     for fc in range(n):
-        if fc in pivot_cols:
+        if fc in pivots:
             continue
         vec = [zero] * n
         vec[fc] = one
-        for r, c in pivots:
-            vec[c] = -aug[r][fc]
+        for c, row in zip(pivots, reduced):
+            vec[c] = -row[fc]
         basis.append(tuple(vec))
     return tuple(basis)
 

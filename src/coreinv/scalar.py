@@ -53,14 +53,56 @@ def _gaussian(re: Fraction, im: Fraction) -> "GaussianRational":
     return z
 
 
-class GaussianRational:
+def _is_int(value) -> bool:
+    """An int that is not a bool: a bool is not a scalar in any backend."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class _Element:
+    """The arithmetic operators of an element type, each defined once from the
+    type's hooks: `_coerce(other)` gives the other operand as an element, None
+    for an operand it does not take, and `_add`, `_mul`, `__neg__` and `inverse`
+    act on elements of the same backend."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._add(-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._mul(o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._mul(o.inverse())
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._mul(self.inverse())
+
+
+class GaussianRational(_Element):
     """A Gaussian rational re + im*i; conjugation negates the imaginary part."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(_reject_float(re))
-        self.im = Fraction(_reject_float(im))
+        self.re = QQ.coerce(re)
+        self.im = QQ.coerce(im)
 
     def conjugate(self) -> "GaussianRational":
         return _gaussian(self.re, -self.im)
@@ -75,51 +117,15 @@ class GaussianRational:
     def _coerce(other):
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Fraction) or _is_int(other):
             return GaussianRational(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return _gaussian(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def _mul(self, o):
+        return _gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     def __neg__(self):
         return _gaussian(-self.re, -self.im)
@@ -157,7 +163,7 @@ class GaussianRational:
         return f"{self.re}{sign}{im}"
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(_Element):
     """A residue modulo a small prime; conjugation is the identity map."""
 
     __slots__ = ("value", "p")
@@ -165,13 +171,10 @@ class PrimeFieldElement:
     def __init__(self, value, p):
         if p not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported prime modulus {p}; supported: {SUPPORTED_PRIMES}")
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise TypeError(f"prime-field value must be an int, got {type(value).__name__}")
         self.value = value % p
         self.p = p
-
-    def conjugate(self) -> "PrimeFieldElement":
-        return self
 
     def inverse(self) -> "PrimeFieldElement":
         if self.value == 0:
@@ -183,49 +186,15 @@ class PrimeFieldElement:
             if other.p != self.p:
                 raise BackendMismatchError(f"mixed moduli: F{self.p} vs F{other.p}")
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return PrimeFieldElement(other, self.p)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return PrimeFieldElement(self.value + o.value, self.p)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         return PrimeFieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.p)
@@ -354,8 +323,10 @@ class ScalarField:
         canonical elements. Each entry is one integer dot product, reduced once."""
         raise NotImplementedError
 
-    def rref(self, aug: list[list], lead: int) -> list[tuple[int, int]]:
-        """In-place RREF on the first `lead` columns of `aug`; returns (row, col) pivots.
+    def rref(self, rows, lead: int) -> tuple[list[int], list[list]] | None:
+        """The RREF of `rows` on their first `lead` columns as (pivot columns, pivot
+        rows of canonical elements), or None when a row past the rank is nonzero
+        beyond column `lead`, an inconsistent system. `rows` is not modified.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
         entry at or below the current row. Rows are fully reduced above and below.
@@ -367,10 +338,8 @@ class ScalarField:
         pivot). Every row stays a nonzero multiple of the same row of the
         reduction over the field, so the pivots and zero patterns are the
         RREF's. At the end each pivot row is divided by its pivot, one division
-        per entry (`_divide`), and holds canonical elements. The rows from
-        len(pivots) on are zero in the first `lead` columns and keep only the
-        RREF's zero pattern, as bools: callers read them only by truth value,
-        as `solve_right` does with any() to test consistency.
+        per entry (`_divide`). The rows past the rank are zero in the first
+        `lead` columns, so any nonzero integer in them decides the verdict.
 
         The factor is where the fields differ. Q divides each new row by the gcd
         of its entries, its whole content, which keeps its rows smaller than
@@ -381,10 +350,10 @@ class ScalarField:
         the rows already zero at the pivot column, which keeps every entry a
         minor of the cleared input. F_p reduces modulo p.
         """
-        rows = [self._int_row(r) for r in aug]
+        rows = [self._int_row(r) for r in rows]
         nonzero, eliminate = self._int_nonzero, self._eliminate
         nrows = len(rows)
-        pivots: list[tuple[int, int]] = []
+        pivots: list[int] = []
         prev = None
         r = 0
         for c in range(lead):
@@ -400,15 +369,13 @@ class ScalarField:
                     rows[i] = eliminate(row, prow, c, prev)
             # rows are replaced, never mutated, so prow keeps this step's pivot
             prev = (prow, c)
-            pivots.append((r, c))
+            pivots.append(c)
             r += 1
             if r == nrows:
                 break
-        for i, c in pivots:
-            aug[i] = self._divide(rows[i], c)
-        for i in range(r, nrows):
-            aug[i] = [nonzero(rows[i], j) for j in range(len(aug[i]))]
-        return pivots
+        if any(map(any, rows[r:])):
+            return None
+        return pivots, [self._divide(row, c) for row, c in zip(rows, pivots)]
 
     # Integer hooks of `rref`. A row of ints stands for a nonzero multiple of a
     # row of elements; only the direction of that row matters until `_divide`.
@@ -445,9 +412,7 @@ class RationalField(ScalarField):
         _reject_float(value)
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if _is_int(value) or isinstance(value, str):
             return Fraction(value)
         raise BackendMismatchError(f"cannot interpret {value!r} as a rational")
 
@@ -457,7 +422,7 @@ class RationalField(ScalarField):
     def parse(self, obj):
         if isinstance(obj, str):
             _check_entry_size(obj)
-        if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
+        if isinstance(obj, str) or _is_int(obj):
             try:
                 return self.coerce(obj)
             except ZeroDivisionError:
@@ -514,12 +479,10 @@ class GaussianRationalField(ScalarField):
         _reject_float(value)
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (Fraction, str)) or _is_int(value):
             return GaussianRational(value)
-        if isinstance(value, str):
-            return GaussianRational(Fraction(value))
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return GaussianRational(QQ.coerce(value[0]), QQ.coerce(value[1]))
+            return GaussianRational(*value)
         raise BackendMismatchError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def conj(self, x):
@@ -533,7 +496,7 @@ class GaussianRationalField(ScalarField):
             if len(obj) != 2:
                 raise ValueError(f"Gaussian rational entry must be [re, im]: {obj!r}")
             return GaussianRational(QQ.parse(obj[0]), QQ.parse(obj[1]))
-        if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
+        if isinstance(obj, str) or _is_int(obj):
             return GaussianRational(QQ.parse(obj))
         raise ValueError(f"invalid Gaussian rational encoding: {obj!r}")
 
@@ -625,7 +588,7 @@ class PrimeField(ScalarField):
             if value.p != self.p:
                 raise BackendMismatchError(f"mixed moduli: F{self.p} vs F{value.p}")
             return value
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return PrimeFieldElement(value, self.p)
         if isinstance(value, str):
             return PrimeFieldElement(int(value), self.p)
@@ -637,7 +600,7 @@ class PrimeField(ScalarField):
     def parse(self, obj):
         if isinstance(obj, str):
             _check_entry_size(obj)
-        if isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool)):
+        if isinstance(obj, str) or _is_int(obj):
             return self.coerce(obj)
         raise ValueError(f"invalid F{self.p} encoding: {obj!r}")
 

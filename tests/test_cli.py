@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreinv.cli
 import coreinv.ginverse
 
 from coreinv import (
@@ -186,6 +187,47 @@ def test_verify_decomposition_certificate(tmp_path, capsys):
     bad = write(tmp_path, "bad_decomp.json", tampered)
     code, out = run(capsys, ["verify", "--a", a, "--cert", bad])
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+def test_invalid_decomposition_is_refused_before_the_direct_inverse(
+    tmp_path, capsys, monkeypatch
+):
+    # replay comes first, so a certificate it rejects never pays for e_core
+    calls = []
+    real_e_core = coreinv.cli.e_core
+    monkeypatch.setattr(coreinv.cli, "e_core", lambda a, w: calls.append(a) or real_e_core(a, w))
+    a_mat = Mat(QQ, [[1, 1], [0, 0]])
+    d = decomposition_to_json(decompose_idempotent(a_mat, Weight.identity(QQ, 2), 2))
+    a = write(tmp_path, "a.json", mat_to_json(a_mat))
+    code, out = run(capsys, ["verify", "--a", a, "--cert", write(tmp_path, "d.json", d)])
+    assert code == 0 and json.loads(out)["ok"] is True and len(calls) == 1
+    d["element"]["entries"][0][0] = "1"  # no longer annihilates a
+    code, out = run(capsys, ["verify", "--a", a, "--cert", write(tmp_path, "bad.json", d)])
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and "error" in report
+    assert len(calls) == 1
+
+
+def test_mismatched_weight_is_refused_before_it_is_inverted(tmp_path, capsys, monkeypatch):
+    inversions = []
+    real_inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda m: inversions.append(m.n) or real_inverse(m))
+    a = write(tmp_path, "a.json", A_OBJ)
+    eye3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    weights = [
+        {"backend": "Q", "dim": 3, "entries": eye3},
+        {"backend": "Qi", "dim": 2, "entries": [["1", "0"], ["0", "1"]]},
+        # mismatched and singular: the mismatch is reported
+        {"backend": "Q", "dim": 3, "entries": [["0"] * 3] * 3},
+    ]
+    for k, obj in enumerate(weights):
+        e = write(tmp_path, f"e{k}.json", obj)
+        assert main(["compute", "--kind", "ecore", "--a", a, "--e", e]) == 2
+        assert "does not match" in capsys.readouterr().err
+    assert inversions == []
+    e = write(tmp_path, "e.json", {"backend": "Q", "dim": 2, "entries": [["2", "0"], ["0", "1"]]})
+    assert main(["compute", "--kind", "ecore", "--a", a, "--e", e]) == 0
+    assert inversions
 
 
 def test_verify_malformed_certificate(tmp_path, capsys):

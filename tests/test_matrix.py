@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import log2
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from coreinv import (
@@ -356,11 +356,20 @@ def kernel_cases(draw, field, elems):
     return a, b, c
 
 
+# Fixed seeds, not derandomize: derandomized examples derive from the source text
+# of the property, so an edit of its body could change its cost tenfold. Across
+# seeds 0-40 the Q(i) cost ranged from 3 s to over 40 s and the Q cost from 2 s
+# to 8 s, set by how many dim-6 cases draw 200-digit entries. Q and Q(i) take
+# the cheapest of those seeds, the prime fields the Q one.
+KERNEL_SEEDS = {"Q": 22, "Qi": 1, "F2": 22, "F3": 22, "F5": 22}
+
+
 @pytest.mark.parametrize("name", list(KERNEL_ENTRIES))
 def test_kernels_match_element_reference(name):
     field, elems = KERNEL_ENTRIES[name]
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40, database=None, deadline=None)
+    @seed(KERNEL_SEEDS[name])
     @given(kernel_cases(field, elems))
     def check(case):
         a, b, c = case
@@ -383,10 +392,9 @@ def test_kernels_match_element_reference(name):
         assert ma.inverse() == (Mat(field, x) if ok else None)
         assert left_annihilator_basis(ma) == ref_left_annihilator_basis(a, field)
 
-    # Operand forms kept on a matrix and reused give the reference products; a
-    # property of its own, so that the examples derandomized from the source of
-    # `check` stay the same.
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    # Operand forms kept on a matrix and reused give the reference products
+    @settings(max_examples=40, database=None, deadline=None)
+    @seed(KERNEL_SEEDS[name])
     @given(kernel_cases(field, elems))
     def reuse(case):
         a, b, c = case
@@ -418,18 +426,29 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
     # row unscaled divides 2 - i by the first pivot, 2, at the next step.
     i = GaussianRational(0, 1)
     cases = [
-        [[2, 0, 1, 1], [0, 0, 3, 1 + i], [1, 0, 1, 2]],
-        [[2, 0, 1, 1, i], [0, 0, 3, 1 + i, 0], [1, 0, 1, 2, 1], [3, 0, 5, 4 + i, 2]],
+        ([[2, 0, 1, 1], [0, 0, 3, 1 + i], [1, 0, 1, 2]], 4),
+        ([[2, 0, 1, 1, i], [0, 0, 3, 1 + i, 0], [1, 0, 1, 2, 1], [3, 0, 5, 4 + i, 2]], 4),
+        ([[2, 0, 1, 1, i], [0, 0, 3, 1 + i, 0], [2, 0, 4, 2 + i, i]], 4),
+        # the leftover rows are i and 1 beyond the lead: real parts alone miss the first
+        ([[1, 1, 0], [1, 1, i]], 2),
+        ([[1, 1, 0], [1, 1, 1]], 2),
+        # the first pivot is i: a nonzero test that reads real parts skips its column
+        ([[i, 1, 1], [0, 1, 2]], 2),
     ]
-    for rows in cases:
+    verdicts = []
+    for rows, lead in cases:
         rows = [[QI.coerce(v) for v in r] for r in rows]
-        aug = [list(r) for r in rows]
-        expected, pivots = ref_rref(rows, 4, QI)
-        assert QI.rref(aug, 4) == pivots
-        assert aug[: len(pivots)] == expected[: len(pivots)]
-        assert [[bool(v) for v in r] for r in aug[len(pivots):]] == [
-            [bool(v) for v in r] for r in expected[len(pivots):]
-        ]
+        before = [list(r) for r in rows]
+        expected, pivots = ref_rref(rows, lead, QI)
+        rank = len(pivots)
+        result = QI.rref(rows, lead)
+        assert rows == before
+        verdicts.append(any(any(r) for r in expected[rank:]))
+        if verdicts[-1]:
+            assert result is None
+        else:
+            assert result == ([c for _, c in pivots], expected[:rank])
+    assert verdicts == [False, True, False, True, True, False]
 
 
 def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
@@ -458,7 +477,8 @@ def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
         inputs, formed = [], []
         monkeypatch.setattr(QI, "_int_row", recording(QI._int_row, inputs))
         monkeypatch.setattr(QI, "_eliminate", recording(QI._eliminate, formed))
-        rank = len(QI.rref(aug, 12))
+        pivots, _ = QI.rref(aug, 12)
+        rank = len(pivots)
         monkeypatch.undo()
         # every row is a minor of order k <= rank of the cleared rows (b-bit parts),
         # so by Hadamard it has at most k * (b + 1/2 + log2(k) / 2) + 1 bits

@@ -1,5 +1,6 @@
 """Scalar backends: exact arithmetic, conjugation laws, canonical forms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,112 @@ def test_floats_rejected():
         GaussianRational(0.5, 0)
     with pytest.raises(TypeError):
         GF(5).coerce(1.0)
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _both_sides(ops, k, x):
+    """k op x and x op k for each named operator; a ZeroDivisionError is a result."""
+    out = {}
+    for name, op in ops.items():
+        for key, (left, right) in ((f"k{name}x", (k, x)), (f"x{name}k", (x, k))):
+            try:
+                out[key] = op(left, right)
+            except ZeroDivisionError:
+                out[key] = ZeroDivisionError
+    return out
+
+
+def _plain(r):
+    """A result as (type, parts): ZeroDivisionError stays as it is."""
+    if isinstance(r, GaussianRational):
+        return GaussianRational, r.re, r.im
+    if isinstance(r, PrimeFieldElement):
+        return PrimeFieldElement, r.value, r.p
+    return r
+
+
+def _gauss_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    if not norm:
+        raise ZeroDivisionError
+    return GaussianRational, (a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
+
+
+# on Gaussian rationals written as (re, im) pairs of Fractions
+GAUSS_REF = {
+    "+": lambda a, b: (GaussianRational, a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (GaussianRational, a[0] - b[0], a[1] - b[1]),
+    "*": lambda a, b: (GaussianRational, a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+    "/": _gauss_div,
+}
+
+
+def _fp_ref(p):
+    """The four operators on plain ints modulo p."""
+
+    def div(a, b):
+        if b % p == 0:
+            raise ZeroDivisionError
+        return PrimeFieldElement, a * pow(b, p - 2, p) % p, p
+
+    return {
+        "+": lambda a, b: (PrimeFieldElement, (a + b) % p, p),
+        "-": lambda a, b: (PrimeFieldElement, (a - b) % p, p),
+        "*": lambda a, b: (PrimeFieldElement, a * b % p, p),
+        "/": div,
+    }
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(-20, 20), rationals, rationals, st.sampled_from([2, 3, 5]), st.integers(0, 4))
+@example(0, Fraction(0), Fraction(0), 2, 0)
+def test_int_operand_on_either_side_matches_reference(k, re, im, p, v):
+    # every operator and its reflected form, against Fraction and int-mod-p arithmetic
+    z, x = GaussianRational(re, im), PrimeFieldElement(v, p)
+    got = _both_sides(OPS, k, z)
+    assert {key: _plain(r) for key, r in got.items()} == _both_sides(
+        GAUSS_REF, (Fraction(k), Fraction(0)), (re, im)
+    )
+    got = _both_sides(OPS, k, x)
+    assert {key: _plain(r) for key, r in got.items()} == _both_sides(_fp_ref(p), k, v % p)
+    # another modulus is a backend mismatch; a str or a float is no operand at all
+    other = PrimeFieldElement(k, 5 if p == 2 else 2)
+    for op in OPS.values():
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(BackendMismatchError):
+                op(left, right)
+        for elem in (z, x):
+            for bad in (str(k), k + 0.5):
+                for left, right in ((elem, bad), (bad, elem)):
+                    with pytest.raises(TypeError):
+                        op(left, right)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(2), GF(3), GF(5)], ids=repr)
+def test_bool_is_not_a_scalar(field):
+    # Q and Q(i) used to read True as 1 while F_p and every JSON decoder refused it
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            field.coerce(b)
+        with pytest.raises(TypeError):
+            Mat(field, [[b]])
+        if field is QQ:
+            continue  # Fraction's own operators take a bool as they take an int
+        for op in OPS.values():
+            for left, right in ((field.one(), b), (b, field.one())):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    if field is QI:
+        for args in ((True,), (0, False)):
+            with pytest.raises(TypeError):
+                GaussianRational(*args)
+        with pytest.raises(TypeError):
+            QI.coerce([True, 0])
+    elif field is not QQ:
+        with pytest.raises(TypeError):
+            PrimeFieldElement(True, field.p)
 
 
 def test_unsupported_modulus():
