@@ -10,6 +10,7 @@ equations. Output is deterministic JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +182,9 @@ def cmd_oracle(args) -> int:
     return 0 if not report["mismatches"] else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built on the first call of `main` and reused: building it costs about 1 ms
     parser = argparse.ArgumentParser(
         prog="coreinv",
         description="Exact weighted core / dual core / group / weighted Moore-Penrose"

@@ -203,14 +203,13 @@ class _Instance(Mat):
     of a*, reads its own off the core side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) =
     inv_14f(a, f)*. The mirror points back weakly, so the two form no cycle.
 
-    It starts from the operand forms a already holds and keeps the ones it forms
-    itself, so a call leaves none on the caller's a. Every product, a^2 = a·a
-    included, takes the instance as its factor, never a.
+    It starts from the rows and the integer form that a already holds and keeps
+    what it builds itself, so a call leaves no form on the caller's a. Every
+    product, a^2 = a·a included, takes the instance as its factor, never a.
     """
 
     def __init__(self, a: Mat, core: _Instance | None = None):
-        self.field, self.n, self.rows = a.field, a.n, a.rows
-        self._left, self._right = a._left, a._right
+        self.field, self.n, self._rows, self._form = a.field, a.n, a._rows, a._form
         self._powers, self._slots, self._mirror = [], {}, None
         self._core = core and weakref.ref(core)
 

@@ -1,9 +1,10 @@
 """Dense square matrices over an exact scalar backend.
 
 The ring involution is conjugate-transpose: plain transpose on prime fields
-(identity conjugation) and Hermitian transpose on Gaussian rationals. Products
-and row reductions run in the field's own integer kernels (`ScalarField.matmul`
-and `ScalarField.rref`). Linear solves run reduced row echelon form with a
+(identity conjugation) and Hermitian transpose on Gaussian rationals. A matrix
+is held in its field's canonical integer form, and products, sums, transposes
+and row reductions run in the field's own integer kernels (`ScalarField.mul`,
+`ScalarField.rref`, ...). Linear solves run reduced row echelon form with a
 fixed pivoting rule (columns left to right, first nonzero row) and zero all
 free variables, so every witness is deterministic and certificates replay
 byte-for-byte.
@@ -34,13 +35,13 @@ class DimensionMismatchError(ValueError):
 class Mat:
     """An n-by-n matrix over a single scalar backend. Immutable, exact equality.
 
-    A matrix keeps its field's operand forms (`ScalarField._operand`) of its rows,
-    for products where it is the left factor, and of its columns, for products
-    where it is the right factor. Each side is formed on its first use and lives
-    as long as the matrix does.
+    A matrix has two representations: its rows of canonical elements and its
+    field's canonical integer form (`ScalarField.to_form`). It holds at least one
+    of them and builds the other on first use, keeping it as long as the matrix
+    lives: a product or a sum has only its form until its `rows` are read.
     """
 
-    __slots__ = ("field", "n", "rows", "_left", "_right")
+    __slots__ = ("field", "n", "_rows", "_form")
 
     def __init__(self, field: ScalarField, rows):
         data = [list(r) for r in rows]
@@ -49,18 +50,36 @@ class Mat:
             raise DimensionMismatchError("matrix must be square and non-empty")
         self.field = field
         self.n = n
-        self.rows = tuple(tuple(field.coerce(v) for v in r) for r in data)
-        self._left = self._right = None
+        self._rows = tuple(tuple(field.coerce(v) for v in r) for r in data)
+        self._form = None
 
     @classmethod
     def _wrap(cls, field, rows):
         # internal fast path: rows already canonical tuples of field scalars
         m = object.__new__(cls)
-        m.field = field
-        m.n = len(rows)
-        m.rows = rows
-        m._left = m._right = None
+        m.field, m.n, m._rows, m._form = field, len(rows), rows, None
         return m
+
+    @classmethod
+    def _of(cls, field, n, form):
+        # internal constructor from a canonical form of an n-by-n matrix
+        m = object.__new__(cls)
+        m.field, m.n, m._rows, m._form = field, n, None, form
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as row tuples of canonical elements."""
+        if self._rows is None:
+            self._rows = self.field.to_rows(self._form)
+        return self._rows
+
+    @property
+    def form(self) -> tuple:
+        """The field's canonical integer form of the matrix."""
+        if self._form is None:
+            self._form = self.field.to_form(self._rows)
+        return self._form
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Mat":
@@ -84,50 +103,34 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._compat(other)
-        return Mat._wrap(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return Mat._of(self.field, self.n, self.field.add(self.form, other.form))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         self._compat(other)
-        return Mat._wrap(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        field = self.field
+        return Mat._of(field, self.n, field.add(self.form, field.neg(other.form)))
 
     def __neg__(self):
-        return Mat._wrap(self.field, tuple(tuple(-a for a in r) for r in self.rows))
+        return Mat._of(self.field, self.n, self.field.neg(self.form))
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         self._compat(other)
-        field = self.field
-        if self._left is None:
-            self._left = list(map(field._operand, self.rows))
-        if other._right is None:
-            other._right = list(map(field._operand, zip(*other.rows)))
-        return Mat._wrap(field, field.matmul(self._left, other._right))
+        return Mat._of(self.field, self.n, self.field.mul(self.form, other.form))
 
     def scale(self, s) -> "Mat":
         s = self.field.coerce(s)
         return Mat._wrap(self.field, tuple(tuple(s * a for a in r) for r in self.rows))
 
     def transpose(self) -> "Mat":
-        return Mat._wrap(self.field, tuple(zip(*self.rows)))
+        return Mat._of(self.field, self.n, self.field.transpose(self.form))
 
     def star(self) -> "Mat":
         """Conjugate-transpose, the ring involution."""
-        return Mat._wrap(self.field, self.field.star(self.rows))
+        return Mat._of(self.field, self.n, self.field.star(self.form))
 
     def power(self, k: int) -> "Mat":
         if not isinstance(k, int) or k < 0:
@@ -143,7 +146,7 @@ class Mat:
 
     def inverse(self) -> "Mat | None":
         """The two-sided inverse, or None when singular (a result, not an error)."""
-        x = _solve(self.field, self.rows, Mat.identity(self.field, self.n).rows)
+        x = _solve(self.field, self.n, self.form, Mat.identity(self.field, self.n).form)
         return None if x is None else Mat._wrap(self.field, x)
 
     def is_invertible(self) -> bool:
@@ -156,7 +159,7 @@ class Mat:
         return self.star() == self
 
     def is_zero(self) -> bool:
-        return not any(any(v for v in r) for r in self.rows)
+        return self.field.is_zero(self.form)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -165,10 +168,16 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field == other.field and self.n == other.n and self.rows == other.rows
+        if self.field != other.field or self.n != other.n:
+            return False
+        # both representations are canonical: where both sides hold rows and one has
+        # no form, the rows decide without building anything
+        if (self._form is None or other._form is None) and None not in (self._rows, other._rows):
+            return self._rows == other._rows
+        return self.form == other.form
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.form))
 
     def __repr__(self):
         body = [[str(v) for v in r] for r in self.rows]
@@ -186,11 +195,11 @@ class SolveWitness:
         return self.solution is not None
 
 
-def _solve(field: ScalarField, lhs, rhs) -> tuple | None:
-    """The rows of x with lhs x = rhs (n row tuples each): the pivot rows of the
-    RREF at their pivot columns, free variables zeroed; None if inconsistent."""
-    n = len(lhs)
-    reduced = field.rref([l + r for l, r in zip(lhs, rhs)], n)
+def _solve(field: ScalarField, n: int, lhs, rhs) -> tuple | None:
+    """The rows of x with lhs x = rhs, given as the forms of n-by-n matrices: the
+    pivot rows of the RREF at their pivot columns, free variables zeroed; None if
+    inconsistent."""
+    reduced = field.rref(field.augment(lhs, rhs), n)
     if reduced is None:
         return None
     x = [(field.zero(),) * n] * n
@@ -202,21 +211,22 @@ def _solve(field: ScalarField, lhs, rhs) -> tuple | None:
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
     """Solve a @ x = b exactly. Free variables of the witness are zeroed."""
     a._compat(b)
-    x = _solve(a.field, a.rows, b.rows)
+    x = _solve(a.field, a.n, a.form, b.form)
     return SolveWitness(None if x is None else Mat._wrap(a.field, x))
 
 
 def solve_left(a: Mat, b: Mat) -> SolveWitness:
     """Solve x @ a = b exactly, as a^T x^T = b^T on the columns of a and b."""
     a._compat(b)
-    xt = _solve(a.field, tuple(zip(*a.rows)), tuple(zip(*b.rows)))
+    field = a.field
+    xt = _solve(field, a.n, field.transpose(a.form), field.transpose(b.form))
     return SolveWitness(None if xt is None else Mat._wrap(a.field, tuple(zip(*xt))))
 
 
 def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
     """A canonical basis of row vectors v with v @ m = 0."""
     field, n = m.field, m.n
-    pivots, reduced = field.rref(list(zip(*m.rows)), n)
+    pivots, reduced = field.rref(field.augment(field.transpose(m.form)), n)
     zero, one = field.zero(), field.one()
     basis = []
     for fc in range(n):

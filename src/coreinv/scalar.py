@@ -233,19 +233,18 @@ def _fraction(n: int, d: int) -> Fraction:
     return q
 
 
-def _over_lcm(fracs) -> tuple[list[int], int]:
-    """Fractions as integer numerators over their lcm denominator d."""
-    d = lcm(*(q.denominator for q in fracs))
-    return [q.numerator * (d // q.denominator) for q in fracs], d
-
-
-def _split(zs) -> tuple[list[int], list[int], int]:
-    """Gaussian rationals as integer re and im numerators over the lcm denominator
-    d of all the parts."""
-    d = lcm(*(z.re.denominator for z in zs), *(z.im.denominator for z in zs))
-    re = [z.re.numerator * (d // z.re.denominator) for z in zs]
-    im = [z.im.numerator * (d // z.im.denominator) for z in zs]
-    return re, im, d
+def _canonical(d: int, *mats) -> tuple:
+    """The form (*mats, d) of integer matrices over one denominator d > 0, each a
+    tuple of row tuples, divided by the gcd of d and all their entries."""
+    g = d
+    for m in mats:
+        for row in m:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+    if g == 1:
+        return (*(tuple(map(tuple, m)) for m in mats), d)
+    return (*(tuple(tuple([v // g for v in row]) for row in m) for m in mats), d // g)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -277,7 +276,15 @@ def _exact_quotient(re: list[int], im: list[int], dr: int, di: int) -> list[int]
 
 class ScalarField:
     """A scalar backend: element constructors, conjugation, codecs, sampling, and
-    the integer kernels behind matrix products and row reductions."""
+    the integer kernels that matrices run on.
+
+    A matrix is held in its field's integer form, one per backend, and the form
+    is canonical, so equal matrices have equal forms:
+      - Q: (N, d), N the integer rows and d > 0 with gcd(d, all of N) == 1;
+      - Q(i): (RE, IM, d), the real and imaginary parts over one such d;
+      - F_p: the rows of residues in [0, p).
+    The kernels below take forms and return forms. Only `to_rows` builds elements.
+    """
 
     tag: str
 
@@ -297,11 +304,6 @@ class ScalarField:
     def conj(self, x):
         raise NotImplementedError
 
-    def star(self, rows) -> tuple:
-        """The conjugate transpose of a square matrix given as row tuples of this
-        field's elements: the plain transpose where conjugation is the identity."""
-        return tuple(zip(*rows))
-
     def parse(self, obj):
         """Decode a JSON-level entry into a scalar."""
         raise NotImplementedError
@@ -313,33 +315,63 @@ class ScalarField:
     def random(self, rng):
         raise NotImplementedError
 
-    def _operand(self, vector):
-        """A row or column of elements in the integer form `matmul` takes."""
+    # Kernels on forms. A form may also stand for a non-square list of rows; only
+    # `mul` needs its factors square.
+
+    def to_form(self, rows) -> tuple:
+        """The form of rows of canonical elements of this field."""
         raise NotImplementedError
 
-    def matmul(self, xs, ys) -> tuple:
-        """The product of two square matrices x and y, given as the `_operand` forms
-        of the rows of x and of the columns of y, as a tuple of row tuples of
-        canonical elements. Each entry is one integer dot product, reduced once."""
+    def to_rows(self, form) -> tuple:
+        """The rows of canonical elements that the form stands for."""
+        raise NotImplementedError
+
+    def mul(self, x, y) -> tuple:
+        """The product of two square matrices: integer dot products, reduced once."""
+        raise NotImplementedError
+
+    def add(self, x, y) -> tuple:
+        raise NotImplementedError
+
+    def neg(self, x) -> tuple:
+        raise NotImplementedError
+
+    def transpose(self, x) -> tuple:
+        raise NotImplementedError
+
+    def star(self, x) -> tuple:
+        """The conjugate transpose: the plain transpose where conjugation is the identity."""
+        return self.transpose(x)
+
+    def is_zero(self, x) -> bool:
+        raise NotImplementedError
+
+    def augment(self, *forms) -> list[list[int]]:
+        """The rows of matrices with equally many rows, side by side, as the integer
+        rows `rref` takes."""
         raise NotImplementedError
 
     def rref(self, rows, lead: int) -> tuple[list[int], list[list]] | None:
-        """The RREF of `rows` on their first `lead` columns as (pivot columns, pivot
-        rows of canonical elements), or None when a row past the rank is nonzero
-        beyond column `lead`, an inconsistent system. `rows` is not modified.
+        """The RREF of integer rows (`augment`) on their first `lead` columns as
+        (pivot columns, pivot rows of canonical elements), or None when a row past
+        the rank is nonzero beyond column `lead`, an inconsistent system. `rows` is
+        not modified.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
         entry at or below the current row. Rows are fully reduced above and below.
 
-        Each row is first cleared to integers (`_int_row`). Fraction-free
-        Gauss-Jordan then replaces every other row by pivot * row - entry *
-        pivot_row, up to a nonzero factor the field chooses (`_eliminate`, which
-        also receives the previous pivot row and column, or None at the first
-        pivot). Every row stays a nonzero multiple of the same row of the
-        reduction over the field, so the pivots and zero patterns are the
-        RREF's. At the end each pivot row is divided by its pivot, one division
-        per entry (`_divide`). The rows past the rank are zero in the first
-        `lead` columns, so any nonzero integer in them decides the verdict.
+        A row of ints stands for a nonzero multiple of a row of elements; only its
+        direction matters until `_divide`. Over Q and Q(i) `augment` divides each
+        row by the gcd of its entries, so the rows it gives are the same whatever
+        denominators the matrices were cleared over. Fraction-free Gauss-Jordan
+        then replaces every other row by pivot * row - entry * pivot_row, up to a
+        nonzero factor the field chooses (`_eliminate`, which also receives the
+        previous pivot row and column, or None at the first pivot). Every row stays
+        a nonzero multiple of the same row of the reduction over the field, so the
+        pivots and zero patterns are the RREF's. At the end each pivot row is
+        divided by its pivot, one division per entry (`_divide`). The rows past the
+        rank are zero in the first `lead` columns, so any nonzero integer in them
+        decides the verdict.
 
         The factor is where the fields differ. Q divides each new row by the gcd
         of its entries, its whole content, which keeps its rows smaller than
@@ -350,7 +382,7 @@ class ScalarField:
         the rows already zero at the pivot column, which keeps every entry a
         minor of the cleared input. F_p reduces modulo p.
         """
-        rows = [self._int_row(r) for r in rows]
+        rows = list(rows)
         nonzero, eliminate = self._int_nonzero, self._eliminate
         nrows = len(rows)
         pivots: list[int] = []
@@ -377,11 +409,7 @@ class ScalarField:
             return None
         return pivots, [self._divide(row, c) for row, c in zip(rows, pivots)]
 
-    # Integer hooks of `rref`. A row of ints stands for a nonzero multiple of a
-    # row of elements; only the direction of that row matters until `_divide`.
-
-    def _int_row(self, row) -> list[int]:
-        raise NotImplementedError
+    # Integer hooks of `rref`.
 
     def _int_nonzero(self, row: list[int], c: int) -> bool:
         return row[c] != 0
@@ -400,7 +428,41 @@ class ScalarField:
         return self.tag
 
 
-class RationalField(ScalarField):
+class _ClearedField(ScalarField):
+    """A backend of fractions, whose form is (*parts, d): integer matrices (one for
+    Q; real and imaginary parts for Q(i)) over one common denominator d."""
+
+    def add(self, x, y):
+        *xs, xd = x
+        *ys, yd = y
+        d = lcm(xd, yd)
+        sx, sy = d // xd, d // yd
+        return _canonical(d, *(
+            [[a * sx + b * sy for a, b in zip(ra, rb)] for ra, rb in zip(xm, ym)]
+            for xm, ym in zip(xs, ys)
+        ))
+
+    def neg(self, x):
+        return (*(tuple([tuple([-v for v in row]) for row in m]) for m in x[:-1]), x[-1])
+
+    def transpose(self, x):
+        return (*(tuple(zip(*m)) for m in x[:-1]), x[-1])
+
+    def is_zero(self, x):
+        return not any(any(row) for m in x[:-1] for row in m)
+
+    def augment(self, *forms):
+        # every part over the lcm of the denominators, then each row made primitive
+        d = lcm(*(f[-1] for f in forms))
+        mats = []
+        for p in range(len(forms[0]) - 1):
+            for f in forms:
+                k = d // f[-1]
+                mats.append(f[p] if k == 1 else [[v * k for v in row] for row in f[p]])
+        return [_primitive([v for m in mats for v in m[i]]) for i in range(len(mats[0]))]
+
+
+class RationalField(_ClearedField):
     """Arbitrary-precision rationals, canonical by construction."""
 
     tag = "Q"
@@ -435,18 +497,21 @@ class RationalField(ScalarField):
     def random(self, rng):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
-    def _operand(self, vector):
-        # integer numerators over their lcm denominator
-        return _over_lcm(vector)
+    def to_form(self, rows):
+        # The entries are reduced, so their numerators over the lcm of all the
+        # denominators have no common factor with it: the form is canonical as
+        # built. The slots are read directly, as `_fraction` sets them.
+        d = lcm(*[q._denominator for row in rows for q in row])
+        return tuple([tuple([q._numerator * (d // q._denominator) for q in row]) for row in rows]), d
 
-    def matmul(self, xs, ys):
-        return tuple(
-            tuple(_fraction(sum(map(mul, xn, yn)), xd * yd) for yn, yd in ys)
-            for xn, xd in xs
-        )
+    def to_rows(self, form):
+        n, d = form
+        return tuple([tuple([_fraction(v, d) if v else _ZERO for v in row]) for row in n])
 
-    def _int_row(self, row):
-        return _primitive(_over_lcm(row)[0])
+    def mul(self, x, y):
+        (xn, xd), (yn, yd) = x, y
+        cols = list(zip(*yn))
+        return _canonical(xd * yd, [[sum(map(mul, row, col)) for col in cols] for row in xn])
 
     def _eliminate(self, row, prow, c, prev):
         p, f = prow[c], row[c]
@@ -467,7 +532,7 @@ class RationalField(ScalarField):
         return hash(RationalField)
 
 
-class GaussianRationalField(ScalarField):
+class GaussianRationalField(_ClearedField):
     """Gaussian rationals a + b*i with complex conjugation as involution."""
 
     tag = "Qi"
@@ -488,9 +553,6 @@ class GaussianRationalField(ScalarField):
     def conj(self, x):
         return self.coerce(x).conjugate()
 
-    def star(self, rows):
-        return tuple(tuple(v.conjugate() for v in col) for col in zip(*rows))
-
     def parse(self, obj):
         if isinstance(obj, (list, tuple)):
             if len(obj) != 2:
@@ -509,29 +571,46 @@ class GaussianRationalField(ScalarField):
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
         )
 
-    def _operand(self, vector):
-        # re and im parts over one denominator, and their sums:
+    def to_form(self, rows):
+        # canonical as built, as over Q
+        d = lcm(*[q._denominator for row in rows for z in row for q in (z.re, z.im)])
+        return (
+            tuple([tuple([z.re._numerator * (d // z.re._denominator) for z in row]) for row in rows]),
+            tuple([tuple([z.im._numerator * (d // z.im._denominator) for z in row]) for row in rows]),
+            d,
+        )
+
+    def to_rows(self, form):
+        re, im, d = form
+        return tuple([
+            tuple([
+                _gaussian(_fraction(a, d), _fraction(b, d)) if a or b else _GAUSSIAN_ZERO
+                for a, b in zip(ra, ia)
+            ])
+            for ra, ia in zip(re, im)
+        ])
+
+    def mul(self, x, y):
         # (xr + xi)(yr + yi) gives the imaginary part with three dot products, not four
-        re, im, d = _split(vector)
-        return re, im, list(map(add, re, im)), d
+        (xr, xi, xd), (yr, yi, yd) = x, y
+        cols = [(cr, ci, list(map(add, cr, ci))) for cr, ci in zip(zip(*yr), zip(*yi))]
+        re, im = [], []
+        for ar, ai in zip(xr, xi):
+            asum = list(map(add, ar, ai))
+            rrow, irow = [], []
+            for cr, ci, csum in cols:
+                rr, ii = sum(map(mul, ar, cr)), sum(map(mul, ai, ci))
+                rrow.append(rr - ii)
+                irow.append(sum(map(mul, asum, csum)) - rr - ii)
+            re.append(rrow)
+            im.append(irow)
+        return _canonical(xd * yd, re, im)
 
-    def matmul(self, xs, ys):
-        out = []
-        for xr, xi, xsum, xd in xs:
-            row = []
-            for yr, yi, ysum, yd in ys:
-                rr, ii = sum(map(mul, xr, yr)), sum(map(mul, xi, yi))
-                d = xd * yd
-                im = sum(map(mul, xsum, ysum)) - rr - ii
-                row.append(_gaussian(_fraction(rr - ii, d), _fraction(im, d)))
-            out.append(tuple(row))
-        return tuple(out)
+    def star(self, x):
+        re, im, d = x
+        return tuple(zip(*re)), tuple([tuple([-v for v in col]) for col in zip(*im)]), d
 
-    # An integer row is the re parts followed by the im parts.
-
-    def _int_row(self, row):
-        re, im, _ = _split(row)
-        return _primitive(re + im)
+    # An integer row of `rref` is the re parts followed by the im parts.
 
     def _int_nonzero(self, row, c):
         return row[c] != 0 or row[c + len(row) // 2] != 0
@@ -610,15 +689,33 @@ class PrimeField(ScalarField):
     def random(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
-    def _operand(self, vector):
-        return [v.value for v in vector]
+    def to_form(self, rows):
+        return tuple([tuple([v.value for v in row]) for row in rows])
 
-    def matmul(self, xs, ys):
-        p, elements = self.p, self._elements
-        return tuple(tuple(elements[sum(map(mul, xr, yc)) % p] for yc in ys) for xr in xs)
+    def to_rows(self, form):
+        elements = self._elements
+        return tuple([tuple([elements[v] for v in row]) for row in form])
 
-    def _int_row(self, row):
-        return [v.value for v in row]
+    def mul(self, x, y):
+        p, cols = self.p, list(zip(*y))
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in x])
+
+    def add(self, x, y):
+        p = self.p
+        return tuple([tuple([(a + b) % p for a, b in zip(ra, rb)]) for ra, rb in zip(x, y)])
+
+    def neg(self, x):
+        p = self.p
+        return tuple([tuple([-v % p for v in row]) for row in x])
+
+    def transpose(self, x):
+        return tuple(zip(*x))
+
+    def is_zero(self, x):
+        return not any(map(any, x))
+
+    def augment(self, *forms):
+        return [[v for f in forms for v in f[i]] for i in range(len(forms[0]))]
 
     def _eliminate(self, row, prow, c, prev):
         pivot, f, p = prow[c], row[c], self.p

@@ -56,6 +56,38 @@ def test_compute_ecore(tmp_path, capsys):
     assert payload["kind"] == "ecore"
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    a = write(tmp_path, "a.json", A_OBJ)
+    argvs = [
+        ["compute", "--kind", "ecore", "--a", a],
+        ["ep", "--a", a],
+        ["compute", "--kind", "nope", "--a", a],
+        ["oracle", "--p", "2", "--dim", "1"],
+        ["frobnicate"],
+        ["compute", "--kind", "group", "--a", a, "--out"],
+        ["verify", "--a", a, "--cert", a],
+        ["compute", "--kind", "ecore", "--a", a, "--n", "2"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    separate = []
+    for argv in argvs:
+        coreinv.cli._parser.cache_clear()
+        separate.append(call(argv))
+    coreinv.cli._parser.cache_clear()
+    in_a_row = [call(argv) for argv in argvs]
+    assert coreinv.cli._parser.cache_info().misses == 1
+    assert in_a_row == separate
+    assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0, 2, 2, 2, 0]
+
+
 def test_compute_group_negative(tmp_path, capsys):
     a = write(tmp_path, "a.json", NIL_OBJ)
     code, out = run(capsys, ["compute", "--kind", "group", "--a", a])

@@ -390,31 +390,29 @@ def test_constructions_leave_no_cyclic_garbage():
         gc.enable()
 
 
-# Vectors converted to operand form by one call on fresh dim-8 inputs: a call
-# that formed the same side of a matrix twice (the caller's a next to its
-# instance, say, or a^2 = a·a with two factors) would go over.
-OPERAND_BUDGET = {"e_core": 184, "weighted_mp": 208, "is_weighted_ep": 328}
+# Matrices converted from rows to their integer form by one call on fresh dim-8
+# inputs, which already hold forms (they are products): only the solutions of the
+# call's solves are converted. A call that converted one matrix twice (the
+# caller's a next to its instance, say) would go over, and one that built the
+# elements of a product it does not return would build some.
+CONVERSION_BUDGET = {"e_core": 3, "weighted_mp": 3, "is_weighted_ep": 5}
 
 
 @pytest.mark.parametrize("field", [QQ, QI], ids=str)
 def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
-    vectors, converted = [0], []
-    operand, mul = field._operand, Mat.__mul__
+    converted, built = [], []
+    to_form, to_rows = field.to_form, field.to_rows
 
-    def counted_operand(vector):
-        vectors[0] += 1
-        return operand(vector)
+    def counted_to_form(rows):
+        converted.append(id(rows))
+        return to_form(rows)
 
-    def logged_mul(x, y):
-        # a side is converted when its slot is empty; matrices that share one rows
-        # tuple, as an instance and its matrix do, count as one matrix
-        for m, side, form in ((x, "rows", x._left), (y, "cols", y._right)):
-            if form is None:
-                converted.append((m.rows, side))
-        return mul(x, y)
+    def counted_to_rows(form):
+        built.append(id(form))
+        return to_rows(form)
 
-    monkeypatch.setattr(field, "_operand", counted_operand)
-    monkeypatch.setattr(Mat, "__mul__", logged_mul)
+    monkeypatch.setattr(field, "to_form", counted_to_form)
+    monkeypatch.setattr(field, "to_rows", counted_to_rows)
     calls = {
         "e_core": lambda a, e, f: e_core(a, e),
         "weighted_mp": weighted_mp,
@@ -424,20 +422,22 @@ def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
         a = random_group_invertible(8, field, seed=1, rank=6)
         e = random_weight(8, field, seed=101)
         f = random_weight(8, field, seed=201)
-        vectors[0] = 0
         converted.clear()
+        built.clear()
         call(a, e, f)
-        keys = [(id(rows), side) for rows, side in converted]
-        assert len(set(keys)) == len(keys), name
-        assert vectors[0] == 8 * len(keys) <= OPERAND_BUDGET[name], name
+        # matrices that share one rows tuple, as an instance and its matrix do,
+        # count as one matrix
+        assert len(set(converted)) == len(converted) <= CONVERSION_BUDGET[name], name
+        assert built == [], name
 
 
 def test_calls_leave_no_operand_forms_on_the_callers_matrix():
-    """Operand forms live as long as their matrix; a call keeps them on the instance
+    """An integer form lives as long as its matrix; a call keeps it on the instance
     it makes of the caller's a (and on the weights), never on a itself."""
     f3 = GF(3)
     cases = [
-        (random_group_invertible(4, QI, seed=3, rank=2),
+        # a product holds its form already: the caller's a is given as rows only
+        (Mat(QI, random_group_invertible(4, QI, seed=3, rank=2).rows),
          random_weight(4, QI, seed=4, definite=True), random_weight(4, QI, seed=5, definite=True)),
         (Mat(f3, [[1, 1], [0, 0]]), Weight.identity(f3, 2), Weight(Mat(f3, [[1, 1], [1, 2]]))),
     ]
@@ -461,4 +461,4 @@ def test_calls_leave_no_operand_forms_on_the_callers_matrix():
         for name, call in calls.items():
             result = call()
             assert result is not False and not isinstance(result, NotInvertible), name
-            assert (a._left, a._right) == (None, None), name
+            assert a._form is None, name

@@ -1,7 +1,7 @@
 """Matrix ring: involution laws, exact solves, generators, JSON codecs."""
 
 from fractions import Fraction
-from math import log2
+from math import gcd, log2
 
 import pytest
 from hypothesis import given, seed, settings
@@ -335,17 +335,31 @@ BIG = st.builds(lambda s, v: s * v, st.sampled_from([1, -1]), st.integers(10**19
 BIG_RATIONALS = st.builds(
     Fraction, st.integers(-3, 3) | BIG, st.integers(1, 3) | st.integers(10**199, 10**200)
 )
-KERNEL_ENTRIES = {
-    "Q": (QQ, rationals | BIG_RATIONALS),
-    "Qi": (QI, st.builds(GaussianRational, rationals | BIG_RATIONALS, rationals | BIG_RATIONALS)),
-    **{f"F{p}": (GF(p), st.integers(0, p - 1).map(GF(p).from_int)) for p in (2, 3, 5)},
+# Per backend: the field, its small entries, and its entries up to 200 digits long.
+ENTRIES = {
+    "Q": (QQ, rationals, rationals | BIG_RATIONALS),
+    "Qi": (
+        QI,
+        gaussians,
+        st.builds(GaussianRational, rationals | BIG_RATIONALS, rationals | BIG_RATIONALS),
+    ),
+    **{
+        f"F{p}": (GF(p), st.integers(0, p - 1).map(GF(p).from_int), st.integers().map(GF(p).from_int))
+        for p in (2, 3, 5)
+    },
 }
+# The element reference's Gauss-Jordan on 200-digit entries costs seconds per case
+# from dim 4 on, so big entries are drawn up to dim 3 only.
+BIG_UP_TO_DIM = 3
 
 
 @st.composite
-def kernel_cases(draw, field, elems):
-    """Three dim x dim row lists (a, b, c) over the field, dim 1..6; a is often rank-deficient."""
+def kernel_cases(draw, field, small, large):
+    """Three dim x dim row lists (a, b, c) over the field, dim 1..6; a is often
+    rank-deficient. Entries are drawn from `large` up to BIG_UP_TO_DIM, from `small`
+    above it."""
     dim = draw(st.integers(1, 6))
+    elems = large if dim <= BIG_UP_TO_DIM else small
     square = st.lists(st.lists(elems, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
     a, b, c = draw(square), draw(square), draw(square)
     if draw(st.booleans()):
@@ -356,21 +370,18 @@ def kernel_cases(draw, field, elems):
     return a, b, c
 
 
-# Fixed seeds, not derandomize: derandomized examples derive from the source text
-# of the property, so an edit of its body could change its cost tenfold. Across
-# seeds 0-40 the Q(i) cost ranged from 3 s to over 40 s and the Q cost from 2 s
-# to 8 s, set by how many dim-6 cases draw 200-digit entries. Q and Q(i) take
-# the cheapest of those seeds, the prime fields the Q one.
-KERNEL_SEEDS = {"Q": 22, "Qi": 1, "F2": 22, "F3": 22, "F5": 22}
+# A fixed seed, not derandomize: derandomized examples derive from the source text
+# of the property, so an edit of its body could change its examples.
+KERNEL_SEED = 0
 
 
-@pytest.mark.parametrize("name", list(KERNEL_ENTRIES))
+@pytest.mark.parametrize("name", list(ENTRIES))
 def test_kernels_match_element_reference(name):
-    field, elems = KERNEL_ENTRIES[name]
+    field, small, large = ENTRIES[name]
 
     @settings(max_examples=40, database=None, deadline=None)
-    @seed(KERNEL_SEEDS[name])
-    @given(kernel_cases(field, elems))
+    @seed(KERNEL_SEED)
+    @given(kernel_cases(field, small, large))
     def check(case):
         a, b, c = case
         ma, mb, mc = (Mat(field, r) for r in (a, b, c))
@@ -392,10 +403,10 @@ def test_kernels_match_element_reference(name):
         assert ma.inverse() == (Mat(field, x) if ok else None)
         assert left_annihilator_basis(ma) == ref_left_annihilator_basis(a, field)
 
-    # Operand forms kept on a matrix and reused give the reference products
+    # Forms kept on a matrix and reused give the reference products
     @settings(max_examples=40, database=None, deadline=None)
-    @seed(KERNEL_SEEDS[name])
-    @given(kernel_cases(field, elems))
+    @seed(KERNEL_SEED)
+    @given(kernel_cases(field, small, large))
     def reuse(case):
         a, b, c = case
         ma, mb, mc = (Mat(field, r) for r in (a, b, c))
@@ -406,7 +417,7 @@ def test_kernels_match_element_reference(name):
         assert mab == Mat(field, ab) and mb * ma == Mat(field, ba)
         assert mab * mc == Mat(field, ref_mul(ab, c))
         assert mc * mab == Mat(field, ref_mul(c, ab))
-        # an instance starts from the forms its matrix holds; its mirror forms its own
+        # an instance starts from the form its matrix holds; its mirror forms its own
         inst = _Instance(ma)
         assert inst * mb == Mat(field, ab) and mb * inst == Mat(field, ba)
         assert inst.power(2) == Mat(field, aa)
@@ -418,6 +429,79 @@ def test_kernels_match_element_reference(name):
 
     check()
     reuse()
+
+
+def assert_canonical(field, form, n):
+    """The canonical rule of each backend's integer form."""
+    if field.tag == "Fp":
+        parts = (form,)
+        assert all(0 <= v < field.p for row in form for v in row)
+    else:
+        *parts, d = form
+        assert type(d) is int and d > 0
+        assert gcd(d, *(v for m in parts for row in m for v in row)) == 1
+    assert len(parts) == {"Q": 1, "Qi": 2, "Fp": 1}[field.tag]
+    for m in parts:
+        assert type(m) is tuple and len(m) == n
+        assert all(type(row) is tuple and len(row) == n for row in m)
+        assert all(type(v) is int for row in m for v in row)
+
+
+@st.composite
+def form_cases(draw, field, elems):
+    """Two dim x dim row lists over the field, dim 1..4, each zero a tenth of the time."""
+    dim = draw(st.integers(1, 4))
+    zero = [[field.zero()] * dim for _ in range(dim)]
+    square = st.lists(st.lists(elems, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return tuple(zero if draw(st.integers(0, 9)) == 0 else draw(square) for _ in range(2))
+
+
+def held_as(field, rows, how):
+    """A matrix with the given rows that holds only its rows, only its form, or both."""
+    m = Mat(field, rows)
+    if how == "form":
+        return Mat._of(field, m.n, m.form)
+    if how == "both":
+        m.form
+    return m
+
+
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_forms_are_canonical_and_match_element_reference(name):
+    field, _, elems = ENTRIES[name]
+
+    @settings(max_examples=60, database=None, deadline=None)
+    @seed(0)
+    @given(form_cases(field, elems))
+    def check(case):
+        x, y = case
+        n = len(x)
+        mx, my = Mat(field, x), Mat(field, y)
+        for rows, m in ((x, mx), (y, my)):
+            assert_canonical(field, m.form, n)
+            assert Mat._of(field, n, m.form).rows == m.rows == tuple(map(tuple, rows))
+        star_x = [[field.conj(v) for v in col] for col in zip(*x)]
+        expected = {
+            "x*y": (mx * my, ref_mul(x, y)),
+            "x+y": (mx + my, [[a + b for a, b in zip(r, s)] for r, s in zip(x, y)]),
+            "x-y": (mx - my, [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)]),
+            "-x": (-mx, [[-a for a in r] for r in x]),
+            "x*": (mx.star(), star_x),
+        }
+        for label, (got, ref) in expected.items():
+            assert got._rows is None, label
+            assert_canonical(field, got.form, n)
+            assert got.form == field.to_form(ref), label
+        for other in (x, y):
+            same = mx.rows == Mat(field, other).rows
+            for how_x in ("rows", "form", "both"):
+                for how_o in ("rows", "form", "both"):
+                    a, b = held_as(field, x, how_x), held_as(field, other, how_o)
+                    assert (a == b) == same and (b == a) == same
+                    if same:
+                        assert hash(a) == hash(b)
+
+    check()
 
 
 def test_qi_rref_zero_rows_keep_the_pivot_scale():
@@ -438,11 +522,12 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
     verdicts = []
     for rows, lead in cases:
         rows = [[QI.coerce(v) for v in r] for r in rows]
-        before = [list(r) for r in rows]
         expected, pivots = ref_rref(rows, lead, QI)
         rank = len(pivots)
-        result = QI.rref(rows, lead)
-        assert rows == before
+        int_rows = QI.augment(QI.to_form(rows))
+        before = [list(r) for r in int_rows]
+        result = QI.rref(int_rows, lead)
+        assert int_rows == before
         verdicts.append(any(any(r) for r in expected[rank:]))
         if verdicts[-1]:
             assert result is None
@@ -473,17 +558,15 @@ def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
         return max(abs(v).bit_length() for row in rows for v in row)
 
     for lhs, rhs in ((a * a, a), (gram, a.transpose())):
-        aug = [list(g) + list(r) for g, r in zip(lhs.rows, rhs.rows)]
-        inputs, formed = [], []
-        monkeypatch.setattr(QI, "_int_row", recording(QI._int_row, inputs))
+        inputs, formed = QI.augment(lhs.form, rhs.form), []
         monkeypatch.setattr(QI, "_eliminate", recording(QI._eliminate, formed))
-        pivots, _ = QI.rref(aug, 12)
+        pivots, _ = QI.rref(inputs, 12)
         rank = len(pivots)
         monkeypatch.undo()
         # every row is a minor of order k <= rank of the cleared rows (b-bit parts),
         # so by Hadamard it has at most k * (b + 1/2 + log2(k) / 2) + 1 bits
         assert rank == 12 and formed
-        assert bits(formed) <= rank * (bits(inputs) + log2(len(aug[0])))
+        assert bits(formed) <= rank * (bits(inputs) + log2(2 * a.n))
     for kind, cert in (
         (GInverseKind.E_CORE, e_core(a, e)),
         (GInverseKind.F_DUAL_CORE, f_dual_core(a, e)),
