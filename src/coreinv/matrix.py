@@ -38,7 +38,8 @@ class Mat:
     A matrix has two representations: its rows of canonical elements and its
     field's canonical integer form (`ScalarField.to_form`). It holds at least one
     of them and builds the other on first use, keeping it as long as the matrix
-    lives: a product or a sum has only its form until its `rows` are read.
+    lives: a product, a sum, a solution or a decoded matrix has only its form
+    until its `rows` are read.
     """
 
     __slots__ = ("field", "n", "_rows", "_form")
@@ -147,7 +148,7 @@ class Mat:
     def inverse(self) -> "Mat | None":
         """The two-sided inverse, or None when singular (a result, not an error)."""
         x = _solve(self.field, self.n, self.form, Mat.identity(self.field, self.n).form)
-        return None if x is None else Mat._wrap(self.field, x)
+        return None if x is None else Mat._of(self.field, self.n, x)
 
     def is_invertible(self) -> bool:
         return self.inverse() is not None
@@ -196,23 +197,18 @@ class SolveWitness:
 
 
 def _solve(field: ScalarField, n: int, lhs, rhs) -> tuple | None:
-    """The rows of x with lhs x = rhs, given as the forms of n-by-n matrices: the
+    """The form of x with lhs x = rhs, given as the forms of n-by-n matrices: the
     pivot rows of the RREF at their pivot columns, free variables zeroed; None if
     inconsistent."""
     reduced = field.rref(field.augment(lhs, rhs), n)
-    if reduced is None:
-        return None
-    x = [(field.zero(),) * n] * n
-    for c, row in zip(*reduced):
-        x[c] = tuple(row[n:])
-    return tuple(x)
+    return None if reduced is None else field.solution(*reduced, n)
 
 
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
     """Solve a @ x = b exactly. Free variables of the witness are zeroed."""
     a._compat(b)
     x = _solve(a.field, a.n, a.form, b.form)
-    return SolveWitness(None if x is None else Mat._wrap(a.field, x))
+    return SolveWitness(None if x is None else Mat._of(a.field, a.n, x))
 
 
 def solve_left(a: Mat, b: Mat) -> SolveWitness:
@@ -220,13 +216,14 @@ def solve_left(a: Mat, b: Mat) -> SolveWitness:
     a._compat(b)
     field = a.field
     xt = _solve(field, a.n, field.transpose(a.form), field.transpose(b.form))
-    return SolveWitness(None if xt is None else Mat._wrap(a.field, tuple(zip(*xt))))
+    return SolveWitness(None if xt is None else Mat._of(field, a.n, field.transpose(xt)))
 
 
 def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
     """A canonical basis of row vectors v with v @ m = 0."""
     field, n = m.field, m.n
     pivots, reduced = field.rref(field.augment(field.transpose(m.form)), n)
+    x = field.to_rows(field.solution(pivots, reduced, n))
     zero, one = field.zero(), field.one()
     basis = []
     for fc in range(n):
@@ -234,8 +231,8 @@ def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
             continue
         vec = [zero] * n
         vec[fc] = one
-        for c, row in zip(pivots, reduced):
-            vec[c] = -row[fc]
+        for c in pivots:
+            vec[c] = -x[c][fc]
         basis.append(tuple(vec))
     return tuple(basis)
 
@@ -393,21 +390,20 @@ def mat_from_json(obj) -> Mat:
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} exceeds the maximum {MAX_DIM}")
     entries = obj.get("entries")
-    if not isinstance(entries, list) or len(entries) != dim:
+    if (
+        not isinstance(entries, list)
+        or len(entries) != dim
+        or any(not isinstance(row, list) or len(row) != dim for row in entries)
+    ):
         raise ValueError("entries must be a dim x dim array")
-    rows = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError("entries must be a dim x dim array")
-        rows.append([field.parse(v) for v in row])
-    return Mat(field, rows)
+    return Mat._of(field, dim, field.decode(entries))
 
 
 def mat_to_json(m: Mat) -> dict:
     obj = {
         "backend": m.field.tag,
         "dim": m.n,
-        "entries": [[m.field.encode(v) for v in row] for row in m.rows],
+        "entries": m.field.encode_form(m.form),
     }
     if m.field.tag == "Fp":
         obj["p"] = m.field.p

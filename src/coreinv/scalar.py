@@ -9,6 +9,7 @@ Floats are rejected everywhere; there is no approximate mode.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -35,6 +36,39 @@ def _check_entry_size(text: str):
     digits = max(len(p.strip().lstrip("+-").replace("_", "").replace(".", "")) for p in parts)
     if len(exp) > len(str(MAX_ENTRY_DIGITS)) or digits + int(exp or 0) > MAX_ENTRY_DIGITS:
         raise ValueError(f"entry has more than {MAX_ENTRY_DIGITS} digits")
+
+
+# A rational entry as `encode` writes it: ASCII digits, a leading minus sign and an
+# optional denominator. Such a literal is read with int(); every other string
+# goes through Fraction, which accepts more ("+3", " 5 ", "1e3", "1.5", ...).
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?").fullmatch
+
+
+def _rational(obj) -> tuple[int, int]:
+    """A JSON-level rational entry as (numerator, denominator), the denominator
+    positive but not necessarily coprime to the numerator."""
+    if isinstance(obj, str):
+        _check_entry_size(obj)
+        if _PLAIN_RATIONAL(obj):
+            num, _, den = obj.partition("/")
+            d = int(den) if den else 1
+            if not d:
+                raise ValueError(f"zero denominator in rational entry {obj!r}")
+            return int(num), d
+        try:
+            q = Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational entry {obj!r}") from None
+        return q._numerator, q._denominator
+    if _is_int(obj):
+        return obj, 1
+    raise ValueError(f"invalid rational encoding: {obj!r}")
+
+
+def _rational_text(n: int, d: int) -> str:
+    """The canonical entry of n/d for d > 0, as str of the reduced Fraction."""
+    g = gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
 
 
 def _reject_float(value):
@@ -264,13 +298,11 @@ def _exact_quotient(re: list[int], im: list[int], dr: int, di: int) -> list[int]
             [xi * dr - xr * di for xr, xi in zip(re, im)],
         )
         dr = dr * dr + di * di
-    qs = []
-    for x in re + im:
-        if x:
-            x, rem = divmod(x, dr)
-            if rem:
-                raise RuntimeError("internal error: rref pivot does not divide a row exactly")
-        qs.append(x)
+    xs = re + im
+    qs = [x // dr for x in xs]
+    # every floor remainder has the sign of dr, so they sum to 0 only if each is 0
+    if sum(xs) != dr * sum(qs):
+        raise RuntimeError("internal error: rref pivot does not divide a row exactly")
     return qs
 
 
@@ -283,7 +315,7 @@ class ScalarField:
       - Q: (N, d), N the integer rows and d > 0 with gcd(d, all of N) == 1;
       - Q(i): (RE, IM, d), the real and imaginary parts over one such d;
       - F_p: the rows of residues in [0, p).
-    The kernels below take forms and return forms. Only `to_rows` builds elements.
+    The kernels and codecs below take or return forms. Only `to_rows` builds elements.
     """
 
     tag: str
@@ -310,6 +342,14 @@ class ScalarField:
 
     def encode(self, x):
         """Encode a scalar as its canonical JSON-level entry."""
+        raise NotImplementedError
+
+    def decode(self, entries) -> tuple:
+        """The form of rows of JSON-level entries, each read as `parse` reads it."""
+        raise NotImplementedError
+
+    def encode_form(self, form) -> list:
+        """The rows of canonical JSON-level entries of a form, as `encode` writes them."""
         raise NotImplementedError
 
     def random(self, rng):
@@ -351,27 +391,27 @@ class ScalarField:
         rows `rref` takes."""
         raise NotImplementedError
 
-    def rref(self, rows, lead: int) -> tuple[list[int], list[list]] | None:
+    def rref(self, rows, lead: int) -> tuple[list[int], list[list[int]]] | None:
         """The RREF of integer rows (`augment`) on their first `lead` columns as
-        (pivot columns, pivot rows of canonical elements), or None when a row past
-        the rank is nonzero beyond column `lead`, an inconsistent system. `rows` is
-        not modified.
+        (pivot columns, integer pivot rows), or None when a row past the rank is
+        nonzero beyond column `lead`, an inconsistent system. `rows` is not
+        modified. Each pivot row is a nonzero multiple of its row of the RREF;
+        `solution` divides it by its pivot.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
         entry at or below the current row. Rows are fully reduced above and below.
 
         A row of ints stands for a nonzero multiple of a row of elements; only its
-        direction matters until `_divide`. Over Q and Q(i) `augment` divides each
+        direction matters until `solution`. Over Q and Q(i) `augment` divides each
         row by the gcd of its entries, so the rows it gives are the same whatever
         denominators the matrices were cleared over. Fraction-free Gauss-Jordan
         then replaces every other row by pivot * row - entry * pivot_row, up to a
         nonzero factor the field chooses (`_eliminate`, which also receives the
         previous pivot row and column, or None at the first pivot). Every row stays
         a nonzero multiple of the same row of the reduction over the field, so the
-        pivots and zero patterns are the RREF's. At the end each pivot row is
-        divided by its pivot, one division per entry (`_divide`). The rows past the
-        rank are zero in the first `lead` columns, so any nonzero integer in them
-        decides the verdict.
+        pivots and zero patterns are the RREF's. The rows past the rank are zero in
+        the first `lead` columns, so any nonzero integer in them decides the
+        verdict.
 
         The factor is where the fields differ. Q divides each new row by the gcd
         of its entries, its whole content, which keeps its rows smaller than
@@ -407,7 +447,13 @@ class ScalarField:
                 break
         if any(map(any, rows[r:])):
             return None
-        return pivots, [self._divide(row, c) for row, c in zip(rows, pivots)]
+        return pivots, rows[:r]
+
+    def solution(self, pivots, rows, n: int) -> tuple:
+        """The form of the n-by-n matrix whose row c, for each pivot column c of
+        `rref`, is the last n entries of its pivot row divided by the pivot; the
+        other rows are zero (free variables)."""
+        raise NotImplementedError
 
     # Integer hooks of `rref`.
 
@@ -418,10 +464,6 @@ class ScalarField:
         """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c.
 
         prev is the pivot row and column of the previous step, or None."""
-        raise NotImplementedError
-
-    def _divide(self, row: list[int], c: int) -> list:
-        """The row as elements, scaled so that its entry at column c is one."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -482,17 +524,19 @@ class RationalField(_ClearedField):
         return self.coerce(x)
 
     def parse(self, obj):
-        if isinstance(obj, str):
-            _check_entry_size(obj)
-        if isinstance(obj, str) or _is_int(obj):
-            try:
-                return self.coerce(obj)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in rational entry {obj!r}") from None
-        raise ValueError(f"invalid rational encoding: {obj!r}")
+        return _fraction(*_rational(obj))
 
     def encode(self, x):
         return str(x)
+
+    def decode(self, entries):
+        lits = [[_rational(v) for v in row] for row in entries]
+        d = lcm(*[den for row in lits for _, den in row])
+        return _canonical(d, [[num * (d // den) for num, den in row] for row in lits])
+
+    def encode_form(self, form):
+        n, d = form
+        return [[_rational_text(v, d) for v in row] for row in n]
 
     def random(self, rng):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -519,11 +563,14 @@ class RationalField(_ClearedField):
             return row
         return _primitive([p * a - f * b for a, b in zip(row, prow)])
 
-    def _divide(self, row, c):
-        p = row[c]
-        if p < 0:
-            p, row = -p, [-v for v in row]
-        return [_fraction(v, p) if v else _ZERO for v in row]
+    def solution(self, pivots, rows, n):
+        # each pivot row over the lcm of the pivots
+        d = lcm(*[row[c] for row, c in zip(rows, pivots)])
+        x = [(0,) * n] * n
+        for c, row in zip(pivots, rows):
+            k = d // row[c]
+            x[c] = [v * k for v in row[-n:]]
+        return _canonical(d, x)
 
     def __eq__(self, other):
         return type(other) is RationalField
@@ -553,17 +600,39 @@ class GaussianRationalField(_ClearedField):
     def conj(self, x):
         return self.coerce(x).conjugate()
 
-    def parse(self, obj):
+    @staticmethod
+    def _literal(obj) -> tuple[tuple[int, int], tuple[int, int]]:
+        """A JSON-level entry as the (numerator, denominator) of its two parts."""
         if isinstance(obj, (list, tuple)):
             if len(obj) != 2:
                 raise ValueError(f"Gaussian rational entry must be [re, im]: {obj!r}")
-            return GaussianRational(QQ.parse(obj[0]), QQ.parse(obj[1]))
+            return _rational(obj[0]), _rational(obj[1])
         if isinstance(obj, str) or _is_int(obj):
-            return GaussianRational(QQ.parse(obj))
+            return _rational(obj), (0, 1)
         raise ValueError(f"invalid Gaussian rational encoding: {obj!r}")
+
+    def parse(self, obj):
+        re, im = self._literal(obj)
+        return _gaussian(_fraction(*re), _fraction(*im))
 
     def encode(self, x):
         return [str(x.re), str(x.im)]
+
+    def decode(self, entries):
+        lits = [[self._literal(v) for v in row] for row in entries]
+        d = lcm(*[den for row in lits for z in row for _, den in z])
+        return _canonical(
+            d,
+            [[num * (d // den) for (num, den), _ in row] for row in lits],
+            [[num * (d // den) for _, (num, den) in row] for row in lits],
+        )
+
+    def encode_form(self, form):
+        re, im, d = form
+        return [
+            [[_rational_text(a, d), _rational_text(b, d)] for a, b in zip(ra, ia)]
+            for ra, ia in zip(re, im)
+        ]
 
     def random(self, rng):
         return GaussianRational(
@@ -628,17 +697,19 @@ class GaussianRationalField(_ClearedField):
         last, lc = prev
         return _exact_quotient(re, im, last[lc], last[lc + m])
 
-    def _divide(self, row, c):
-        # v / p = v * conj(p) / |p|^2
-        m = len(row) // 2
-        pr, pi = row[c], row[c + m]
-        norm = pr * pr + pi * pi
-        return [
-            _gaussian(_fraction(ar * pr + ai * pi, norm), _fraction(ai * pr - ar * pi, norm))
-            if ar or ai
-            else _GAUSSIAN_ZERO
-            for ar, ai in zip(row[:m], row[m:])
-        ]
+    def solution(self, pivots, rows, n):
+        # v / p = v conj(p) / |p|^2, each pivot row over the lcm of the norms
+        m = len(rows[0]) // 2 if rows else 0
+        norms = [row[c] * row[c] + row[c + m] * row[c + m] for row, c in zip(rows, pivots)]
+        d = lcm(*norms)
+        re, im = [(0,) * n] * n, [(0,) * n] * n
+        for c, row, norm in zip(pivots, rows, norms):
+            k = d // norm
+            pr, pi = row[c] * k, row[c + m] * k
+            parts = list(zip(row[m - n:m], row[2 * m - n:]))
+            re[c] = [ar * pr + ai * pi for ar, ai in parts]
+            im[c] = [ai * pr - ar * pi for ar, ai in parts]
+        return _canonical(d, re, im)
 
     def __eq__(self, other):
         return type(other) is GaussianRationalField
@@ -676,15 +747,26 @@ class PrimeField(ScalarField):
     def conj(self, x):
         return self.coerce(x)
 
-    def parse(self, obj):
+    def _residue(self, obj) -> int:
+        """A JSON-level entry as its residue in [0, p)."""
         if isinstance(obj, str):
             _check_entry_size(obj)
-        if isinstance(obj, str) or _is_int(obj):
-            return self.coerce(obj)
+            return int(obj) % self.p
+        if _is_int(obj):
+            return obj % self.p
         raise ValueError(f"invalid F{self.p} encoding: {obj!r}")
+
+    def parse(self, obj):
+        return self._elements[self._residue(obj)]
 
     def encode(self, x):
         return str(x.value)
+
+    def decode(self, entries):
+        return tuple([tuple([self._residue(v) for v in row]) for row in entries])
+
+    def encode_form(self, form):
+        return [[str(v) for v in row] for row in form]
 
     def random(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
@@ -723,10 +805,13 @@ class PrimeField(ScalarField):
             return row
         return [(pivot * a - f * b) % p for a, b in zip(row, prow)]
 
-    def _divide(self, row, c):
-        p, elements = self.p, self._elements
-        inv = pow(row[c], p - 2, p)
-        return [elements[v * inv % p] for v in row]
+    def solution(self, pivots, rows, n):
+        p = self.p
+        x = [(0,) * n] * n
+        for c, row in zip(pivots, rows):
+            inv = pow(row[c], p - 2, p)
+            x[c] = tuple([v * inv % p for v in row[-n:]])
+        return tuple(x)
 
     def __eq__(self, other):
         return type(other) is PrimeField and other.p == self.p

@@ -1,5 +1,7 @@
 """Matrix ring: involution laws, exact solves, generators, JSON codecs."""
 
+import random
+import re
 from fractions import Fraction
 from math import gcd, log2
 
@@ -35,6 +37,7 @@ from coreinv import (
 )
 from coreinv.ginverse import _Instance
 from coreinv.matrix import MAX_DIM
+from coreinv.scalar import MAX_ENTRY_DIGITS, _canonical
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -97,6 +100,11 @@ def test_solve_right_examples():
     # the leftover row of the reduction is i: its real part alone would read consistent
     onesi = Mat(QI, [[1, 1], [1, 1]])
     assert not solve_right(onesi, Mat(QI, [[1, 0], [GaussianRational(1, 1), 0]])).consistent
+    # the pivot row (2, 1 | 4, 0) is primitive only through its free column: the
+    # solution 4/2 must still be reduced to its canonical form
+    for field, zero in ((QQ, ()), (QI, (((0, 0), (0, 0)),))):
+        w = solve_right(Mat(field, [[2, 1], [0, 0]]), Mat(field, [[4, 0], [0, 0]]))
+        assert w.solution.form == (((2, 0), (0, 0)), *zero, 1)
 
 
 def test_solve_left_examples():
@@ -250,6 +258,94 @@ def test_mat_from_json_rejects_malformed():
     assert mat_from_json({"backend": "Q", "dim": MAX_DIM, "entries": square}).n == MAX_DIM
 
 
+# Entries for the decoder: canonical literals, non-reduced ones, literals only
+# Fraction or int() reads, malformed and non-ASCII ones, non-string JSON values
+# and entries at the digit bound.
+BOUND = "9" * MAX_ENTRY_DIGITS
+LITERALS = [
+    "0", "5", "-12", "3/4", "-7/12", "2/4", "0/7", "-0", "007", "-6/9", "12/1",
+    "+3", " 5 ", "1e3", "1.5", "1_000", "5/-3", "1/0", "-0/0", "", "-", "1/", "/2", "a",
+    "١٢", "²",
+    True, False, 1.5, 0.0, None, 7, -12, 0,
+    BOUND, "-" + BOUND, "1/" + BOUND, BOUND + "/" + BOUND[1:], BOUND + "9", "1/9" + BOUND,
+    int(BOUND), -int(BOUND),
+]
+DECODE_FIELDS = {"Q": QQ, "Qi": QI, "F3": GF(3)}
+
+
+def outcome(build):
+    """The matrix built, or the type and message of the exception raised."""
+    try:
+        m = build()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return m, m.rows
+
+
+@pytest.mark.parametrize("name", list(DECODE_FIELDS))
+def test_decode_matches_element_reference(name):
+    field = DECODE_FIELDS[name]
+    entries = list(LITERALS)
+    if field is QI:
+        entries += [[v, "-1/2"] for v in LITERALS] + [["2/3", v] for v in LITERALS]
+        entries += [["1"], ["1", "2", "3"], ("1", "2")]
+    else:
+        entries += [["1", "2"]]
+    # each entry alone, then one 2 x 2 matrix per window of four entries, so an
+    # entry is also decoded next to others over one common denominator
+    cases = [[[v]] for v in entries] + [
+        [entries[i:i + 2], entries[i + 2:i + 4]] for i in range(len(entries) - 3)
+    ]
+    backend = {"Q": "Q", "Qi": "Qi", "F3": "Fp"}[name]
+    for rows in cases:
+        obj = {"backend": backend, "p": 3, "dim": len(rows), "entries": rows}
+        got = outcome(lambda: mat_from_json(obj))
+        ref = outcome(lambda: Mat(field, [[field.parse(v) for v in row] for row in rows]))
+        assert got == ref, rows
+        if isinstance(got[0], Mat):
+            assert_canonical(field, got[0].form, len(rows))
+
+
+def test_rational_literals_read_as_fraction_reads_them():
+    # `parse` reads plain literals with int(); every string must still mean what
+    # Fraction makes of it, and be refused where Fraction refuses it
+    for v in LITERALS:
+        if not isinstance(v, str) or len(v) > MAX_ENTRY_DIGITS:
+            continue
+        try:
+            expected = Fraction(v)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                QQ.parse(v)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                QQ.parse(v)
+        else:
+            q = QQ.parse(v)
+            assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("name", list(DECODE_FIELDS))
+def test_encode_form_matches_element_encode(name):
+    field = DECODE_FIELDS[name]
+    rng = random.Random(11)
+    for _ in range(200):
+        n, bits = rng.randint(1, 4), rng.choice((3, 40, 300))
+        parts = [
+            [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+            for _ in range(2 if field is QI else 1)
+        ]
+        if rng.random() < 0.2:
+            parts[0] = [[0] * n for _ in range(n)]
+        if field.tag == "Fp":
+            form = tuple(tuple(v % field.p for v in row) for row in parts[0])
+        else:
+            form = _canonical(rng.randint(1, 2**bits), *parts)
+        expected = [[field.encode(v) for v in row] for row in field.to_rows(form)]
+        assert field.encode_form(form) == expected
+        assert field.decode(expected) == form
+
+
 def test_public_constructors_still_validate():
     # the kernels build elements through internal fast paths; the public ones still check
     with pytest.raises(TypeError):
@@ -389,18 +485,27 @@ def test_kernels_match_element_reference(name):
         assert mb * ma == Mat(field, ref_mul(b, a))
         assert ma.star() == Mat(field, [[field.conj(v) for v in col] for col in zip(*a)])
         ab = ref_mul(a, b)
+        solutions = []
         for rhs in (c, ab):
             ok, x = ref_solve_right(a, rhs, field)
             w = solve_right(ma, Mat(field, rhs))
             assert w.consistent == ok
             assert w.solution == (Mat(field, x) if ok else None)
+            solutions.append(w.solution)
             ok, x = ref_solve_right(transpose(a), transpose(rhs), field)
             w = solve_left(ma, Mat(field, rhs))
             assert w.consistent == ok
             assert w.solution == (Mat(field, transpose(x)) if ok else None)
+            solutions.append(w.solution)
         assert solve_right(ma, Mat(field, ab)).consistent
         ok, x = ref_solve_right(a, Mat.identity(field, len(a)).rows, field)
-        assert ma.inverse() == (Mat(field, x) if ok else None)
+        inverse = ma.inverse()
+        assert inverse == (Mat(field, x) if ok else None)
+        # solutions hold only their form, which must be canonical for == and hash
+        for sol in solutions + [inverse]:
+            if sol is not None:
+                assert sol._rows is None
+                assert_canonical(field, sol.form, len(a))
         assert left_annihilator_basis(ma) == ref_left_annihilator_basis(a, field)
 
     # Forms kept on a matrix and reused give the reference products
@@ -504,6 +609,17 @@ def test_forms_are_canonical_and_match_element_reference(name):
     check()
 
 
+def divided_rows(pivots, rows):
+    """The integer pivot rows of `QI.rref` as Gaussian rationals, each divided by
+    its pivot with element operators."""
+    out = []
+    for c, row in zip(pivots, rows):
+        m = len(row) // 2
+        elems = [GaussianRational(re, im) for re, im in zip(row[:m], row[m:])]
+        out.append([v / elems[c] for v in elems])
+    return out
+
+
 def test_qi_rref_zero_rows_keep_the_pivot_scale():
     # Column 1 is zero and skipped. Row 1 is zero at the first pivot column, so it is
     # only scaled there, then gives the second pivot: a reduction that leaves such a
@@ -532,7 +648,9 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
         if verdicts[-1]:
             assert result is None
         else:
-            assert result == ([c for _, c in pivots], expected[:rank])
+            assert result[0] == [c for _, c in pivots]
+            assert all(type(v) is int for row in result[1] for v in row)
+            assert divided_rows(*result) == expected[:rank]
     assert verdicts == [False, True, False, True, True, False]
 
 

@@ -16,7 +16,7 @@ from coreinv import (
     Mat,
     PrimeFieldElement,
 )
-from coreinv.scalar import _fraction
+from coreinv.scalar import _exact_quotient, _fraction
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -294,3 +294,19 @@ def test_internal_fraction_is_the_canonical_fraction(n, d, g):
         assert type(q) is Fraction
         assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
         assert q == ref and hash(q) == hash(ref) and str(q) == str(ref)
+
+
+@pytest.mark.parametrize("dr, di", [(2, 0), (-2, 0), (2, 2), (-2, -2)])
+def test_exact_quotient_refuses_a_remainder_in_any_entry(dr, di):
+    quotients = [GaussianRational(k, 1 - k) for k in (3, -2, 0)]
+    multiples = [GaussianRational(dr, di) * q for q in quotients]
+    re, im = [int(z.re) for z in multiples], [int(z.im) for z in multiples]
+    assert _exact_quotient(re, im, dr, di) == [int(q.re) for q in quotients] + [
+        int(q.im) for q in quotients
+    ]
+    # The bad entry comes last and only its imaginary part leaves a remainder:
+    # (2 + 3i) / 2 over the reals, (1 + 3i) / (2 + 2i) = 1 + i/2 over Q(i).
+    bad = (1, 3) if di else (2, 3)
+    for sign in (1, -1):
+        with pytest.raises(RuntimeError, match="does not divide"):
+            _exact_quotient(re + [sign * bad[0]], im + [sign * bad[1]], dr, di)
