@@ -28,6 +28,7 @@ from enum import Enum
 from functools import cached_property
 
 from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
+from .scalar import _is_int
 
 MAX_POWER = 8
 
@@ -221,8 +222,8 @@ class _Instance(Mat):
         return self._mirror
 
     def power(self, k: int) -> Mat:
-        if k < 2:
-            return self if k == 1 else super().power(k)
+        if not _is_int(k) or k < 2:
+            return super().power(k)
         powers = self._powers  # a^2, a^3, ...
         while len(powers) < k - 1:
             powers.append((powers[-1] if powers else self) * self)
@@ -318,7 +319,7 @@ def f_dual_core(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
 
 def _check_n(n: int, least: int = 1):
     """Reject an exponent n outside least..MAX_POWER, the one bound on every power."""
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < least or n > MAX_POWER:
         raise ValueError(f"n must satisfy {least} <= n <= {MAX_POWER}, got {n}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalar import (
     GF,
@@ -21,6 +22,7 @@ from .scalar import (
     QQ,
     BackendMismatchError,
     ScalarField,
+    _is_int,
 )
 
 # Largest dimension accepted on decode. Exact elimination is polynomial in the
@@ -30,6 +32,14 @@ MAX_DIM = 32
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
+
+
+@lru_cache(maxsize=128)
+def _scalar_form(field: ScalarField, n: int, k: int) -> tuple:
+    """The form of k times the n-by-n identity. Forms are immutable, so each is
+    decoded once per field, size and k: decoding a dim-8 identity costs three
+    times what converting its element rows did."""
+    return field.decode([[k if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 class Mat:
@@ -84,15 +94,11 @@ class Mat:
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Mat":
-        one, zero = field.one(), field.zero()
-        return cls._wrap(
-            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return cls._of(field, n, _scalar_form(field, n, 1))
 
     @classmethod
     def zeros(cls, field: ScalarField, n: int) -> "Mat":
-        zero = field.zero()
-        return cls._wrap(field, tuple((zero,) * n for _ in range(n)))
+        return cls._of(field, n, _scalar_form(field, n, 0))
 
     def _compat(self, other: "Mat"):
         if self.field != other.field:
@@ -134,7 +140,7 @@ class Mat:
         return Mat._of(self.field, self.n, self.field.star(self.form))
 
     def power(self, k: int) -> "Mat":
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValueError(f"matrix power requires an integer k >= 0, got {k!r}")
         if k == 0:
             return Mat.identity(self.field, self.n)
@@ -253,7 +259,10 @@ class Weight:
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Weight":
-        return cls(Mat.identity(field, n))
+        """The identity weight: Hermitian and its own inverse, so not validated."""
+        w = object.__new__(cls)
+        w.value = w.inv = Mat.identity(field, n)
+        return w
 
     def inverse(self) -> "Weight":
         """The weight w^{-1}; Hermitian and invertible because w is, so not validated again."""

@@ -10,6 +10,7 @@ Floats are rejected everywhere; there is no approximate mode.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -287,23 +288,30 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _exact_quotient(re: list[int], im: list[int], dr: int, di: int) -> list[int]:
-    """The Gaussian integers re[j] + im[j] i divided by d = dr + di i, as re parts
-    followed by im parts: x conj(d) / |d|^2, or x / dr when d is real. The caller
-    guarantees that d divides every entry, so a remainder is a broken invariant,
-    not bad input."""
-    if di:
-        re, im = (
-            [xr * dr + xi * di for xr, xi in zip(re, im)],
-            [xi * dr - xr * di for xr, xi in zip(re, im)],
-        )
-        dr = dr * dr + di * di
-    xs = re + im
-    qs = [x // dr for x in xs]
-    # every floor remainder has the sign of dr, so they sum to 0 only if each is 0
-    if sum(xs) != dr * sum(qs):
+def _divided(xs: list[int], d: int) -> list[int]:
+    """Each x // d, where d must divide every x: a remainder is a broken
+    invariant of `rref`, not bad input."""
+    qs = [x // d for x in xs]
+    # every floor remainder has the sign of d, so they sum to 0 only if each is 0
+    if sum(xs) != d * sum(qs):
         raise RuntimeError("internal error: rref pivot does not divide a row exactly")
     return qs
+
+
+def _exact_quotient(re: list[int], im: list[int], dr: int, di: int) -> list[int]:
+    """The Gaussian integers re[j] + im[j] i divided by d = dr + di i, as re parts
+    followed by im parts. The caller guarantees that d divides every entry.
+
+    For q = x / d, re(q) = re(x conj(d)) / |d|^2 and then im(q) = (im(x) - re(q) di)
+    / dr: three products per entry, not the four of x conj(d). Both divisions
+    exact means x = q d, so a remainder in either is refused."""
+    if not dr:
+        # x / (di i) = (im(x) - re(x) i) / di
+        re, im, dr, di = im, [-v for v in re], di, 0
+    if not di:
+        return _divided(re + im, dr)
+    qr = _divided([xr * dr + xi * di for xr, xi in zip(re, im)], dr * dr + di * di)
+    return qr + _divided([xi - a * di for xi, a in zip(im, qr)], dr)
 
 
 class ScalarField:
@@ -399,38 +407,30 @@ class ScalarField:
         `solution` divides it by its pivot.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
-        entry at or below the current row. Rows are fully reduced above and below.
+        entry at or below the current row.
 
         A row of ints stands for a nonzero multiple of a row of elements; only its
         direction matters until `solution`. Over Q and Q(i) `augment` divides each
         row by the gcd of its entries, so the rows it gives are the same whatever
-        denominators the matrices were cleared over. Fraction-free Gauss-Jordan
-        then replaces every other row by pivot * row - entry * pivot_row, up to a
-        nonzero factor the field chooses (`_eliminate`, which also receives the
-        previous pivot row and column, or None at the first pivot). Every row stays
-        a nonzero multiple of the same row of the reduction over the field, so the
-        pivots and zero patterns are the RREF's. The rows past the rank are zero in
-        the first `lead` columns, so any nonzero integer in them decides the
-        verdict.
-
-        The factor is where the fields differ. Q divides each new row by the gcd
-        of its entries, its whole content, which keeps its rows smaller than
-        the minors below (dividing by the previous pivot instead made Q solves
-        at dim 16 more than twice as slow). Over Q(i) that gcd is only the
-        rational content, so Gaussian factors of the pivots would pile up step
-        after step: Q(i) divides exactly by the previous pivot (Bareiss), also
-        the rows already zero at the pivot column, which keeps every entry a
-        minor of the cleared input. F_p reduces modulo p.
+        denominators the matrices were cleared over. This fraction-free
+        Gauss-Jordan loop, which Q and F_p run, replaces every other row, above
+        and below the pivot, by pivot * row - entry * pivot_row up to a nonzero
+        factor the field chooses (`_eliminate`). Every row stays a nonzero
+        multiple of the same row of the reduction over the field, so the pivots
+        and zero patterns are the RREF's. The rows past the rank are zero in the
+        first `lead` columns, so any nonzero integer in them decides the verdict.
+        Q divides each new row by the gcd of its entries, its whole content,
+        which keeps its rows smaller than the minors Bareiss keeps; F_p reduces
+        modulo p. Q(i) overrides this method.
         """
         rows = list(rows)
-        nonzero, eliminate = self._int_nonzero, self._eliminate
+        eliminate = self._eliminate
         nrows = len(rows)
         pivots: list[int] = []
-        prev = None
         r = 0
         for c in range(lead):
             for i in range(r, nrows):
-                if nonzero(rows[i], c):
+                if rows[i][c]:
                     break
             else:
                 continue
@@ -438,9 +438,7 @@ class ScalarField:
             prow = rows[r]
             for i, row in enumerate(rows):
                 if i != r:
-                    rows[i] = eliminate(row, prow, c, prev)
-            # rows are replaced, never mutated, so prow keeps this step's pivot
-            prev = (prow, c)
+                    rows[i] = eliminate(row, prow, c)
             pivots.append(c)
             r += 1
             if r == nrows:
@@ -455,15 +453,8 @@ class ScalarField:
         other rows are zero (free variables)."""
         raise NotImplementedError
 
-    # Integer hooks of `rref`.
-
-    def _int_nonzero(self, row: list[int], c: int) -> bool:
-        return row[c] != 0
-
-    def _eliminate(self, row: list[int], prow: list[int], c: int, prev) -> list[int]:
-        """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c.
-
-        prev is the pivot row and column of the previous step, or None."""
+    def _eliminate(self, row: list[int], prow: list[int], c: int) -> list[int]:
+        """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -557,7 +548,7 @@ class RationalField(_ClearedField):
         cols = list(zip(*yn))
         return _canonical(xd * yd, [[sum(map(mul, row, col)) for col in cols] for row in xn])
 
-    def _eliminate(self, row, prow, c, prev):
+    def _eliminate(self, row, prow, c):
         p, f = prow[c], row[c]
         if not f:
             return row
@@ -679,23 +670,95 @@ class GaussianRationalField(_ClearedField):
         re, im, d = x
         return tuple(zip(*re)), tuple([tuple([-v for v in col]) for col in zip(*im)]), d
 
-    # An integer row of `rref` is the re parts followed by the im parts.
+    def rref(self, rows, lead):
+        """`ScalarField.rref` for Q(i), by fraction-free forward elimination and
+        back substitution in Z[i] (Bareiss 1968; Nakos, Turner and Williams 1997).
+        An integer row is the re parts followed by the im parts.
 
-    def _int_nonzero(self, row, c):
-        return row[c] != 0 or row[c + len(row) // 2] != 0
-
-    def _eliminate(self, row, prow, c, prev):
-        # (p_k * row - row[c] * prow) / p_{k-1} with p_0 = 1, also for a row already
-        # zero at column c: every entry stays a minor of the cleared input
-        m = len(row) // 2
-        pr, pi, fr, fi = prow[c], prow[c + m], row[c], row[c + m]
-        parts = list(zip(row[:m], row[m:], prow[:m], prow[m:]))
-        re = [pr * ar - pi * ai - fr * br + fi * bi for ar, ai, br, bi in parts]
-        im = [pr * ai + pi * ar - fr * bi - fi * br for ar, ai, br, bi in parts]
-        if prev is None:
-            return re + im
-        last, lc = prev
-        return _exact_quotient(re, im, last[lc], last[lc + m])
+        Forward: at the k-th pivot p_k, in column c, every row below becomes
+        (p_k * row - row[c] * pivot_row) / p_{k-1}, with p_{-1} = 1, on the
+        columns right of c only, also where row[c] is already zero. Each entry is
+        then a minor of the cleared input, so the division is exact. Let U[k] be
+        the k-th pivot row as the forward phase leaves it, c_k its pivot column
+        and D the last pivot, the determinant of the cleared input at the pivot
+        rows and columns. Back: for every non-pivot column j and k from the last
+        pivot row up, y_k = (D * U[k][j] - sum_{t>k} U[k][c_t] * y_t) / U[k][c_k].
+        Pivot row k is returned as D at c_k, 0 at the other pivot columns and y_k
+        elsewhere: D times its row of the RREF. By Cramer's rule each y_k is a
+        minor of order rank of the cleared input, so this division is exact too.
+        A remainder in either is a broken invariant, which `_exact_quotient`
+        raises.
+        """
+        w = len(rows[0]) // 2 if rows else 0
+        re = [row[:w] for row in rows]
+        im = [row[w:] for row in rows]
+        nrows = len(rows)
+        pivots: list[int] = []
+        dr, di = 1, 0
+        r = 0
+        for c in range(lead):
+            for i in range(r, nrows):
+                if re[i][c] or im[i][c]:
+                    break
+            else:
+                continue
+            re[r], re[i], im[r], im[i] = re[i], re[r], im[i], im[r]
+            pr, pi = re[r][c], im[r][c]
+            br, bi = re[r][c + 1:], im[r][c + 1:]
+            for i in range(r + 1, nrows):
+                xr, xi = re[i], im[i]
+                fr, fi = xr[c], xi[c]
+                ar, ai = xr[c + 1:], xi[c + 1:]
+                nr = [pr * a - pi * b - fr * g + fi * h for a, b, g, h in zip(ar, ai, br, bi)]
+                ni = [pr * b + pi * a - fr * h - fi * g for a, b, g, h in zip(ar, ai, br, bi)]
+                if pivots:
+                    q = _exact_quotient(nr, ni, dr, di)
+                    nr, ni = q[:len(nr)], q[len(nr):]
+                # the entries up to column c are stale from here on; no later step
+                # reads them
+                xr[c + 1:], xi[c + 1:] = nr, ni
+            pivots.append(c)
+            dr, di = pr, pi
+            r += 1
+            if r == nrows:
+                break
+        if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, nrows)):
+            return None
+        pivot_set = set(pivots)
+        free = [j for j in range(w) if j not in pivot_set]
+        # per free column, y_t for t = r-1, r-2, ...: re parts, im parts, their sums
+        ys = [([], [], []) for _ in free]
+        out = []
+        for k in reversed(range(r)):
+            c, xr, xi = pivots[k], re[k], im[k]
+            s = bisect_right(free, c)  # y_k is 0 in the free columns left of c
+            cols = free[s:]
+            if k == r - 1:
+                # D * U[k][j] / U[k][c] with U[k][c] = D
+                yr_k, yi_k = [xr[j] for j in cols], [xi[j] for j in cols]
+            else:
+                later = pivots[:k:-1]  # c_t for t = r-1, ..., k+1
+                ur, ui = [xr[ct] for ct in later], [xi[ct] for ct in later]
+                us = list(map(add, ur, ui))
+                # sum_t U[k][c_t] y_t with its imaginary part from three dot products
+                rr = [sum(map(mul, ur, y[0])) for y in ys[s:]]
+                ii = [sum(map(mul, ui, y[1])) for y in ys[s:]]
+                ss = [sum(map(mul, us, y[2])) for y in ys[s:]]
+                nr = [dr * xr[j] - di * xi[j] - a + b for j, a, b in zip(cols, rr, ii)]
+                ni = [dr * xi[j] + di * xr[j] - g + a + b for j, a, b, g in zip(cols, rr, ii, ss)]
+                q = _exact_quotient(nr, ni, xr[c], xi[c])
+                yr_k, yi_k = q[:len(cols)], q[len(cols):]
+            row_re, row_im = [0] * w, [0] * w
+            row_re[c], row_im[c] = dr, di
+            for (yr, yi, ysum), a, b in zip(ys, [0] * s + yr_k, [0] * s + yi_k):
+                yr.append(a)
+                yi.append(b)
+                ysum.append(a + b)
+            for j, a, b in zip(cols, yr_k, yi_k):
+                row_re[j], row_im[j] = a, b
+            out.append(row_re + row_im)
+        out.reverse()
+        return pivots, out
 
     def solution(self, pivots, rows, n):
         # v / p = v conj(p) / |p|^2, each pivot row over the lcm of the norms
@@ -799,7 +862,7 @@ class PrimeField(ScalarField):
     def augment(self, *forms):
         return [[v for f in forms for v in f[i]] for i in range(len(forms[0]))]
 
-    def _eliminate(self, row, prow, c, prev):
+    def _eliminate(self, row, prow, c):
         pivot, f, p = prow[c], row[c], self.p
         if not f:
             return row

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import coreinv.cli
 import coreinv.ginverse
+import coreinv.scalar
 
 from coreinv import (
-    QI,
     QQ,
     GInverseKind,
     Mat,
@@ -361,21 +361,19 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
         assert code == 3 and captured.out == "", kind
         assert captured.err.startswith("error: internal error:")
         assert "Traceback" not in captured.err
-    # so is a remainder in rref's exact division by the previous pivot, here from a
-    # Q(i) hook that leaves rows already zero at the pivot column unscaled
+    # so is a remainder in one of rref's exact divisions in Z[i], here injected
+    # into the first entry of every row the Q(i) reduction divides
     monkeypatch.undo()
-    real_eliminate = QI._eliminate
+    real_quotient = coreinv.scalar._exact_quotient
 
-    def unscaled(row, prow, c, prev):
-        if not (row[c] or row[c + len(row) // 2]):
-            return row
-        return real_eliminate(row, prow, c, prev)
+    def skewed(re, im, dr, di):
+        return real_quotient([v + (j == 0) for j, v in enumerate(re)], im, dr, di)
 
     entries = [[["-1", "-1"], ["0", "-1"]], [["0", "0"], ["-2", "1"]]]
     tri = write(tmp_path, "tri.json", {"backend": "Qi", "dim": 2, "entries": entries})
     assert main(["compute", "--kind", "group", "--a", tri]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(QI, "_eliminate", unscaled)
+    monkeypatch.setattr(coreinv.scalar, "_exact_quotient", skewed)
     code = main(["compute", "--kind", "group", "--a", tri])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

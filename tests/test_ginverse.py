@@ -392,11 +392,20 @@ def test_constructions_leave_no_cyclic_garbage():
 
 
 # Matrices converted from rows to their integer form by one call on fresh dim-8
-# inputs, which already hold forms (they are products). Solves return forms, so
+# inputs of rank 6 (rank 8 for the full-rank calls), which already hold forms
+# (they are products). Solves return forms and identities are built as forms, so
 # no call converts any: one that converted the caller's a next to its instance,
-# say, or a solution built as elements, would go over, and one that built the
-# elements of a product it does not return would build some.
-CONVERSION_BUDGET = {"e_core": 0, "weighted_mp": 0, "is_weighted_ep": 0}
+# say, a solution built as elements or an identity built as rows, would go over,
+# and one that built the elements of a product it does not return would build some.
+CONVERSION_BUDGET = {
+    "e_core": 0,
+    "weighted_mp": 0,
+    "is_weighted_ep": 0,
+    "inverse": 0,
+    "decompose_idempotent": 0,
+    "gram_formula": 0,
+    "is_weighted_ep, full rank": 0,
+}
 
 
 @pytest.mark.parametrize("field", [QQ, QI], ids=str)
@@ -415,12 +424,16 @@ def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
     monkeypatch.setattr(field, "to_form", counted_to_form)
     monkeypatch.setattr(field, "to_rows", counted_to_rows)
     calls = {
-        "e_core": lambda a, e, f: e_core(a, e),
-        "weighted_mp": weighted_mp,
-        "is_weighted_ep": is_weighted_ep,
+        "e_core": (lambda a, e, f: e_core(a, e), 6),
+        "weighted_mp": (weighted_mp, 6),
+        "is_weighted_ep": (is_weighted_ep, 6),
+        "inverse": (lambda a, e, f: a.inverse(), 8),
+        "decompose_idempotent": (lambda a, e, f: decompose_idempotent(a, e), 6),
+        "gram_formula": (lambda a, e, f: gram_formula(a, e), 6),
+        "is_weighted_ep, full rank": (is_weighted_ep, 8),
     }
-    for name, call in calls.items():
-        a = random_group_invertible(8, field, seed=1, rank=6)
+    for name, (call, rank) in calls.items():
+        a = random_group_invertible(8, field, seed=1, rank=rank)
         e = random_weight(8, field, seed=101)
         f = random_weight(8, field, seed=201)
         converted.clear()

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import coreinv.ginverse
+import coreinv.scalar
 from coreinv import (
     GF,
     QI,
@@ -20,6 +22,7 @@ from coreinv import (
     Mat,
     PrimeFieldElement,
     Weight,
+    certificate_to_json,
     e_core,
     f_dual_core,
     left_annihilator_basis,
@@ -36,7 +39,7 @@ from coreinv import (
     weighted_mp,
 )
 from coreinv.ginverse import _Instance
-from coreinv.matrix import MAX_DIM
+from coreinv.matrix import MAX_DIM, SolveWitness
 from coreinv.scalar import MAX_ENTRY_DIGITS, _canonical
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -137,6 +140,18 @@ def test_inverse_coincides_with_both_solves(a):
     if inv is not None:
         assert inv == r.solution == l.solution
         assert a * inv == ident and inv * a == ident
+
+
+def test_power_takes_only_a_nonnegative_int():
+    a = Mat(QQ, [[1, 1], [0, 2]])
+    assert a ** 0 == Mat.identity(QQ, 2) and a.power(1) == a
+    assert a ** 3 == a * a * a
+    # a bool is not an exponent, on a matrix or on a call's instance of it
+    for m in (a, _Instance(a)):
+        for k in (True, False, -1, 1.0, "2", None):
+            for power in (m.power, m.__pow__):
+                with pytest.raises(ValueError, match="requires an integer k >= 0"):
+                    power(k)
 
 
 def test_is_hermitian_wrt():
@@ -654,12 +669,87 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
     assert verdicts == [False, True, False, True, True, False]
 
 
+@st.composite
+def qi_systems(draw):
+    """(rows, lead) of Gaussian rationals: 1..5 rows of `lead` 1..5 coefficient
+    columns and 0..3 right-hand columns. The rows are often rank-deficient
+    (combinations of fewer rows), sometimes zero or real, and a coefficient
+    column is sometimes zero."""
+    nrows, lead, extra = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    width = lead + extra
+    parts = st.integers(-3, 3) | st.just(0)
+    elems = st.builds(GaussianRational, parts, parts | st.just(0))
+    if draw(st.booleans()):
+        elems = parts.map(GaussianRational)
+    line = st.lists(elems, min_size=width, max_size=width)
+    rows = draw(st.lists(line, min_size=nrows, max_size=nrows))
+    shape = draw(st.sampled_from(["full", "deficient", "deficient", "zero-column", "zero"]))
+    if shape == "deficient":
+        basis = rows[: draw(st.integers(0, nrows - 1))]
+        coefs = st.lists(elems, min_size=len(basis), max_size=len(basis))
+        rows = [
+            [sum((c * b[j] for c, b in zip(cs, basis)), QI.zero()) for j in range(width)]
+            for cs in (draw(coefs) for _ in range(nrows))
+        ]
+        if draw(st.booleans()):  # a right-hand side outside the column space
+            k = draw(st.integers(0, nrows - 1))
+            rows[k] = rows[k][:lead] + [v + 1 for v in rows[k][lead:]]
+    elif shape == "zero-column":
+        col = draw(st.integers(0, lead - 1))
+        rows = [r[:col] + [QI.zero()] + r[col + 1:] for r in rows]
+    elif shape == "zero":
+        rows = [[QI.zero()] * width for _ in rows]
+    return [[QI.coerce(v) for v in r] for r in rows], lead
+
+
+def test_qi_rref_matches_element_reference():
+    """QI.rref against the Gauss-Jordan reduction with element operators: the same
+    pivots and each pivot row a multiple of the RREF's, or None for an
+    inconsistent system, and `rows` untouched. Every kind of system below is met."""
+    seen = set()
+
+    @settings(max_examples=150, database=None, deadline=None)
+    @seed(KERNEL_SEED)
+    @given(qi_systems())
+    def check(case):
+        rows, lead = case
+        expected, pivots = ref_rref(rows, lead, QI)
+        rank = len(pivots)
+        int_rows = QI.augment(QI.to_form(rows))
+        before = [list(r) for r in int_rows]
+        result = QI.rref(int_rows, lead)
+        assert int_rows == before
+        if any(any(r) for r in expected[rank:]):
+            assert result is None
+            seen.add("inconsistent")
+            return
+        assert result[0] == [c for _, c in pivots]
+        assert all(type(v) is int for row in result[1] for v in row)
+        assert divided_rows(*result) == expected[:rank]
+        cols = [c for _, c in pivots]
+        seen.add("rank 0" if rank == 0 else "deficient" if rank < min(len(rows), lead) else "full")
+        if cols and cols != list(range(len(cols))):
+            seen.add("skipped column")
+        if len(rows[0]) == lead:
+            seen.add("no right-hand side")
+        for row, c in zip(result[1], cols):
+            seen.add("non-real pivot" if row[c + len(row) // 2] else "real pivot")
+
+    check()
+    assert seen == {
+        "inconsistent", "rank 0", "deficient", "full", "skipped column",
+        "no right-hand side", "real pivot", "non-real pivot",
+    }
+
+
 def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
     """The systems that e_core solves for a dim-12 Q(i) instance, a^2 x = a for the
     group inverse and x (a* e a) = a for the {1,3e}-inverse: every integer row the
-    reduction forms stays within Hadamard's bound on the minors of the cleared
-    input. Dividing out only the rational content of each row let the rows of the
-    first system reach 261,095 bits."""
+    reduction divides stays within Hadamard's bound on the minors of the cleared
+    input. Those are the forward rows from the second pivot on (the first pivot's
+    are 2 x 2 minors and need no division) and the back-substitution values.
+    Dividing out only the rational content of each row let the rows of the first
+    system reach 261,095 bits."""
     a = random_group_invertible(12, QI, seed=1000)
     e = random_weight(12, QI, seed=2000)
     gram = (a.star() * e.value * a).transpose()
@@ -677,13 +767,17 @@ def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
 
     for lhs, rhs in ((a * a, a), (gram, a.transpose())):
         inputs, formed = QI.augment(lhs.form, rhs.form), []
-        monkeypatch.setattr(QI, "_eliminate", recording(QI._eliminate, formed))
+        monkeypatch.setattr(
+            coreinv.scalar, "_exact_quotient", recording(coreinv.scalar._exact_quotient, formed)
+        )
         pivots, _ = QI.rref(inputs, 12)
         rank = len(pivots)
         monkeypatch.undo()
+        # 10 + 9 + ... + 0 forward rows below the second to last pivots, and 11
+        # back-substitution rows above the last
+        assert rank == 12 and len(formed) == 55 + 11
         # every row is a minor of order k <= rank of the cleared rows (b-bit parts),
         # so by Hadamard it has at most k * (b + 1/2 + log2(k) / 2) + 1 bits
-        assert rank == 12 and formed
         assert bits(formed) <= rank * (bits(inputs) + log2(2 * a.n))
     for kind, cert in (
         (GInverseKind.E_CORE, e_core(a, e)),
@@ -691,3 +785,36 @@ def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
         (GInverseKind.WEIGHTED_MP, weighted_mp(a, e, e)),
     ):
         assert verify(kind, a, cert.value, e=e, f=e).ok
+
+
+def ref_solve(a: Mat, b: Mat, left: bool) -> SolveWitness:
+    """solve_right (a x = b) or solve_left (x a = b) through the element reference."""
+    field = a.field
+    if not left:
+        ok, x = ref_solve_right(a.rows, b.rows, field)
+        return SolveWitness(Mat(field, x) if ok else None)
+    ok, x = ref_solve_right(transpose(a.rows), transpose(b.rows), field)
+    return SolveWitness(Mat(field, transpose(x)) if ok else None)
+
+
+def test_qi_constructions_match_element_reference_solves(monkeypatch):
+    """e_core, f_dual_core and weighted_mp on a dim-12 Q(i) instance give the same
+    certificates when every solve runs the element reference instead."""
+    a = random_group_invertible(12, QI, seed=1000)
+    e = random_weight(12, QI, seed=2000)
+    f = random_weight(12, QI, seed=2001)
+    calls = (lambda: e_core(a, e), lambda: f_dual_core(a, f), lambda: weighted_mp(a, e, f))
+    got = [certificate_to_json(call()) for call in calls]
+    sides = []
+
+    def solver(left):
+        def solve(a, b):
+            sides.append(left)
+            return ref_solve(a, b, left)
+
+        return solve
+
+    monkeypatch.setattr(coreinv.ginverse, "solve_right", solver(False))
+    monkeypatch.setattr(coreinv.ginverse, "solve_left", solver(True))
+    assert [certificate_to_json(call()) for call in calls] == got
+    assert set(sides) == {False, True}
