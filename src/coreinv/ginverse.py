@@ -3,9 +3,10 @@
 Six inverse kinds are supported: group, {1,3e}, {1,4f}, weighted Moore-Penrose,
 weighted core (e-core) and weighted dual core (f-dual core). Every constructor
 solves the defining membership equations for an explicit witness, re-verifies
-the full defining-equation set of its kind on the result, and returns an
-InverseCertificate carrying both. Non-existence is a typed negative result
-(NotInvertible) naming the membership that failed, never an exception.
+the full defining-equation set of its kind on the result (once per distinct
+value within one top-level call), and returns an InverseCertificate carrying
+both. Non-existence is a typed negative result (NotInvertible) naming the
+membership that failed, never an exception.
 
 The dual side is the core side carried through the involution: x is a dual
 inverse of (a, f) exactly when x* is the matching core inverse of (a*, f^{-1}),
@@ -25,9 +26,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from functools import cached_property
 
-from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
+from .matrix import Mat, SolveWitness, Weight, mat_from_json, mat_to_json, solve_left, solve_right
 from .scalar import _is_int
 
 MAX_POWER = 8
@@ -120,11 +120,22 @@ def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
 class _Products:
     """The products a·x and x·a of one verify call, each formed at most once."""
 
-    def __init__(self, a: Mat, x: Mat):
-        self.a, self.x = a, x
+    __slots__ = ("a", "x", "_ax", "_xa")
 
-    ax = cached_property(lambda self: self.a * self.x)
-    xa = cached_property(lambda self: self.x * self.a)
+    def __init__(self, a: Mat, x: Mat):
+        self.a, self.x, self._ax, self._xa = a, x, None, None
+
+    @property
+    def ax(self) -> Mat:
+        if self._ax is None:
+            self._ax = self.a * self.x
+        return self._ax
+
+    @property
+    def xa(self) -> Mat:
+        if self._xa is None:
+            self._xa = self.x * self.a
+        return self._xa
 
 
 def verify(
@@ -144,16 +155,26 @@ def verify(
     )
 
 
-def _certified(kind, a, built, e=None, f=None, n=None) -> InverseCertificate | NotInvertible:
-    """Certify a builder's (value, witnesses) on the kind's equations; negatives pass through."""
+def _certified(
+    kind, a: _Instance, built, e=None, f=None, n=None
+) -> InverseCertificate | NotInvertible:
+    """Certify a builder's (value, witnesses) on the kind's equations; negatives pass through.
+
+    A value is verified once per instance, kind and the weights its equations use:
+    a later value with the same form, such as a power route's, takes its own
+    certificate without evaluating the equations again."""
     if isinstance(built, NotInvertible):
         return built
     value, witnesses = built
-    report = verify(kind, a, value, e=e, f=f)
-    if not report.ok:
-        raise RuntimeError(
-            f"internal error: constructed {kind.value} inverse fails {report.failed}"
-        )
+    weights = [w for w in _weights_used(kind, e, f) if w is not None]
+    verified = a._once(("verified", kind), set, *weights)
+    if value.form not in verified:
+        report = verify(kind, a, value, e=e, f=f)
+        if not report.ok:
+            raise RuntimeError(
+                f"internal error: constructed {kind.value} inverse fails {report.failed}"
+            )
+        verified.add(value.form)
     return InverseCertificate(kind, value, witnesses, n)
 
 
@@ -199,10 +220,12 @@ def _transport(build, a: Mat, f: Weight, *args):
 
 class _Instance(Mat):
     """The matrix a within one top-level call: star() and power(k) are formed once,
-    and each prerequisite is solved and certified once, by its public constructor.
-    The constructions of one call share it in place of a. Its mirror, the instance
-    of a*, reads its own off the core side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) =
-    inv_14f(a, f)*. The mirror points back weakly, so the two form no cycle.
+    each prerequisite and each power membership is solved once, and each value is
+    verified once (see _certified). The constructions of one call share it in
+    place of a. Its mirror, the instance of a*, reads its own off the core side:
+    (a*)^# = (a^#)*, inv_13e(a*, f^-1) = inv_14f(a, f)*, and a power membership
+    of a* is the opposite one of a, starred. The mirror points back weakly, so
+    the two form no cycle.
 
     It starts from the rows and the integer form that a already holds and keeps
     what it builds itself, so a call leaves no form on the caller's a. Every
@@ -229,14 +252,27 @@ class _Instance(Mat):
             powers.append((powers[-1] if powers else self) * self)
         return powers[k - 2]
 
-    def _once(self, kind: str, make, w: Weight | None = None):
-        """make() once per kind and weight. A weight is keyed by the identity of its
+    def _once(self, kind, make, *weights: Weight):
+        """make() once per kind and weights. A weight is keyed by the identity of its
         matrix, which the slot keeps alive so that no other matrix can take it:
         hashing a weight by value would cost a sizeable share of a solve."""
-        key = (kind, None if w is None else id(w.value))
+        values = tuple(w.value for w in weights)
+        key = (kind, *map(id, values))
         if key not in self._slots:
-            self._slots[key] = (w and w.value, make())
+            self._slots[key] = (values, make())
         return self._slots[key][1]
+
+    def solve_power(self, k: int, side: str) -> SolveWitness:
+        """The witness of a = a^k x (side "right") or of a = y a^k (side "left"),
+        solved once per k and side. On the mirror, x (a*)^k = a* is the core's
+        a = a^k x*, and the RREF of conjugated rows is the conjugate of their RREF,
+        so the core's solution starred is exactly the mirror's own, free variables
+        included."""
+        if self._core:
+            w = self._core().solve_power(k, "left" if side == "right" else "right")
+            return w if w.solution is None else SolveWitness(w.solution.star())
+        solve = solve_right if side == "right" else solve_left
+        return self._once(("power", side, k), lambda: solve(self.power(k), self))
 
     def group(self):
         if self._core:  # (a*)^# = (a^#)*; a group negative keeps its text
@@ -263,11 +299,10 @@ def _value(result):
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     """The group inverse, from witnesses of a = a^2 x and a = y a^2."""
     a = _instance(a)
-    a2 = a.power(2)
-    right = solve_right(a2, a)
+    right = a.solve_power(2, "right")
     if not right.consistent:
         return NotInvertible(GInverseKind.GROUP.value, "a^2R", "a not in a^2 R")
-    left = solve_left(a2, a)
+    left = a.solve_power(2, "left")
     if not left.consistent:
         return NotInvertible(GInverseKind.GROUP.value, "Ra^2", "a not in R a^2")
     x, y = right.solution, left.solution
@@ -325,15 +360,14 @@ def _check_n(n: int, least: int = 1):
         raise ValueError(f"n must satisfy {least} <= n <= {MAX_POWER}, got {n}")
 
 
-def _e_core_via_power(a: Mat, e: Weight, n: int):
+def _e_core_via_power(a: _Instance, e: Weight, n: int):
     gram = a.star().power(n) * e.value * a
     sw = solve_left(gram, a)
     if not sw.consistent:
         return NotInvertible(
             GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a"
         )
-    rw = solve_left(a.power(n), a)
-    if not rw.consistent:
+    if not a.solve_power(n, "left").consistent:
         return NotInvertible(GInverseKind.E_CORE.value, "Ra^n", f"a not in R a^{n}")
     s = sw.solution
     return a.power(n - 1) * s.star() * e.value, {"s": s}
@@ -389,7 +423,7 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     a = _instance(a)
     first = (
         solve_left(a.star() * e.value * a, a).consistent
-        and solve_right(a.power(n), a).consistent
+        and a.solve_power(n, "right").consistent
     )
     second = solve_left(a.star().power(n) * e.value * a, a).consistent
     return first, second

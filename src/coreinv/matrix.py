@@ -101,7 +101,8 @@ class Mat:
         return cls._of(field, n, _scalar_form(field, n, 0))
 
     def _compat(self, other: "Mat"):
-        if self.field != other.field:
+        # fields are shared instances, so identity settles nearly every check
+        if self.field is not other.field and self.field != other.field:
             raise BackendMismatchError(f"mixed matrix backends: {self.field} vs {other.field}")
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
@@ -175,7 +176,7 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.field != other.field or self.n != other.n:
+        if (self.field is not other.field and self.field != other.field) or self.n != other.n:
             return False
         # both representations are canonical: where both sides hold rows and one has
         # no form, the rows decide without building anything

@@ -127,7 +127,7 @@ def _invertible(x, p):
 def _raw(m: Mat):
     if m.field.tag != "Fp":
         raise ValueError("oracle operations require a prime-field matrix")
-    return tuple(tuple(v.value for v in row) for row in m.rows), m.field.p
+    return m.form, m.field.p  # an F_p form is the rows of residues
 
 
 def _to_mat(raw, p) -> Mat:
@@ -329,7 +329,8 @@ def cross_check(
     For each of the four uniquely-determined kinds, the constructed value (or
     negative result) must agree with the brute-force solution set; with n >= 2
     the power-representation paths must match the direct ones as well. They all
-    share one instance of a, so each prerequisite is solved once.
+    share one instance of a, so each prerequisite and each power membership is
+    solved once, and a power value equal to the direct one is not verified again.
     """
     a = _instance(a)
     a_raw, p = _raw(a)

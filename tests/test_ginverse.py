@@ -34,9 +34,12 @@ from coreinv import (
     random_non_group_invertible,
     random_weight,
     replay,
+    solve_left,
+    solve_right,
     verify,
     weighted_mp,
 )
+from coreinv.ginverse import _instance
 
 A = Mat(QQ, [[1, 1], [0, 0]])  # a non-Hermitian idempotent used throughout
 N = Mat(QQ, [[0, 1], [0, 0]])  # nilpotent, not group invertible
@@ -340,35 +343,102 @@ def test_certificate_json_round_trip():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of the solves and verify calls the constructions make."""
-    counts = {"solve": 0, "verify": 0}
+    """Counts of the solves, verify calls and matrix products the constructions make."""
+    counts = {"solve": 0, "verify": 0, "mul": 0}
+
+    def counter(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
     for name, key in (("solve_left", "solve"), ("solve_right", "solve"), ("verify", "verify")):
-        fn = getattr(coreinv.ginverse, name)
-
-        def counted(*args, _fn=fn, _key=key, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(coreinv.ginverse, name, counted)
+        monkeypatch.setattr(coreinv.ginverse, name, counter(getattr(coreinv.ginverse, name), key))
+    monkeypatch.setattr(Mat, "__mul__", counter(Mat.__mul__, "mul"))
     return counts
 
 
 def test_cross_check_solves_each_prerequisite_once(work):
     # all six constructions exist: group, {1,3e} and {1,4f} are solved once each
-    # (2 + 1 + 1), each power path twice (2 + 2), and each of the 8 values is
-    # verified once
+    # (2 + 1 + 1); each power path solves its (a*)^n e a membership (1 + 1) and
+    # reads a in R a^2 (a* in R (a*)^2: the core's a in a^2 R) off the group
+    # solves. The 6 distinct values are verified once each; the power values
+    # equal the direct ones and are not verified again
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 8, "verify": 8}
+    assert work == {"solve": 6, "verify": 6, "mul": 55}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):
     # group (2 solves), {1,3e} and {1,4f} (1 each); 5 verified values
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
-    assert work == {"solve": 4, "verify": 5}
+    assert work == {"solve": 4, "verify": 5, "mul": 40}
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_mirror_power_solve_equals_a_fresh_solve(field, work):
+    """The mirror reads a* = x (a*)^k and a* = (a*)^k x off the core's opposite
+    solve, starred; the witness is exactly the one a fresh solve pins."""
+    inconsistent = 0
+    for seed in range(4):
+        for a in (
+            random_group_invertible(3, field, seed=seed),
+            random_non_group_invertible(3, field, seed=seed),
+            random_mat(3, field, seed=seed),
+        ):
+            core = _instance(a)  # the mirror points back weakly: keep its core alive
+            mirror = core.star()
+            s = a.star()
+            for k in (2, 3):
+                for side, solve in (("left", solve_left), ("right", solve_right)):
+                    fresh = solve(s.power(k), s)
+                    solves = work["solve"]
+                    got = mirror.solve_power(k, side)
+                    assert work["solve"] == solves + 1  # the core's solve, once
+                    assert mirror.solve_power(k, side).solution == got.solution
+                    assert work["solve"] == solves + 1
+                    assert got.consistent == fresh.consistent
+                    if fresh.consistent:
+                        assert got.solution == fresh.solution
+                        assert got.solution.form == fresh.solution.form
+                    else:
+                        inconsistent += 1
+    assert inconsistent > 0
+
+
+def test_a_perturbed_power_value_is_still_verified(work, monkeypatch):
+    build = coreinv.ginverse._e_core_via_power
+
+    def perturbed(a, e, n):
+        value, witnesses = build(a, e, n)
+        return value + Mat.identity(a.field, a.n), witnesses
+
+    monkeypatch.setattr(coreinv.ginverse, "_e_core_via_power", perturbed)
+    a = _instance(A)
+    assert not isinstance(e_core(a, I2), NotInvertible)
+    assert not isinstance(f_dual_core(a, I2), NotInvertible)
+    for via_power, label in ((e_core_via_power, "ecore"), (f_dual_core_via_power, "fdual")):
+        verified = work["verify"]
+        with pytest.raises(RuntimeError, match=f"constructed {label} inverse fails"):
+            via_power(a, I2, 2)
+        assert work["verify"] == verified + 1
+
+
+def test_an_equal_value_under_another_weight_object_is_verified_again(work):
+    a = _instance(A)
+    same = Weight(Mat(QQ, [[1, 0], [0, 1]]))  # equal to I2, but another matrix
+    direct = e_core(a, I2)
+    verified = work["verify"]
+    powered = e_core_via_power(a, I2, 2)
+    assert work["verify"] == verified  # the direct value's form, under the same I2
+    again = e_core_via_power(a, same, 2)
+    assert work["verify"] == verified + 1
+    assert direct.value == powered.value == again.value
+    assert (powered.n, again.n, powered.witnesses.keys()) == (2, 2, {"s"})
 
 
 def test_constructions_leave_no_cyclic_garbage():
