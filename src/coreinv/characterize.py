@@ -98,6 +98,8 @@ def _validate_element(
     """Check the clause's preconditions; returns the inverse of the unit."""
     _check_n(n)
     a._compat(element)
+    if unit is not None:
+        a._compat(unit)
     name = flavor.value
     expected = unit_for(a, element, n, flavor, side)
     unit_ok = unit is None or unit == expected

@@ -227,13 +227,13 @@ class _Instance(Mat):
     of a* is the opposite one of a, starred. The mirror points back weakly, so
     the two form no cycle.
 
-    It starts from the rows and the integer form that a already holds and keeps
-    what it builds itself, so a call leaves no form on the caller's a. Every
-    product, a^2 = a·a included, takes the instance as its factor, never a.
+    It shares the form of a and keeps what it builds itself, so a call leaves
+    nothing on the caller's a. Every product, a^2 = a·a included, takes the
+    instance as its factor, never a.
     """
 
     def __init__(self, a: Mat, core: _Instance | None = None):
-        self.field, self.n, self._rows, self._form = a.field, a.n, a._rows, a._form
+        self.field, self.n, self.form = a.field, a.n, a.form
         self._powers, self._slots, self._mirror = [], {}, None
         self._core = core and weakref.ref(core)
 
@@ -451,9 +451,13 @@ def certificate_from_json(obj) -> InverseCertificate:
         witnesses = {str(name): mat_from_json(m) for name, m in witnesses.items()}
     except KeyError as exc:
         raise ValueError(f"certificate missing field {exc}") from exc
+    for m in witnesses.values():
+        value._compat(m)
     n = obj.get("n")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
-        raise ValueError(f"certificate n must be an int or null, got {n!r}")
+    if n is not None:
+        if not _is_int(n):
+            raise ValueError(f"certificate n must be an int or null, got {n!r}")
+        _check_n(n, 2)  # only the power routes record an n
     return InverseCertificate(kind, value, witnesses, n)
 
 

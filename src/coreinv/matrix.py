@@ -45,14 +45,12 @@ def _scalar_form(field: ScalarField, n: int, k: int) -> tuple:
 class Mat:
     """An n-by-n matrix over a single scalar backend. Immutable, exact equality.
 
-    A matrix has two representations: its rows of canonical elements and its
-    field's canonical integer form (`ScalarField.to_form`). It holds at least one
-    of them and builds the other on first use, keeping it as long as the matrix
-    lives: a product, a sum, a solution or a decoded matrix has only its form
-    until its `rows` are read.
+    A matrix is its field's canonical integer form (`ScalarField.to_form`), so
+    equal matrices have equal forms. Its `rows` of canonical elements are built
+    from the form on each read.
     """
 
-    __slots__ = ("field", "n", "_rows", "_form")
+    __slots__ = ("field", "n", "form")
 
     def __init__(self, field: ScalarField, rows):
         data = [list(r) for r in rows]
@@ -61,36 +59,19 @@ class Mat:
             raise DimensionMismatchError("matrix must be square and non-empty")
         self.field = field
         self.n = n
-        self._rows = tuple(tuple(field.coerce(v) for v in r) for r in data)
-        self._form = None
-
-    @classmethod
-    def _wrap(cls, field, rows):
-        # internal fast path: rows already canonical tuples of field scalars
-        m = object.__new__(cls)
-        m.field, m.n, m._rows, m._form = field, len(rows), rows, None
-        return m
+        self.form = field.to_form([[field.coerce(v) for v in r] for r in data])
 
     @classmethod
     def _of(cls, field, n, form):
         # internal constructor from a canonical form of an n-by-n matrix
         m = object.__new__(cls)
-        m.field, m.n, m._rows, m._form = field, n, None, form
+        m.field, m.n, m.form = field, n, form
         return m
 
     @property
     def rows(self) -> tuple:
-        """The entries as row tuples of canonical elements."""
-        if self._rows is None:
-            self._rows = self.field.to_rows(self._form)
-        return self._rows
-
-    @property
-    def form(self) -> tuple:
-        """The field's canonical integer form of the matrix."""
-        if self._form is None:
-            self._form = self.field.to_form(self._rows)
-        return self._form
+        """The entries as row tuples of canonical elements, built on each read."""
+        return self.field.to_rows(self.form)
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Mat":
@@ -131,7 +112,7 @@ class Mat:
 
     def scale(self, s) -> "Mat":
         s = self.field.coerce(s)
-        return Mat._wrap(self.field, tuple(tuple(s * a for a in r) for r in self.rows))
+        return Mat(self.field, [[s * a for a in r] for r in self.rows])
 
     def transpose(self) -> "Mat":
         return Mat._of(self.field, self.n, self.field.transpose(self.form))
@@ -178,10 +159,6 @@ class Mat:
             return NotImplemented
         if (self.field is not other.field and self.field != other.field) or self.n != other.n:
             return False
-        # both representations are canonical: where both sides hold rows and one has
-        # no form, the rows decide without building anything
-        if (self._form is None or other._form is None) and None not in (self._rows, other._rows):
-            return self._rows == other._rows
         return self.form == other.form
 
     def __hash__(self):
@@ -284,9 +261,7 @@ class Weight:
 
 
 def _rand_mat(rng, dim: int, field: ScalarField) -> Mat:
-    return Mat._wrap(
-        field, tuple(tuple(field.random(rng) for _ in range(dim)) for _ in range(dim))
-    )
+    return Mat(field, [[field.random(rng) for _ in range(dim)] for _ in range(dim)])
 
 
 def _rand_invertible(rng, dim: int, field: ScalarField) -> Mat:
@@ -302,11 +277,10 @@ def _block_embed(field: ScalarField, dim: int, blocks: list[Mat]) -> Mat:
     out = [[zero] * dim for _ in range(dim)]
     offset = 0
     for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                out[offset + i][offset + j] = b.rows[i][j]
+        for i, row in enumerate(b.rows, offset):
+            out[i][offset : offset + b.n] = row
         offset += b.n
-    return Mat._wrap(field, tuple(tuple(r) for r in out))
+    return Mat(field, out)
 
 
 def random_mat(dim: int, field: ScalarField, seed: int) -> Mat:
@@ -328,14 +302,7 @@ def random_weight(dim: int, field: ScalarField, seed: int, definite: bool = Fals
     rng = _random.Random(seed)
     g = _rand_invertible(rng, dim, field)
     signs = [1 if definite else rng.choice((1, -1)) for _ in range(dim)]
-    zero = field.zero()
-    d = Mat._wrap(
-        field,
-        tuple(
-            tuple(field.from_int(signs[i]) if i == j else zero for j in range(dim))
-            for i in range(dim)
-        ),
-    )
+    d = Mat(field, [[signs[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
     return Weight(g.star() * d * g)
 
 
@@ -364,11 +331,7 @@ def random_non_group_invertible(dim: int, field: ScalarField, seed: int) -> Mat:
         raise DimensionMismatchError("dim must be >= 2 for a nonzero nilpotent part")
     rng = _random.Random(seed)
     k = rng.randint(2, dim)
-    zero, one = field.zero(), field.one()
-    shift = Mat._wrap(
-        field,
-        tuple(tuple(one if j == i + 1 else zero for j in range(k)) for i in range(k)),
-    )
+    shift = Mat(field, [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
     blocks = [] if dim == k else [_rand_invertible(rng, dim - k, field)]
     core = _block_embed(field, dim, blocks + [shift])
     u = _rand_invertible(rng, dim, field)

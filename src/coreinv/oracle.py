@@ -26,8 +26,8 @@ from .ginverse import (
     f_dual_core_via_power,
     weighted_mp,
 )
-from .matrix import Mat, Weight, mat_to_json, random_weight, weight_to_json
-from .scalar import GF
+from .matrix import MAX_DIM, Mat, Weight, mat_to_json, random_weight, weight_to_json
+from .scalar import GF, _is_int
 
 EXHAUSTIVE_BOUND = 10**6
 
@@ -42,6 +42,11 @@ class EnumerationSpace:
 
     p: int
     dim: int
+
+    def __post_init__(self):
+        # refused before `count`, p^(dim^2), is ever formed
+        if not _is_int(self.dim) or not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must satisfy 1 <= dim <= {MAX_DIM}, got {self.dim!r}")
 
     @property
     def count(self) -> int:
@@ -131,7 +136,7 @@ def _raw(m: Mat):
 
 
 def _to_mat(raw, p) -> Mat:
-    return Mat(GF(p), [list(r) for r in raw])
+    return Mat(GF(p), raw)
 
 
 # The equations each kind adds to (1). The oracle keeps its own copy of the

@@ -323,7 +323,9 @@ class ScalarField:
       - Q: (N, d), N the integer rows and d > 0 with gcd(d, all of N) == 1;
       - Q(i): (RE, IM, d), the real and imaginary parts over one such d;
       - F_p: the rows of residues in [0, p).
-    The kernels and codecs below take or return forms. Only `to_rows` builds elements.
+    The kernels and codecs below take or return forms. `to_form` and `to_rows`
+    convert rows of elements to a form and back: `Mat(field, rows)` calls the
+    first and every read of `Mat.rows` the second.
     """
 
     tag: str

@@ -32,6 +32,7 @@ from coreinv.matrix import MAX_DIM
 
 A_OBJ = {"backend": "Q", "dim": 2, "entries": [["1", "1"], ["0", "0"]]}
 NIL_OBJ = {"backend": "Q", "dim": 2, "entries": [["0", "1"], ["0", "0"]]}
+EYE3_OBJ = {"backend": "Q", "dim": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
 
 def write(tmp_path, name, obj):
@@ -319,6 +320,53 @@ def test_oracle_exhaustive_and_refusal(tmp_path, capsys):
     for sample in ("0", "-1"):  # checking nothing is not a pass
         code, out = run(capsys, ["oracle", "--p", "2", "--dim", "2", "--sample", sample, "--seed", "3"])
         assert code == 2 and out == ""
+
+
+def test_oracle_refuses_a_dim_outside_the_bound(capsys):
+    # refused before the size of the space, 3^(dim^2), is formed or printed
+    for dim in ("0", str(MAX_DIM + 1), "3000"):
+        for sampled in ([], ["--sample", "1", "--seed", "1"]):
+            start = time.perf_counter()
+            code = main(["oracle", "--p", "3", "--dim", dim, *sampled])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and elapsed < 1.0, (dim, sampled)
+            assert f"1 <= dim <= {MAX_DIM}, got {dim}" in captured.err
+
+
+def test_decomposition_of_another_dim_or_backend_is_bad_input(tmp_path, capsys):
+    a_mat = Mat(QQ, [[1, 1], [0, 0]])
+    a = write(tmp_path, "a.json", mat_to_json(a_mat))
+    d = decomposition_to_json(decompose_idempotent(a_mat, Weight.identity(QQ, 2), 2))
+    eye2_qi = {"backend": "Qi", "dim": 2, "entries": [["1", "0"], ["0", "1"]]}
+    for part in ("element", "unit"):
+        for other, message in ((EYE3_OBJ, "dimension mismatch"), (eye2_qi, "mixed matrix backends")):
+            cert = write(tmp_path, "d.json", {**d, part: other})
+            code = main(["verify", "--a", a, "--cert", cert])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (part, message)
+            assert message in captured.err
+
+
+def test_malformed_inverse_certificate_is_bad_input(tmp_path, capsys):
+    a = write(tmp_path, "a.json", A_OBJ)
+    code, out = run(capsys, ["compute", "--kind", "ecore", "--a", a, "--n", "2"])
+    cert = json.loads(out)
+    code, _ = run(capsys, ["verify", "--a", a, "--cert", write(tmp_path, "c.json", cert)])
+    assert code == 0
+    # only the power routes record an n, and they take 2..MAX_POWER
+    for n in (-5, 0, 1, coreinv.ginverse.MAX_POWER + 1, 10**9):
+        code = main(["verify", "--a", a, "--cert", write(tmp_path, "c.json", {**cert, "n": n})])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", n
+        assert "n must satisfy 2 <= n" in captured.err
+    eye2_f3 = {"backend": "Fp", "p": 3, "dim": 2, "entries": [["1", "0"], ["0", "1"]]}
+    for witness, message in ((EYE3_OBJ, "dimension mismatch"), (eye2_f3, "mixed matrix backends")):
+        bad = {**cert, "witnesses": {**cert["witnesses"], "x": witness}}
+        code = main(["verify", "--a", a, "--cert", write(tmp_path, "c.json", bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", message
+        assert message in captured.err
 
 
 def test_output_is_byte_stable(tmp_path, capsys):

@@ -33,7 +33,6 @@ from coreinv import (
     random_mat,
     random_non_group_invertible,
     random_weight,
-    replay,
     solve_left,
     solve_right,
     verify,
@@ -509,8 +508,6 @@ def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
         converted.clear()
         built.clear()
         call(a, e, f)
-        # matrices that share one rows tuple, as an instance and its matrix do,
-        # count as one matrix
         assert len(set(converted)) == len(converted) <= CONVERSION_BUDGET[name], name
         assert built == [], name
     # a certificate goes to JSON text and back from its forms alone
@@ -518,36 +515,3 @@ def test_each_matrix_side_is_converted_once_per_call(field, monkeypatch):
     converted.clear()
     certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
     assert converted == [] and built == []
-
-
-def test_calls_leave_no_operand_forms_on_the_callers_matrix():
-    """An integer form lives as long as its matrix; a call keeps it on the instance
-    it makes of the caller's a (and on the weights), never on a itself."""
-    f3 = GF(3)
-    cases = [
-        # a product holds its form already: the caller's a is given as rows only
-        (Mat(QI, random_group_invertible(4, QI, seed=3, rank=2).rows),
-         random_weight(4, QI, seed=4, definite=True), random_weight(4, QI, seed=5, definite=True)),
-        (Mat(f3, [[1, 1], [0, 0]]), Weight.identity(f3, 2), Weight(Mat(f3, [[1, 1], [1, 2]]))),
-    ]
-    for a, e, f in cases:
-        calls = {
-            "group_inverse": lambda: group_inverse(a),
-            "inv_13e": lambda: inv_13e(a, e),
-            "inv_14f": lambda: inv_14f(a, f),
-            "e_core": lambda: e_core(a, e),
-            "f_dual_core": lambda: f_dual_core(a, f),
-            "weighted_mp": lambda: weighted_mp(a, e, f),
-            "e_core_via_power": lambda: e_core_via_power(a, e, 2),
-            "f_dual_core_via_power": lambda: f_dual_core_via_power(a, f, 3),
-            "is_weighted_ep": lambda: is_weighted_ep(a, e, f),
-            "decompose_idempotent": lambda: decompose_idempotent(a, e, 2),
-            "gram_formula": lambda: gram_formula(a, e),
-            "replay": lambda: replay(a, e, decompose_idempotent(Mat(a.field, a.rows), e, 2)),
-        }
-        if a.field == f3:
-            calls["cross_check"] = lambda: cross_check(a, e, f, n=2)["ok"]
-        for name, call in calls.items():
-            result = call()
-            assert result is not False and not isinstance(result, NotInvertible), name
-            assert a._form is None, name

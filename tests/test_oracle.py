@@ -29,6 +29,7 @@ from coreinv import (
     random_weight,
     weighted_mp,
 )
+from coreinv.matrix import MAX_DIM
 from coreinv.oracle import iter_invertible_symmetric
 
 F2, F3 = GF(2), GF(3)
@@ -180,6 +181,17 @@ def test_sweep_refuses_large_space_without_sample(monkeypatch):
     monkeypatch.setattr(coreinv.oracle, "iter_invertible_symmetric", no_weights)
     with pytest.raises(SpaceTooLargeError):
         cross_check_sweep(5, 3)
+
+
+def test_sweep_refuses_a_dim_outside_the_bound(monkeypatch):
+    # refused before the size of the space, p^(dim^2), is formed
+    monkeypatch.setattr(EnumerationSpace, "count", property(lambda space: 1 / 0))
+    for dim in (0, -1, MAX_DIM + 1, 3000, True, 2.0):
+        with pytest.raises(ValueError, match=f"1 <= dim <= {MAX_DIM}"):
+            EnumerationSpace(3, dim)
+        for sample, seed in ((None, None), (1, 1)):
+            with pytest.raises(ValueError, match=f"1 <= dim <= {MAX_DIM}"):
+                cross_check_sweep(3, dim, sample=sample, seed=seed)
 
 
 def test_sweep_sampled():
