@@ -92,10 +92,15 @@ def _require(ok: bool, message: str):
         raise InvalidCertificateError(message)
 
 
+# The last precondition, which the caller checks on the unit `_validate_element`
+# returns: `_replay` by forming its inverse, `_validated` by its rank alone.
+_NOT_A_UNIT = "unit is not invertible"
+
+
 def _validate_element(
     a: Mat, w: Weight, element: Mat, n: int, flavor: Flavor, side: Side, unit: Mat | None
 ) -> Mat:
-    """Check the clause's preconditions; returns the inverse of the unit."""
+    """Check the clause's preconditions but the last (_NOT_A_UNIT); returns the unit."""
     _check_n(n)
     a._compat(element)
     if unit is not None:
@@ -116,9 +121,7 @@ def _validate_element(
     else:
         _require((a * element).is_zero(), f"a {name} != 0")
     _require(unit_ok, "unit does not match its defining formula")
-    unit_inv = expected.inverse()
-    _require(unit_inv is not None, "unit is not invertible")
-    return unit_inv
+    return expected
 
 
 def _idempotent(a: Mat, e: Weight) -> Mat | NotInvertible:
@@ -140,7 +143,7 @@ def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, built):
     if isinstance(built, NotInvertible):
         return built
     element, unit = built
-    _validate_element(a, w, element, n, flavor, side, unit)
+    _require(_validate_element(a, w, element, n, flavor, side, unit).is_invertible(), _NOT_A_UNIT)
     return Decomposition(flavor, side, element, unit, n)
 
 
@@ -185,7 +188,8 @@ _FORMULAS = {
 
 def _replay(a, w, flavor, side, element, n, unit) -> Mat:
     a = _instance(a)
-    unit_inv = _validate_element(a, w, element, n, flavor, side, unit)
+    unit_inv = _validate_element(a, w, element, n, flavor, side, unit).inverse()
+    _require(unit_inv is not None, _NOT_A_UNIT)
     star = (lambda m: m) if side is Side.CORE else Mat.star
     b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
     first, rest = _FORMULAS[flavor]
@@ -334,7 +338,7 @@ def ep_decompose(a: Mat, e: Weight, f: Weight, n: int = 1) -> Decomposition | No
             raise RuntimeError(f"internal error: ({tag} p)* != {tag} p for an EP element")
     if not (a * p).is_zero() or not (p * a).is_zero():
         raise RuntimeError("internal error: EP idempotent must annihilate a on both sides")
-    if unit.inverse() is None:
+    if not unit.is_invertible():
         raise RuntimeError("internal error: a^n + p must be invertible for an EP element")
     return Decomposition(Flavor.IDEM_P, Side.CORE, p, unit, n)
 

@@ -3,10 +3,10 @@
 Six inverse kinds are supported: group, {1,3e}, {1,4f}, weighted Moore-Penrose,
 weighted core (e-core) and weighted dual core (f-dual core). Every constructor
 solves the defining membership equations for an explicit witness, re-verifies
-the full defining-equation set of its kind on the result (once per distinct
-value within one top-level call), and returns an InverseCertificate carrying
-both. Non-existence is a typed negative result (NotInvertible) naming the
-membership that failed, never an exception.
+the full defining-equation set of its kind on the result (each equation once
+per distinct value within one top-level call), and returns an
+InverseCertificate carrying both. Non-existence is a typed negative result
+(NotInvertible) naming the membership that failed, never an exception.
 
 The dual side is the core side carried through the involution: x is a dual
 inverse of (a, f) exactly when x* is the matching core inverse of (a*, f^{-1}),
@@ -118,12 +118,15 @@ def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
 
 
 class _Products:
-    """The products a·x and x·a of one verify call, each formed at most once."""
+    """One value x of a: the products a·x and x·a, each formed at most once, and
+    the outcome of each equation on x, evaluated at most once per weight object
+    its label uses. A weight is keyed by the identity of its matrix, which the
+    entry keeps alive so that no other matrix can take its id."""
 
-    __slots__ = ("a", "x", "_ax", "_xa")
+    __slots__ = ("a", "x", "_ax", "_xa", "_holds")
 
     def __init__(self, a: Mat, x: Mat):
-        self.a, self.x, self._ax, self._xa = a, x, None, None
+        self.a, self.x, self._ax, self._xa, self._holds = a, x, None, None, {}
 
     @property
     def ax(self) -> Mat:
@@ -137,6 +140,14 @@ class _Products:
             self._xa = self.x * self.a
         return self._xa
 
+    def holds(self, label: str, e: Weight | None, f: Weight | None) -> bool:
+        w = e if label == "(3e)" else f if label == "(4f)" else None
+        key = label if w is None else (label, id(w.value))
+        if key not in self._holds:
+            ok = _PREDICATES[label](self.a, self.x, self, e, f)
+            self._holds[key] = (ok, None if w is None else w.value)
+        return self._holds[key][0]
+
 
 def verify(
     kind: GInverseKind,
@@ -145,36 +156,29 @@ def verify(
     e: Weight | None = None,
     f: Weight | None = None,
 ) -> VerifyReport:
-    """Evaluate every defining equation of `kind` for the candidate x exactly."""
+    """Evaluate every defining equation of `kind` for the candidate x exactly.
+
+    Within one top-level call (a is its private instance) each equation is
+    evaluated once per value of x and weight object, whatever kinds ask for it."""
     kind = GInverseKind(kind)
     e, f = _weights_used(kind, e, f)
     a._compat(x)
-    p = _Products(a, x)
-    return VerifyReport(
-        kind, tuple((label, _PREDICATES[label](a, x, p, e, f)) for label in EQUATIONS[kind])
-    )
+    p = a._products(x) if isinstance(a, _Instance) else _Products(a, x)
+    return VerifyReport(kind, tuple((label, p.holds(label, e, f)) for label in EQUATIONS[kind]))
 
 
 def _certified(
     kind, a: _Instance, built, e=None, f=None, n=None
 ) -> InverseCertificate | NotInvertible:
-    """Certify a builder's (value, witnesses) on the kind's equations; negatives pass through.
-
-    A value is verified once per instance, kind and the weights its equations use:
-    a later value with the same form, such as a power route's, takes its own
-    certificate without evaluating the equations again."""
+    """Certify a builder's (value, witnesses) on the kind's equations; negatives pass through."""
     if isinstance(built, NotInvertible):
         return built
     value, witnesses = built
-    weights = [w for w in _weights_used(kind, e, f) if w is not None]
-    verified = a._once(("verified", kind), set, *weights)
-    if value.form not in verified:
-        report = verify(kind, a, value, e=e, f=f)
-        if not report.ok:
-            raise RuntimeError(
-                f"internal error: constructed {kind.value} inverse fails {report.failed}"
-            )
-        verified.add(value.form)
+    report = verify(kind, a, value, e=e, f=f)
+    if not report.ok:
+        raise RuntimeError(
+            f"internal error: constructed {kind.value} inverse fails {report.failed}"
+        )
     return InverseCertificate(kind, value, witnesses, n)
 
 
@@ -220,12 +224,13 @@ def _transport(build, a: Mat, f: Weight, *args):
 
 class _Instance(Mat):
     """The matrix a within one top-level call: star() and power(k) are formed once,
-    each prerequisite and each power membership is solved once, and each value is
-    verified once (see _certified). The constructions of one call share it in
-    place of a. Its mirror, the instance of a*, reads its own off the core side:
-    (a*)^# = (a^#)*, inv_13e(a*, f^-1) = inv_14f(a, f)*, and a power membership
-    of a* is the opposite one of a, starred. The mirror points back weakly, so
-    the two form no cycle.
+    each prerequisite and each power membership is solved once, and each equation
+    is evaluated once per value (see verify). The constructions of one call share
+    it in place of a. Its mirror, the instance of a*, reads its own off the core
+    side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) = inv_14f(a, f)*, and a power
+    membership of a* is the opposite one of a, starred. The mirror points back
+    weakly, so the two form no cycle; a mirror kept past its core works its facts
+    out itself, as a core does, and they are the same.
 
     It shares the form of a and keeps what it builds itself, so a call leaves
     nothing on the caller's a. Every product, a^2 = a·a included, takes the
@@ -234,12 +239,17 @@ class _Instance(Mat):
 
     def __init__(self, a: Mat, core: _Instance | None = None):
         self.field, self.n, self.form = a.field, a.n, a.form
-        self._powers, self._slots, self._mirror = [], {}, None
-        self._core = core and weakref.ref(core)
+        self._powers, self._slots, self._values, self._mirror = [], {}, {}, None
+        self._core_ref = core and weakref.ref(core)
+
+    def _core(self) -> _Instance | None:
+        """The live instance of which this one is the mirror, if any."""
+        return self._core_ref and self._core_ref()
 
     def star(self) -> _Instance:
-        if self._core:
-            return self._core()
+        core = self._core()
+        if core is not None:
+            return core
         if self._mirror is None:
             self._mirror = _Instance(super().star(), self)
         return self._mirror
@@ -262,26 +272,58 @@ class _Instance(Mat):
             self._slots[key] = (values, make())
         return self._slots[key][1]
 
+    def _products(self, x: Mat) -> _Products:
+        """The products and equation outcomes of the value x, one entry per form."""
+        p = self._values.get(x.form)
+        if p is None:
+            # a plain matrix of a's form, so that the entry does not point back here
+            p = self._values[x.form] = _Products(Mat._of(self.field, self.n, self.form), x)
+        return p
+
     def solve_power(self, k: int, side: str) -> SolveWitness:
         """The witness of a = a^k x (side "right") or of a = y a^k (side "left"),
         solved once per k and side. On the mirror, x (a*)^k = a* is the core's
         a = a^k x*, and the RREF of conjugated rows is the conjugate of their RREF,
         so the core's solution starred is exactly the mirror's own, free variables
         included."""
-        if self._core:
-            w = self._core().solve_power(k, "left" if side == "right" else "right")
+        core = self._core()
+        if core is not None:
+            w = core.solve_power(k, "left" if side == "right" else "right")
             return w if w.solution is None else SolveWitness(w.solution.star())
         solve = solve_right if side == "right" else solve_left
         return self._once(("power", side, k), lambda: solve(self.power(k), self))
 
-    def group(self):
-        if self._core:  # (a*)^# = (a^#)*; a group negative keeps its text
-            return _star_back(_value(self._core().group()), {})
-        return self._once("group", lambda: group_inverse(self))
+    def group_invertible(self) -> bool:
+        """Whether a^# exists, from the one solve of a = a^2 x. Over a field a is in
+        a^2 R exactly when rank a^2 = rank a, and so exactly when a is in R a^2,
+        in R a^n and in a^n R for any n >= 2 (the ranks of the powers stop falling
+        once two agree); a* is group invertible exactly when a is."""
+        core = self._core()
+        if core is not None:
+            return core.group_invertible()
+        return self.solve_power(2, "right").consistent
+
+    def group(self) -> Mat | NotInvertible:
+        """a^# = a x^2 from the x of a = a^2 x, formed once: a x = a^# a^2 x = a^# a,
+        so a x^2 = a^# a x = a^# a^# a = a^#."""
+        core = self._core()
+        if core is not None:  # (a*)^# = (a^#)*; a group negative keeps its text
+            return _star_back(core.group(), {})
+        return self._once("group", lambda: _group(self))
+
+    def group_certificate(self) -> InverseCertificate | NotInvertible:
+        """a^# certified with the witness x alone, for a caller that reads its value:
+        unlike group_inverse, it costs no solve of a = y a^2."""
+        g = self.group()
+        if isinstance(g, NotInvertible):
+            return g
+        x = self.solve_power(2, "right").solution
+        return _certified(GInverseKind.GROUP, self, (g, {"x": x}))
 
     def inv_13e(self, e: Weight):
-        if self._core:  # inv_13e(a*, f^-1) = inv_14f(a, f)*, under core-side names
-            return _star_back(_value(self._core().inv_14f(e.inverse())), _CORE)
+        core = self._core()
+        if core is not None:  # inv_13e(a*, f^-1) = inv_14f(a, f)*, under core-side names
+            return _star_back(_value(core.inv_14f(e.inverse())), _CORE)
         return self._once("13e", lambda: inv_13e(self, e), e)
 
     def inv_14f(self, f: Weight):
@@ -296,17 +338,23 @@ def _value(result):
     return result.value if isinstance(result, InverseCertificate) else result
 
 
-def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
-    """The group inverse, from witnesses of a = a^2 x and a = y a^2."""
-    a = _instance(a)
-    right = a.solve_power(2, "right")
-    if not right.consistent:
+def _group(a: _Instance) -> Mat | NotInvertible:
+    if not a.group_invertible():
         return NotInvertible(GInverseKind.GROUP.value, "a^2R", "a not in a^2 R")
-    left = a.solve_power(2, "left")
-    if not left.consistent:
-        return NotInvertible(GInverseKind.GROUP.value, "Ra^2", "a not in R a^2")
-    x, y = right.solution, left.solution
-    return _certified(GInverseKind.GROUP, a, (y * a * x, {"x": x, "y": y}))
+    x = a.solve_power(2, "right").solution
+    return a * x * x
+
+
+def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
+    """The group inverse a x^2, with the witnesses x of a = a^2 x and y of a = y a^2."""
+    a = _instance(a)
+    g = a.group()
+    if isinstance(g, NotInvertible):
+        return g
+    witnesses = {"x": a.solve_power(2, "right").solution, "y": a.solve_power(2, "left").solution}
+    if witnesses["y"] is None:
+        raise RuntimeError("internal error: a in a^2 R must lie in R a^2")
+    return _certified(GInverseKind.GROUP, a, (g, witnesses))
 
 
 def _inv_13e(a: Mat, e: Weight):
@@ -331,7 +379,7 @@ def inv_14f(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
 
 
 def _e_core(a: _Instance, e: Weight):
-    g = _value(a.group())
+    g = a.group()
     if isinstance(g, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "group", f"group prerequisite failed: {g.reason}")
     i13 = _value(a.inv_13e(e))
@@ -367,7 +415,7 @@ def _e_core_via_power(a: _Instance, e: Weight, n: int):
         return NotInvertible(
             GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a"
         )
-    if not a.solve_power(n, "left").consistent:
+    if not a.group_invertible():  # a in R a^n exactly when a in a^2 R
         return NotInvertible(GInverseKind.E_CORE.value, "Ra^n", f"a not in R a^{n}")
     s = sw.solution
     return a.power(n - 1) * s.star() * e.value, {"s": s}

@@ -138,8 +138,14 @@ class Mat:
         x = _solve(self.field, self.n, self.form, Mat.identity(self.field, self.n).form)
         return None if x is None else Mat._of(self.field, self.n, x)
 
+    def rank(self) -> int:
+        """The rank, from one elimination of the matrix alone."""
+        pivots, _ = self.field.rref(self.field.augment(self.form), self.n)
+        return len(pivots)
+
     def is_invertible(self) -> bool:
-        return self.inverse() is not None
+        """Whether the matrix has full rank; forms no inverse (see `inverse`)."""
+        return self.rank() == self.n
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -149,10 +155,6 @@ class Mat:
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.form)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

@@ -334,14 +334,15 @@ def cross_check(
     For each of the four uniquely-determined kinds, the constructed value (or
     negative result) must agree with the brute-force solution set; with n >= 2
     the power-representation paths must match the direct ones as well. They all
-    share one instance of a, so each prerequisite and each power membership is
-    solved once, and a power value equal to the direct one is not verified again.
+    share one instance of a, so each prerequisite is solved once, the power
+    memberships are read off the group one, and each equation is evaluated once
+    per value, a power value equal to the direct one included.
     """
     a = _instance(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     constructed = {
-        GInverseKind.GROUP: a.group(),
+        GInverseKind.GROUP: a.group_certificate(),
         GInverseKind.E_CORE: e_core(a, e),
         GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),

@@ -24,7 +24,9 @@ from coreinv import (
     Weight,
     decompose_idempotent,
     decomposition_to_json,
+    dual_decompose,
     group_inverse,
+    mat_from_json,
     mat_to_json,
 )
 from coreinv.cli import main
@@ -220,6 +222,36 @@ def test_verify_decomposition_certificate(tmp_path, capsys):
     bad = write(tmp_path, "bad_decomp.json", tampered)
     code, out = run(capsys, ["verify", "--a", a, "--cert", bad])
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("side", ["core", "dual"])
+def test_decomposition_verify_evaluates_each_equation_once(tmp_path, capsys, monkeypatch, side):
+    # replay and the direct inverse share one instance of a, so the direct value,
+    # equal to the replayed one, has no equation evaluated on it a second time
+    evaluated = []
+    for label, predicate in coreinv.ginverse._PREDICATES.items():
+
+        def counted(a, x, p, e, f, label=label, predicate=predicate):
+            evaluated.append((label, x.form))
+            return predicate(a, x, p, e, f)
+
+        monkeypatch.setitem(coreinv.ginverse._PREDICATES, label, counted)
+    a_mat = Mat(QQ, [[1, 1], [0, 0]])
+    w = Weight.identity(QQ, 2)
+    d = decompose_idempotent(a_mat, w, 2) if side == "core" else dual_decompose(a_mat, w, 2)
+    a = write(tmp_path, "a.json", mat_to_json(a_mat))
+    cert = write(tmp_path, "decomp.json", decomposition_to_json(d))
+    evaluated.clear()
+    code, out = run(capsys, ["verify", "--a", a, "--cert", cert])
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert report["direct"] == report["reconstructed"]
+    assert len(evaluated) == len(set(evaluated))
+    kind = GInverseKind.E_CORE if side == "core" else GInverseKind.F_DUAL_CORE
+    value = mat_from_json(report["direct"]).form
+    assert sorted(label for label, form in evaluated if form == value) == sorted(
+        coreinv.ginverse.EQUATIONS[kind]
+    )
 
 
 def test_invalid_decomposition_is_refused_before_the_direct_inverse(

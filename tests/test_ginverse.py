@@ -38,7 +38,7 @@ from coreinv import (
     verify,
     weighted_mp,
 )
-from coreinv.ginverse import _instance
+from coreinv.ginverse import MAX_POWER, _instance
 
 A = Mat(QQ, [[1, 1], [0, 0]])  # a non-Hermitian idempotent used throughout
 N = Mat(QQ, [[0, 1], [0, 0]])  # nilpotent, not group invertible
@@ -342,8 +342,9 @@ def test_certificate_json_round_trip():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of the solves, verify calls and matrix products the constructions make."""
-    counts = {"solve": 0, "verify": 0, "mul": 0}
+    """Counts of the solves, verify calls, equations evaluated and matrix products
+    the constructions make."""
+    counts = {"solve": 0, "verify": 0, "equations": 0, "mul": 0}
 
     def counter(fn, key):
         def counted(*args, **kwargs):
@@ -354,28 +355,60 @@ def work(monkeypatch):
 
     for name, key in (("solve_left", "solve"), ("solve_right", "solve"), ("verify", "verify")):
         monkeypatch.setattr(coreinv.ginverse, name, counter(getattr(coreinv.ginverse, name), key))
+    for label, predicate in coreinv.ginverse._PREDICATES.items():
+        monkeypatch.setitem(coreinv.ginverse._PREDICATES, label, counter(predicate, "equations"))
     monkeypatch.setattr(Mat, "__mul__", counter(Mat.__mul__, "mul"))
     return counts
 
 
 def test_cross_check_solves_each_prerequisite_once(work):
-    # all six constructions exist: group, {1,3e} and {1,4f} are solved once each
-    # (2 + 1 + 1); each power path solves its (a*)^n e a membership (1 + 1) and
-    # reads a in R a^2 (a* in R (a*)^2: the core's a in a^2 R) off the group
-    # solves. The 6 distinct values are verified once each; the power values
-    # equal the direct ones and are not verified again
+    # a = [[1, 1], [0, 0]] = a^2 over F3, w = 1; all six constructions exist.
+    # Solves: a = a^2 x once (group), {1,3e} and {1,4f} once each, and each power
+    # path its (a*)^n e a membership (1 + 1 + 1 + 2); a in R a^2 and, on the dual
+    # side, a* in R (a*)^2 are read off a = a^2 x, and a = y a^2 is not solved.
+    # Values: the group inverse a, the {1,3e}-inverse diag(1, 0), which is also
+    # the core inverse and both power values, the {1,4f}-inverse [[2, 0], [2, 0]],
+    # which is also the weighted Moore-Penrose inverse, and the dual core inverse
+    # [[2, 2], [2, 2]]. verify runs once per certificate (8), and evaluates
+    # (1), (2), (5) on a; (1), (2), (3e), (6), (7) on diag(1, 0); (1), (2),
+    # (3e), (4f) on [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
+    # Products, to build + to check: group 3 + 4 (a^2, a x, a x x; a x, x a, (1),
+    # (2)); {1,3e} 3 + 3 (a* e, a* e a, x* e; a x, (1), (3e)); core 2 + 4 (x a,
+    # (2), (6), (7)); {1,4f} 3 + 4; dual 2 + 7; Moore-Penrose 2 + 2 ((2), (3e));
+    # the power paths 5 + 0 and 4 + 0 (a^2 is kept from the group). 48 in all
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 6, "verify": 6, "mul": 55}
+    assert work == {"solve": 5, "verify": 8, "equations": 17, "mul": 48}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):
-    # group (2 solves), {1,3e} and {1,4f} (1 each); 5 verified values
+    # a = diag(1, 0), e = f = 1: a = a^2 x, {1,3e} and {1,4f} are solved once each
+    # (3 solves; the group inverse a x^2 is a witness, not certified). Every value
+    # is diag(1, 0): verify runs for {1,3e}, core, {1,4f} and dual core (4) and
+    # evaluates each of (1), (2), (3e), (4f), (6), (7), (8), (9) once. Products:
+    # 3 for a x^2 (a^2, a x, a x x), 3 + 3 for the one-sided inverses (a* e a and
+    # x* e), 2 + 2 for the core values, 10 to check (a x, x a and one per label)
+    # and 2 for p = 1 - a^# a and its check a^# a = a a^#
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
-    assert work == {"solve": 4, "verify": 5, "mul": 40}
+    assert work == {"solve": 3, "verify": 4, "equations": 8, "mul": 25}
+
+
+def test_a_value_shared_by_kinds_is_evaluated_once_per_label(work):
+    # an invertible a has one value, a^-1, of all six kinds: its nine labels are
+    # evaluated once each, over the 8 certificates of one cross_check
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    a = Mat(f3, [[1, 1], [0, 1]])
+    report = cross_check(a, w, w, n=2)
+    inverse = [["1", "2"], ["0", "1"]]
+    assert report["ok"] and all(c["constructed"]["entries"] == inverse for c in report["checks"])
+    assert (work["verify"], work["equations"]) == (8, 9)
+    # the memo dies with the call: the next call evaluates them all again
+    cross_check(a, w, w, n=2)
+    assert (work["verify"], work["equations"]) == (16, 18)
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
@@ -421,21 +454,24 @@ def test_a_perturbed_power_value_is_still_verified(work, monkeypatch):
     assert not isinstance(e_core(a, I2), NotInvertible)
     assert not isinstance(f_dual_core(a, I2), NotInvertible)
     for via_power, label in ((e_core_via_power, "ecore"), (f_dual_core_via_power, "fdual")):
-        verified = work["verify"]
+        verified, evaluated = work["verify"], work["equations"]
         with pytest.raises(RuntimeError, match=f"constructed {label} inverse fails"):
             via_power(a, I2, 2)
         assert work["verify"] == verified + 1
+        assert work["equations"] > evaluated  # a new value: its equations are evaluated
 
 
 def test_an_equal_value_under_another_weight_object_is_verified_again(work):
     a = _instance(A)
     same = Weight(Mat(QQ, [[1, 0], [0, 1]]))  # equal to I2, but another matrix
     direct = e_core(a, I2)
-    verified = work["verify"]
+    verified, evaluated = work["verify"], work["equations"]
     powered = e_core_via_power(a, I2, 2)
-    assert work["verify"] == verified  # the direct value's form, under the same I2
+    # the direct value's form, under the same I2: verified, but nothing evaluated
+    assert (work["verify"], work["equations"]) == (verified + 1, evaluated)
     again = e_core_via_power(a, same, 2)
-    assert work["verify"] == verified + 1
+    # under another weight object, (3e) is evaluated again, and only (3e)
+    assert (work["verify"], work["equations"]) == (verified + 2, evaluated + 1)
     assert direct.value == powered.value == again.value
     assert (powered.n, again.n, powered.witnesses.keys()) == (2, 2, {"s"})
 
@@ -456,6 +492,61 @@ def test_constructions_leave_no_cyclic_garbage():
         for call in calls:
             call()
             assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(2), GF(3), GF(5)], ids=str)
+def test_one_solve_decides_every_power_membership(field):
+    """Over a field, a in a^2 R, R a^2, a^n R and R a^n (n = 2..MAX_POWER) hold or
+    fail together, and a x^2, with x from a = a^2 x, is the group inverse y a x."""
+    for dim in range(2, 9):
+        for seed in (dim, 100 + dim):
+            for a, invertible in (
+                (random_group_invertible(dim, field, seed=seed), True),
+                (random_non_group_invertible(dim, field, seed=seed), False),
+            ):
+                x = solve_right(a.power(2), a).solution
+                y = solve_left(a.power(2), a).solution
+                for n in range(2, MAX_POWER + 1):
+                    an = a.power(n)
+                    assert solve_right(an, a).consistent is invertible, (dim, seed, n)
+                    assert solve_left(an, a).consistent is invertible, (dim, seed, n)
+                if invertible:
+                    assert a * x * x == y * a * x
+                    assert verify(GInverseKind.GROUP, a, a * x * x).ok
+                    assert _instance(a).group() == group_inverse(a).value == y * a * x
+                else:
+                    assert group_inverse(a) == NotInvertible("group", "a^2R", "a not in a^2 R")
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_a_mirror_kept_past_its_core_works_alone(field):
+    w = random_weight(3, field, seed=7, definite=True)
+    for seed in range(3):
+        for a in (random_group_invertible(3, field, seed=seed), random_mat(3, field, seed=seed)):
+            s = a.star()
+            mirror = _instance(a).star()  # nothing else holds the core: it is gone
+            for k in (2, 3):
+                for side, solve in (("left", solve_left), ("right", solve_right)):
+                    assert mirror.solve_power(k, side).solution == solve(s.power(k), s).solution
+            assert mirror._core() is None
+            expected = group_inverse(s)
+            invertible = not isinstance(expected, NotInvertible)
+            assert mirror.group_invertible() is invertible
+            assert mirror.group() == (expected.value if invertible else expected)
+            assert mirror.star() == a and mirror.star().star() is mirror
+            for build in (e_core, f_dual_core, inv_13e, inv_14f):
+                assert build(mirror, w) == build(s, w)
+            assert e_core_via_power(mirror, w, 2) == e_core_via_power(s, w, 2)
+            assert f_dual_core_via_power(mirror, w, 3) == f_dual_core_via_power(s, w, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        mirror = _instance(A).star()
+        f_dual_core(mirror, I2)
+        del mirror
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

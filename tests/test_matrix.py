@@ -217,6 +217,20 @@ def test_random_non_group_invertible():
         assert len(left_annihilator_basis(m)) < len(left_annihilator_basis(m * m))
 
 
+@pytest.mark.parametrize("field", [QQ, QI, GF(2), GF(3), GF(5)], ids=str)
+def test_rank_decides_invertibility_as_the_inverse_does(field):
+    for dim in range(2, 9):
+        for seed in range(2):
+            rank = seed * dim // 2 + (dim + 1) // 2  # about half, then full
+            a = random_group_invertible(dim, field, seed=seed, rank=rank)
+            assert a.rank() == (a * a).rank() == rank
+            nil = random_non_group_invertible(dim, field, seed=seed)
+            assert (nil * nil).rank() < nil.rank()
+            for m in (a, nil, random_mat(dim, field, seed=seed), Mat.identity(field, dim)):
+                assert m.rank() == dim - len(left_annihilator_basis(m))
+                assert m.is_invertible() == (m.inverse() is not None) == (m.rank() == dim)
+
+
 def test_jacobson_invertibility_symmetry():
     for field in (QQ, GF(5)):
         ident = Mat.identity(field, 3)
