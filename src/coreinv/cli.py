@@ -88,11 +88,13 @@ def _result_json(result) -> dict:
 
 
 def cmd_compute(args) -> int:
+    kind = GInverseKind(args.kind)
+    n = args.n
+    if n is not None and kind not in (GInverseKind.E_CORE, GInverseKind.F_DUAL_CORE):
+        raise ValueError(f"--n applies to the kinds ecore and fdual only, not {kind.value}")
     a = _load_matrix(args.a)
     e = _load_weight(args.e, a.n, a.field)
     f = _load_weight(args.f, a.n, a.field)
-    kind = GInverseKind(args.kind)
-    n = args.n
     if kind is GInverseKind.GROUP:
         result = group_inverse(a)
     elif kind is GInverseKind.ONE_THREE_E:
@@ -214,7 +216,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         choices=range(1, MAX_POWER + 1),
         metavar="N",
-        help=f"power-representation exponent (1..{MAX_POWER}); n >= 2 selects the power path",
+        help=f"ecore/fdual only: power-representation exponent (1..{MAX_POWER});"
+        " n >= 2 selects the power path",
     )
     p_compute.set_defaults(func=cmd_compute)
 

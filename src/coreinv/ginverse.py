@@ -5,7 +5,9 @@ weighted core (e-core) and weighted dual core (f-dual core). Every constructor
 solves the defining membership equations for an explicit witness, re-verifies
 the full defining-equation set of its kind on the result (each equation once
 per distinct value within one top-level call), and returns an
-InverseCertificate carrying both. Non-existence is a typed negative result
+InverseCertificate carrying both. The group and one-sided inverses that a
+core, dual core or Moore-Penrose construction builds on are not certified by
+themselves, since the result is. Non-existence is a typed negative result
 (NotInvertible) naming the membership that failed, never an exception.
 
 The dual side is the core side carried through the involution: x is a dual
@@ -203,9 +205,6 @@ _DUAL = {
 }
 
 
-_CORE = {dual: core for core, dual in _DUAL.items()}
-
-
 def _star_back(built, names=_DUAL):
     """Carry a core-side result on (a*, f^-1) back to the dual side of (a, f)."""
     if isinstance(built, NotInvertible):
@@ -223,62 +222,59 @@ def _transport(build, a: Mat, f: Weight, *args):
 
 
 class _Instance(Mat):
-    """The matrix a within one top-level call: star() and power(k) are formed once,
-    each prerequisite and each power membership is solved once, and each equation
-    is evaluated once per value (see verify). The constructions of one call share
-    it in place of a. Its mirror, the instance of a*, reads its own off the core
-    side: (a*)^# = (a^#)*, inv_13e(a*, f^-1) = inv_14f(a, f)*, and a power
-    membership of a* is the opposite one of a, starred. The mirror points back
-    weakly, so the two form no cycle; a mirror kept past its core works its facts
-    out itself, as a core does, and they are the same.
+    """The matrix a within one top-level call, which the constructions of the call
+    share in place of a. Its facts are kept in one table per call, shared with its
+    mirror star(), the instance of a*, and keyed by the side each belongs to: the
+    powers, the power-membership solves, the group inverse, the uncertified
+    one-sided builder result per weight, and the products and equation outcomes
+    of each value (see verify). So each is worked out once per call. The mirror
+    reads its solves and group inverse off the core side: a power membership of
+    a* is the opposite one of a, starred, and (a*)^# = (a^#)*. Its one-sided
+    result for f^-1 is the {1,4f} result of (a, f) before it is starred back, so
+    inv_14f and the dual constructions share that entry.
 
-    It shares the form of a and keeps what it builds itself, so a call leaves
-    nothing on the caller's a. Every product, a^2 = a·a included, takes the
-    instance as its factor, never a.
+    The instance of a keeps its mirror, which points back weakly, so the two form
+    no cycle; a mirror kept past its core makes a fresh view of a over the same
+    table. The table holds plain matrices only, and every product, a^2 = a·a
+    included, takes the instance as its factor, never a: a call leaves nothing on
+    the caller's a.
     """
 
-    def __init__(self, a: Mat, core: _Instance | None = None):
+    def __init__(self, a: Mat, facts: dict | None = None, back: _Instance | None = None):
         self.field, self.n, self.form = a.field, a.n, a.form
-        self._powers, self._slots, self._values, self._mirror = [], {}, {}, None
-        self._core_ref = core and weakref.ref(core)
-
-    def _core(self) -> _Instance | None:
-        """The live instance of which this one is the mirror, if any."""
-        return self._core_ref and self._core_ref()
+        self._facts = {} if facts is None else facts
+        self._dual = back is not None and not back._dual
+        self._back, self._mirror = back and weakref.ref(back), None
 
     def star(self) -> _Instance:
-        core = self._core()
-        if core is not None:
-            return core
+        back = self._back and self._back()
+        if back is not None:
+            return back
         if self._mirror is None:
-            self._mirror = _Instance(super().star(), self)
+            self._mirror = _Instance(super().star(), self._facts, self)
         return self._mirror
+
+    def _fact(self, key, make, *weights: Weight):
+        """make() once per call for this side, key (a name or a value's form) and
+        weights. A weight is keyed by the identity of its matrix, which the entry
+        keeps alive so that no other matrix can take it: hashing a weight by value
+        would cost a sizeable share of a solve."""
+        values = tuple(w.value for w in weights)
+        key = (self._dual, key, *map(id, values))
+        entry = self._facts.get(key)
+        if entry is None:
+            entry = self._facts[key] = (make(), values)
+        return entry[0]
 
     def power(self, k: int) -> Mat:
         if not _is_int(k) or k < 2:
             return super().power(k)
-        powers = self._powers  # a^2, a^3, ...
-        while len(powers) < k - 1:
-            powers.append((powers[-1] if powers else self) * self)
-        return powers[k - 2]
-
-    def _once(self, kind, make, *weights: Weight):
-        """make() once per kind and weights. A weight is keyed by the identity of its
-        matrix, which the slot keeps alive so that no other matrix can take it:
-        hashing a weight by value would cost a sizeable share of a solve."""
-        values = tuple(w.value for w in weights)
-        key = (kind, *map(id, values))
-        if key not in self._slots:
-            self._slots[key] = (values, make())
-        return self._slots[key][1]
+        return self._fact(("power", k), lambda: self.power(k - 1) * self)
 
     def _products(self, x: Mat) -> _Products:
         """The products and equation outcomes of the value x, one entry per form."""
-        p = self._values.get(x.form)
-        if p is None:
-            # a plain matrix of a's form, so that the entry does not point back here
-            p = self._values[x.form] = _Products(Mat._of(self.field, self.n, self.form), x)
-        return p
+        # a plain matrix of a's form, so that the entry does not point back here
+        return self._fact(x.form, lambda: _Products(Mat._of(self.field, self.n, self.form), x))
 
     def solve_power(self, k: int, side: str) -> SolveWitness:
         """The witness of a = a^k x (side "right") or of a = y a^k (side "left"),
@@ -286,30 +282,26 @@ class _Instance(Mat):
         a = a^k x*, and the RREF of conjugated rows is the conjugate of their RREF,
         so the core's solution starred is exactly the mirror's own, free variables
         included."""
-        core = self._core()
-        if core is not None:
-            w = core.solve_power(k, "left" if side == "right" else "right")
+        if self._dual:
+            w = self.star().solve_power(k, "left" if side == "right" else "right")
             return w if w.solution is None else SolveWitness(w.solution.star())
         solve = solve_right if side == "right" else solve_left
-        return self._once(("power", side, k), lambda: solve(self.power(k), self))
+        return self._fact(("solve", side, k), lambda: solve(self.power(k), self))
 
     def group_invertible(self) -> bool:
         """Whether a^# exists, from the one solve of a = a^2 x. Over a field a is in
         a^2 R exactly when rank a^2 = rank a, and so exactly when a is in R a^2,
         in R a^n and in a^n R for any n >= 2 (the ranks of the powers stop falling
         once two agree); a* is group invertible exactly when a is."""
-        core = self._core()
-        if core is not None:
-            return core.group_invertible()
-        return self.solve_power(2, "right").consistent
+        core = self.star() if self._dual else self
+        return core.solve_power(2, "right").consistent
 
     def group(self) -> Mat | NotInvertible:
         """a^# = a x^2 from the x of a = a^2 x, formed once: a x = a^# a^2 x = a^# a,
         so a x^2 = a^# a x = a^# a^# a = a^#."""
-        core = self._core()
-        if core is not None:  # (a*)^# = (a^#)*; a group negative keeps its text
-            return _star_back(core.group(), {})
-        return self._once("group", lambda: _group(self))
+        if self._dual:  # (a*)^# = (a^#)*; a group negative keeps its text
+            return _star_back(self.star().group(), {})
+        return self._fact("group", lambda: _group(self))
 
     def group_certificate(self) -> InverseCertificate | NotInvertible:
         """a^# certified with the witness x alone, for a caller that reads its value:
@@ -320,22 +312,13 @@ class _Instance(Mat):
         x = self.solve_power(2, "right").solution
         return _certified(GInverseKind.GROUP, self, (g, {"x": x}))
 
-    def inv_13e(self, e: Weight):
-        core = self._core()
-        if core is not None:  # inv_13e(a*, f^-1) = inv_14f(a, f)*, under core-side names
-            return _star_back(_value(core.inv_14f(e.inverse())), _CORE)
-        return self._once("13e", lambda: inv_13e(self, e), e)
-
-    def inv_14f(self, f: Weight):
-        return self._once("14f", lambda: inv_14f(self, f), f)
+    def one_sided(self, w: Weight):
+        """The uncertified {1,3e} builder result (value, witnesses) for the weight w."""
+        return self._fact("13e", lambda: _inv_13e(self, w), w)
 
 
 def _instance(a: Mat) -> _Instance:
     return a if isinstance(a, _Instance) else _Instance(a)
-
-
-def _value(result):
-    return result.value if isinstance(result, InverseCertificate) else result
 
 
 def _group(a: _Instance) -> Mat | NotInvertible:
@@ -369,23 +352,23 @@ def _inv_13e(a: Mat, e: Weight):
 def inv_13e(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
     """A {1,3e}-inverse x* e obtained from a witness of a = x (a* e a)."""
     a = _instance(a)
-    return _certified(GInverseKind.ONE_THREE_E, a, _inv_13e(a, e), e=e)
+    return _certified(GInverseKind.ONE_THREE_E, a, a.one_sided(e), e=e)
 
 
 def inv_14f(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
     """A {1,4f}-inverse f^{-1} y* with a = (a f^{-1} a*) y: the mirror inv_13e(a*, f^{-1})*."""
     a = _instance(a)
-    return _certified(GInverseKind.ONE_FOUR_F, a, _transport(_inv_13e, a, f), f=f)
+    return _certified(GInverseKind.ONE_FOUR_F, a, _transport(_Instance.one_sided, a, f), f=f)
 
 
 def _e_core(a: _Instance, e: Weight):
     g = a.group()
     if isinstance(g, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "group", f"group prerequisite failed: {g.reason}")
-    i13 = _value(a.inv_13e(e))
+    i13 = a.one_sided(e)
     if isinstance(i13, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}")
-    return g * a * i13, {"group_inverse": g, "inv_13e": i13}
+    return g * a * i13[0], {"group_inverse": g, "inv_13e": i13[0]}
 
 
 def e_core(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
@@ -447,17 +430,18 @@ def weighted_mp(a: Mat, e: Weight, f: Weight) -> InverseCertificate | NotInverti
     It exists iff x and y do: y a x always satisfies (1), (2), (3e) and (4f).
     """
     a = _instance(a)
-    i13 = _value(a.inv_13e(e))
+    i13 = a.one_sided(e)
     if isinstance(i13, NotInvertible):
         return NotInvertible(
             GInverseKind.WEIGHTED_MP.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}"
         )
-    i14 = _value(a.inv_14f(f))
+    i14 = _transport(_Instance.one_sided, a, f)
     if isinstance(i14, NotInvertible):
         return NotInvertible(
             GInverseKind.WEIGHTED_MP.value, "14f", f"{{1,4f}} prerequisite failed: {i14.reason}"
         )
-    built = (i14 * a * i13, {"inv_13e": i13, "inv_14f": i14})
+    x, y = i13[0], i14[0]
+    built = (y * a * x, {"inv_13e": x, "inv_14f": y})
     return _certified(GInverseKind.WEIGHTED_MP, a, built, e=e, f=f)
 
 

@@ -110,10 +110,6 @@ class Mat:
         self._compat(other)
         return Mat._of(self.field, self.n, self.field.mul(self.form, other.form))
 
-    def scale(self, s) -> "Mat":
-        s = self.field.coerce(s)
-        return Mat(self.field, [[s * a for a in r] for r in self.rows])
-
     def transpose(self) -> "Mat":
         return Mat._of(self.field, self.n, self.field.transpose(self.form))
 

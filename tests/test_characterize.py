@@ -274,7 +274,8 @@ def test_ep_from_s():
     p = ep_decompose(a, e, f, 1).element
     value = ep_from_s(a, e, f, p, 1)
     assert value == e_core(a, e).value == f_dual_core(a, f).value
-    s = p.scale(5)  # still Hermitian for both weights, still annihilating
+    # 5 p: still Hermitian for both weights, still annihilating
+    s = Mat(p.field, [[5 * v for v in row] for row in p.rows])
     assert ep_from_s(a, e, f, s, 2) == value
     with pytest.raises(InvalidCertificateError):
         ep_from_s(A, I2, I2, Mat(QQ, [[0, 0], [0, 1]]), 1)  # a s != 0 fails

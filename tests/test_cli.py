@@ -189,6 +189,19 @@ def test_compute_power_path(tmp_path, capsys):
     assert "s" in payload["witnesses"]
 
 
+def test_compute_n_with_a_kind_without_a_power_path_is_bad_input(tmp_path, capsys):
+    a = write(tmp_path, "a.json", A_OBJ)
+    for kind in ("group", "13e", "14f", "wmp"):
+        for n in ("1", "3"):
+            code = main(["compute", "--kind", kind, "--a", a, "--n", n])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (kind, n)
+            assert "--n applies to the kinds ecore and fdual only" in captured.err
+    for kind in ("ecore", "fdual"):
+        code, out = run(capsys, ["compute", "--kind", kind, "--a", a, "--n", "1"])
+        assert code == 0 and json.loads(out)["n"] is None
+
+
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     a = write(tmp_path, "a.json", A_OBJ)
     code, out = run(capsys, ["compute", "--kind", "ecore", "--a", a])

@@ -369,46 +369,72 @@ def test_cross_check_solves_each_prerequisite_once(work):
     # Values: the group inverse a, the {1,3e}-inverse diag(1, 0), which is also
     # the core inverse and both power values, the {1,4f}-inverse [[2, 0], [2, 0]],
     # which is also the weighted Moore-Penrose inverse, and the dual core inverse
-    # [[2, 2], [2, 2]]. verify runs once per certificate (8), and evaluates
-    # (1), (2), (5) on a; (1), (2), (3e), (6), (7) on diag(1, 0); (1), (2),
-    # (3e), (4f) on [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
+    # [[2, 2], [2, 2]]. verify runs once per public certificate (6; the {1,3e}
+    # and {1,4f} prerequisites are not certified), and evaluates (1), (2), (5)
+    # on a; (1), (2), (3e), (6), (7) on diag(1, 0); (1), (2), (3e), (4f) on
+    # [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
     # Products, to build + to check: group 3 + 4 (a^2, a x, a x x; a x, x a, (1),
-    # (2)); {1,3e} 3 + 3 (a* e, a* e a, x* e; a x, (1), (3e)); core 2 + 4 (x a,
-    # (2), (6), (7)); {1,4f} 3 + 4; dual 2 + 7; Moore-Penrose 2 + 2 ((2), (3e));
-    # the power paths 5 + 0 and 4 + 0 (a^2 is kept from the group). 48 in all
+    # (2)); {1,3e} 3 (a* e, a* e a, x* e); core 2 + 7 (g a, g a x; a x, x a and
+    # one per label); {1,4f} 3; dual 2 + 7; Moore-Penrose 2 + 6; the power paths
+    # 5 + 0 and 4 + 0 (a^2 is kept from the group). 48 in all
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 5, "verify": 8, "equations": 17, "mul": 48}
+    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 48}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):
     # a = diag(1, 0), e = f = 1: a = a^2 x, {1,3e} and {1,4f} are solved once each
-    # (3 solves; the group inverse a x^2 is a witness, not certified). Every value
-    # is diag(1, 0): verify runs for {1,3e}, core, {1,4f} and dual core (4) and
-    # evaluates each of (1), (2), (3e), (4f), (6), (7), (8), (9) once. Products:
-    # 3 for a x^2 (a^2, a x, a x x), 3 + 3 for the one-sided inverses (a* e a and
-    # x* e), 2 + 2 for the core values, 10 to check (a x, x a and one per label)
-    # and 2 for p = 1 - a^# a and its check a^# a = a a^#
+    # (3 solves; the group inverse a x^2 and the one-sided inverses are
+    # prerequisites, not certified). Every value is diag(1, 0): verify runs for
+    # core and dual core (2) and evaluates each of (1), (2), (3e), (4f), (6), (7),
+    # (8), (9) once. Products: 3 for a x^2 (a^2, a x, a x x), 3 + 3 for the
+    # one-sided inverses (a* e a and x* e), 2 + 2 for the core values, 10 to check
+    # (a x, x a and one per label) and 2 for p = 1 - a^# a and its check a^# a = a a^#
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
-    assert work == {"solve": 3, "verify": 4, "equations": 8, "mul": 25}
+    assert work == {"solve": 3, "verify": 2, "equations": 8, "mul": 25}
+
+
+def test_weighted_mp_certifies_only_its_own_value(work):
+    # a = [[1, 1], [0, 0]] over F3, e = f = 1: {1,3e} and {1,4f} solved once each,
+    # x = diag(1, 0) and y = [[2, 0], [2, 0]] used uncertified, and y a x = y
+    # certified once on (1), (2), (3e), (4f). Products: 3 + 3 for the one-sided
+    # inverses (a* e, a* e a, x* e and a f^-1, a f^-1 a*, f^-1 y*), 2 for y a x and
+    # 6 to check (a x, x a and one per label but (5))
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    cert = weighted_mp(Mat(f3, [[1, 1], [0, 0]]), w, w)
+    assert cert.value == cert.witnesses["inv_14f"] == Mat(f3, [[2, 0], [2, 0]])
+    assert work == {"solve": 2, "verify": 1, "equations": 4, "mul": 14}
+
+
+def test_inv_14f_is_solved_on_the_mirror_and_certified_on_a(work):
+    # the builder runs on (a*, f^-1): a f^-1, a f^-1 a* and f^-1 y* (3 products, one
+    # solve); the value is then certified on (1) and (4f) of (a, f): a x, (1), x a
+    # and (4f) (4 products)
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    cert = inv_14f(Mat(f3, [[1, 1], [0, 0]]), w)
+    assert cert.value == Mat(f3, [[2, 0], [2, 0]])
+    assert cert.witnesses == {"y": Mat(f3, [[2, 2], [0, 0]])}
+    assert work == {"solve": 1, "verify": 1, "equations": 2, "mul": 7}
 
 
 def test_a_value_shared_by_kinds_is_evaluated_once_per_label(work):
     # an invertible a has one value, a^-1, of all six kinds: its nine labels are
-    # evaluated once each, over the 8 certificates of one cross_check
+    # evaluated once each, over the 6 certificates of one cross_check
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     a = Mat(f3, [[1, 1], [0, 1]])
     report = cross_check(a, w, w, n=2)
     inverse = [["1", "2"], ["0", "1"]]
     assert report["ok"] and all(c["constructed"]["entries"] == inverse for c in report["checks"])
-    assert (work["verify"], work["equations"]) == (8, 9)
+    assert (work["verify"], work["equations"]) == (6, 9)
     # the memo dies with the call: the next call evaluates them all again
     cross_check(a, w, w, n=2)
-    assert (work["verify"], work["equations"]) == (16, 18)
+    assert (work["verify"], work["equations"]) == (12, 18)
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
@@ -530,14 +556,15 @@ def test_a_mirror_kept_past_its_core_works_alone(field):
             for k in (2, 3):
                 for side, solve in (("left", solve_left), ("right", solve_right)):
                     assert mirror.solve_power(k, side).solution == solve(s.power(k), s).solution
-            assert mirror._core() is None
             expected = group_inverse(s)
             invertible = not isinstance(expected, NotInvertible)
             assert mirror.group_invertible() is invertible
             assert mirror.group() == (expected.value if invertible else expected)
-            assert mirror.star() == a and mirror.star().star() is mirror
+            assert group_inverse(mirror) == expected
+            assert mirror.star() == a and mirror.star().star() == s
             for build in (e_core, f_dual_core, inv_13e, inv_14f):
                 assert build(mirror, w) == build(s, w)
+            assert weighted_mp(mirror, w, w) == weighted_mp(s, w, w)
             assert e_core_via_power(mirror, w, 2) == e_core_via_power(s, w, 2)
             assert f_dual_core_via_power(mirror, w, 3) == f_dual_core_via_power(s, w, 3)
     gc.collect()

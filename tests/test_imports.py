@@ -3,14 +3,17 @@
 The brute-force oracle stays independent of the solver code: from `ginverse`
 it takes only the kind enum, the negative result, the shared instance and the
 public constructors it cross-checks, and it never reads characterize or cli.
+The benchmark's tracer binds package names from outside; they must resolve.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import coreinv
 
 SRC = Path(coreinv.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Each module may import only the modules before it.
 ORDER = ("scalar", "matrix", "ginverse", "oracle", "characterize", "cli", "__init__")
@@ -73,3 +76,53 @@ def test_oracle_takes_only_constructors_from_ginverse():
         *(names for module, names in _package_imports(_tree("oracle")) if module == "ginverse")
     )
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
+
+
+def _dotted(node):
+    """The names of an attribute chain such as ci.Mat.inverse, root first, or None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
+
+
+def test_every_name_the_tracer_binds_resolves():
+    """perfbench/tracing.py patches coreinv by name in Tracer.install, so a rename or
+    deletion there breaks `perfbench/run.py --trace 1`; read it without running it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:  # its `import coreinv.cli` and the like
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("coreinv."):
+                    importlib.import_module(alias.name)
+    tables = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    for table in ("GINVERSE", "CHARACTERIZE"):
+        keys = [key.value for key in tables[table].keys]
+        assert keys and [k for k in keys if not hasattr(coreinv, k)] == [], table
+    # every chain rooted at the package (`import coreinv as ci`, `import coreinv.cli`)
+    bound = set()
+    for node in ast.walk(tree):
+        names = _dotted(node)
+        if names and names[0] in ("ci", "coreinv"):
+            obj = coreinv
+            for name in names[1:]:
+                assert hasattr(obj, name), ".".join(names)
+                obj = getattr(obj, name)
+            bound.add(".".join(names[1:]))
+    assert {"matrix.solve_right", "matrix.solve_left", "cross_check", "brute_solutions"} <= bound
+    assert {"cli.main", "Mat"} <= bound
+    # the Mat methods patched on the class: `for attr, span, note in (("__mul__", ...), ...)`
+    methods = [
+        entry.elts[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+        and isinstance(node.target, ast.Tuple) and _dotted(node.target.elts[0]) == ["attr"]
+        for entry in node.iter.elts
+    ]
+    assert {"__mul__", "inverse"} <= set(methods)
+    assert [m for m in methods if m not in vars(coreinv.Mat)] == []
