@@ -22,6 +22,7 @@ from .ginverse import (
     GInverseKind,
     InverseCertificate,
     NotInvertible,
+    _Instance,
     _certified,
     _check_n,
     _instance,
@@ -124,26 +125,21 @@ def _validate_element(
     return expected
 
 
-def _idempotent(a: Mat, e: Weight) -> Mat | NotInvertible:
-    """The canonical annihilating idempotent 1 - a a^{e-core}, or the e_core negative."""
+def _idempotent(a: _Instance, e: Weight) -> Mat | NotInvertible:
+    """The canonical annihilating idempotent 1 - a a^{e-core}, or the e_core negative;
+    a a^{e-core} is the product verify formed to certify the value."""
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
-    return Mat.identity(a.field, a.n) - a * cert.value
+    return Mat.identity(a.field, a.n) - a._products(cert.value).ax
 
 
-def _decompose(a: Mat, e: Weight, n: int, flavor: Flavor):
-    p = _idempotent(a, e)
-    if isinstance(p, NotInvertible):
-        return p
-    return p, unit_for(a, p, n, flavor, Side.CORE)
-
-
-def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, built):
-    if isinstance(built, NotInvertible):
-        return built
-    element, unit = built
-    _require(_validate_element(a, w, element, n, flavor, side, unit).is_invertible(), _NOT_A_UNIT)
+def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, element):
+    """The decomposition of a built element with the unit its checks form."""
+    if isinstance(element, NotInvertible):
+        return element
+    unit = _validate_element(a, w, element, n, flavor, side, None)
+    _require(unit.is_invertible(), _NOT_A_UNIT)
     return Decomposition(flavor, side, element, unit, n)
 
 
@@ -151,14 +147,14 @@ def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotIn
     """The canonical idempotent p = 1 - a a^{e-core} with its unit a^n + p."""
     _check_n(n)
     a = _instance(a)
-    return _validated(a, e, n, Flavor.IDEM_P, Side.CORE, _decompose(a, e, n, Flavor.IDEM_P))
+    return _validated(a, e, n, Flavor.IDEM_P, Side.CORE, _idempotent(a, e))
 
 
 def decompose_q(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The same idempotent paired with the unit a^n (1 - q) + q."""
     _check_n(n)
     a = _instance(a)
-    return _validated(a, e, n, Flavor.IDEM_Q, Side.CORE, _decompose(a, e, n, Flavor.IDEM_Q))
+    return _validated(a, e, n, Flavor.IDEM_Q, Side.CORE, _idempotent(a, e))
 
 
 def dual_decompose(
@@ -172,7 +168,7 @@ def dual_decompose(
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("dual_decompose produces idempotent flavors only")
     a = _instance(a)
-    return _validated(a, f, n, flavor, Side.DUAL, _transport(_decompose, a, f, n, flavor))
+    return _validated(a, f, n, flavor, Side.DUAL, _transport(_idempotent, a, f))
 
 
 # The core-side closed formulas, one per flavor, in terms of a, c = 1 - element
@@ -250,10 +246,11 @@ def dual_from_t(a: Mat, f: Weight, t: Mat, n: int = 1) -> Mat:
     return _replay(a, f, Flavor.ELEM_T, Side.DUAL, t, n, None)
 
 
-def _gram_value(a: Mat, e: Weight, p: Mat) -> Mat | None:
+def _gram_value(a: _Instance, e: Weight, p: Mat) -> Mat | None:
     """(a* e a + e p)^{-1} a* e, or None when the Gram matrix is singular."""
-    gram_inv = (a.star() * e.value * a + e.value * p).inverse()
-    return None if gram_inv is None else gram_inv * a.star() * e.value
+    ae, gram = a.gram(e)
+    gram_inv = (gram + e.value * p).inverse()
+    return None if gram_inv is None else gram_inv * ae
 
 
 def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
@@ -266,7 +263,7 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
-    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a * cert.value)
+    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a._products(cert.value).ax)
     if value is None:
         raise RuntimeError("internal error: Gram matrix must be invertible here")
     if value != cert.value:
@@ -312,11 +309,11 @@ def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
     )
     p = None
     if ok:
-        g = ec.witnesses["group_inverse"]
-        ident = Mat.identity(a.field, a.n)
-        p = ident - g * a
-        if p != ident - a * g:
+        # a^# a is held, and a a^# is the a·x that certified the common value a^#
+        projector = a.projector()
+        if a._products(ec.witnesses["group_inverse"]).ax != projector:
             raise RuntimeError("internal error: group inverse must commute with a")
+        p = Mat.identity(a.field, a.n) - projector
     return EPReport(ok, ec, fc, p)
 
 
@@ -333,7 +330,9 @@ def ep_decompose(a: Mat, e: Weight, f: Weight, n: int = 1) -> Decomposition | No
         return NotInvertible("ep", "ep", "a is not weighted-EP for these weights")
     p = report.p
     unit = a.power(n) + p
-    for w, tag in ((e, "e"), (f, "f")):
+    # (f p)* = f p is the e check again when f is e's matrix
+    weights = ((e, "e"),) if f.value is e.value else ((e, "e"), (f, "f"))
+    for w, tag in weights:
         if not (w.value * p).is_hermitian():
             raise RuntimeError(f"internal error: ({tag} p)* != {tag} p for an EP element")
     if not (a * p).is_zero() or not (p * a).is_zero():

@@ -94,18 +94,19 @@ EQUATIONS: dict[GInverseKind, tuple[str, ...]] = {
     GInverseKind.F_DUAL_CORE: ("(1)", "(2)", "(4f)", "(8)", "(9)"),
 }
 
-# Each label's predicate over the shared products p.ax = a·x and p.xa = x·a; exact
-# associativity makes (ax)a the same matrix as a(xa), so each decides its equation.
+# Each label's predicate over the products of the value x that _Products holds;
+# a is the instance, whose a^2 (6) and (8) may read. Exact associativity makes
+# every route to a product the same matrix, so each decides its equation.
 _PREDICATES = {
-    "(1)": lambda a, x, p, e, f: p.ax * a == a,
-    "(2)": lambda a, x, p, e, f: p.xa * x == x,
-    "(3e)": lambda a, x, p, e, f: (e.value * p.ax).is_hermitian(),
-    "(4f)": lambda a, x, p, e, f: (f.value * p.xa).is_hermitian(),
-    "(5)": lambda a, x, p, e, f: p.ax == p.xa,
-    "(6)": lambda a, x, p, e, f: p.xa * a == a,
-    "(7)": lambda a, x, p, e, f: p.ax * x == x,
-    "(8)": lambda a, x, p, e, f: a * p.ax == a,
-    "(9)": lambda a, x, p, e, f: x * p.xa == x,
+    "(1)": lambda a, x, p, e, f: p.axa == a,
+    "(2)": lambda a, x, p, e, f: p.xax == x,
+    "(3e)": lambda a, x, p, e, f: p.weighted(e, p.ax).is_hermitian(),
+    "(4f)": lambda a, x, p, e, f: p.weighted(f, p.xa).is_hermitian(),
+    "(5)": lambda a, x, p, e, f: p.ax is p.xa,  # equal forms are kept as one object
+    "(6)": lambda a, x, p, e, f: p.xaa(a) == a,
+    "(7)": lambda a, x, p, e, f: p.axx == x,
+    "(8)": lambda a, x, p, e, f: p.aax(a) == a,
+    "(9)": lambda a, x, p, e, f: p.xxa == x,
 }
 
 
@@ -120,33 +121,101 @@ def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
 
 
 class _Products:
-    """One value x of a: the products a·x and x·a, each formed at most once, and
-    the outcome of each equation on x, evaluated at most once per weight object
-    its label uses. A weight is keyed by the identity of its matrix, which the
-    entry keeps alive so that no other matrix can take its id."""
+    """One value x of a: the products verify's labels compare, each formed at most
+    once, and the outcome of each label, evaluated at most once per weight object
+    it uses. A weight is keyed by the identity of its matrix, which the entry
+    keeps alive so that no other matrix can take its id.
 
-    __slots__ = ("a", "x", "_ax", "_xa", "_holds")
+    a·x and x·a are kept as one object when their forms are equal, as for every
+    weighted-EP value. Then x a^2 (6) and a^2 x (8) are a·x·a, which (1)
+    compares, and a x^2 (7) and x^2 a (9) are x·a·x, which (2) compares. Else
+    (1) is a·(x·a) and (2) is x·(a·x) when only x·a or only a·x is formed, and
+    (6) and (8) take the instance's a^2 when the side they would extend is not."""
+
+    __slots__ = ("a", "x", "_ax", "_xa", "_axa", "_xax", "_weighted", "_holds")
 
     def __init__(self, a: Mat, x: Mat):
-        self.a, self.x, self._ax, self._xa, self._holds = a, x, None, None, {}
+        self.a, self.x, self._holds = a, x, {}
+        self._ax = self._xa = self._axa = self._xax = self._weighted = None
 
     @property
     def ax(self) -> Mat:
         if self._ax is None:
-            self._ax = self.a * self.x
+            ax = self.a * self.x
+            self._ax = self._xa if self._xa is not None and self._xa.form == ax.form else ax
         return self._ax
 
     @property
     def xa(self) -> Mat:
         if self._xa is None:
-            self._xa = self.x * self.a
+            xa = self.x * self.a
+            self._xa = self._ax if self._ax is not None and self._ax.form == xa.form else xa
         return self._xa
 
-    def holds(self, label: str, e: Weight | None, f: Weight | None) -> bool:
+    # The products below extend a side that form_sides has formed, so _ax is _xa
+    # says that both are formed and equal.
+
+    @property
+    def axa(self) -> Mat:
+        if self._axa is None:
+            self._axa = self.a * self._xa if self._ax is None else self._ax * self.a
+        return self._axa
+
+    @property
+    def xax(self) -> Mat:
+        if self._xax is None:
+            self._xax = self.x * self._ax if self._xa is None else self._xa * self.x
+        return self._xax
+
+    def xaa(self, a: _Instance) -> Mat:
+        if self._ax is self._xa:
+            return self.axa
+        return self.x * a.power(2) if self._xa is None else self._xa * self.a
+
+    @property
+    def axx(self) -> Mat:
+        return self.xax if self._ax is self._xa else self.ax * self.x
+
+    def aax(self, a: _Instance) -> Mat:
+        if self._ax is self._xa:
+            return self.axa
+        return a.power(2) * self.x if self._ax is None else self.a * self._ax
+
+    @property
+    def xxa(self) -> Mat:
+        return self.xax if self._ax is self._xa else self.x * self.xa
+
+    def weighted(self, w: Weight, side: Mat) -> Mat:
+        """w·side, kept for the last pair: with a·x and x·a one object, (3e) and
+        (4f) of one weight multiply the same factors."""
+        last = self._weighted
+        if last is None or last[0] is not w.value or last[1] is not side:
+            last = self._weighted = (w.value, side, w.value * side)
+        return last[2]
+
+    def form_sides(self, kind: GInverseKind, a: _Instance):
+        """Form the products of x the kind's labels read first: a·x for (3e) and (7),
+        x·a for (4f) and (9), both for (5) and the Moore-Penrose kind. A core
+        inverse x has x a = a^# a, so the core kind forms x·a too only when a·x is
+        the a^# a the call holds, and then the two are one object; the dual core
+        kind, whose a x is a a^# = a^# a, likewise forms a·x too."""
+        if kind is GInverseKind.E_CORE:
+            if self.ax == a.held_projector():
+                self.xa
+        elif kind is GInverseKind.F_DUAL_CORE:
+            if self.xa == a.held_projector():
+                self.ax
+        else:
+            if kind is not GInverseKind.ONE_FOUR_F:
+                self.ax
+            if kind is not GInverseKind.ONE_THREE_E:
+                self.xa
+
+    def holds(self, label: str, a: _Instance, e: Weight | None, f: Weight | None) -> bool:
         w = e if label == "(3e)" else f if label == "(4f)" else None
         key = label if w is None else (label, id(w.value))
         if key not in self._holds:
-            ok = _PREDICATES[label](self.a, self.x, self, e, f)
+            ok = _PREDICATES[label](a, self.x, self, e, f)
             self._holds[key] = (ok, None if w is None else w.value)
         return self._holds[key][0]
 
@@ -161,12 +230,16 @@ def verify(
     """Evaluate every defining equation of `kind` for the candidate x exactly.
 
     Within one top-level call (a is its private instance) each equation is
-    evaluated once per value of x and weight object, whatever kinds ask for it."""
+    evaluated once per value of x and weight object, whatever kinds ask for it,
+    on the products the value already has (see _Products)."""
     kind = GInverseKind(kind)
     e, f = _weights_used(kind, e, f)
     a._compat(x)
-    p = a._products(x) if isinstance(a, _Instance) else _Products(a, x)
-    return VerifyReport(kind, tuple((label, p.holds(label, e, f)) for label in EQUATIONS[kind]))
+    if not isinstance(a, _Instance):
+        a = _Instance(a)
+    p = a._products(x)
+    p.form_sides(kind, a)
+    return VerifyReport(kind, tuple((label, p.holds(label, a, e, f)) for label in EQUATIONS[kind]))
 
 
 def _certified(
@@ -225,12 +298,14 @@ class _Instance(Mat):
     """The matrix a within one top-level call, which the constructions of the call
     share in place of a. Its facts are kept in one table per call, shared with its
     mirror star(), the instance of a*, and keyed by the side each belongs to: the
-    powers, the power-membership solves, the group inverse, the uncertified
-    one-sided builder result per weight, and the products and equation outcomes
-    of each value (see verify). So each is worked out once per call. The mirror
-    reads its solves and group inverse off the core side: a power membership of
-    a* is the opposite one of a, starred, and (a*)^# = (a^#)*. Its one-sided
-    result for f^-1 is the {1,4f} result of (a, f) before it is starred back, so
+    powers (a^2 among them), the power-membership solves, the projector a^# a
+    and the group inverse, per weight w the Gram pair (a* w, a* w a) and the
+    uncertified one-sided builder result, and the products and equation
+    outcomes of each value (see verify). So each is worked out once per call.
+    The mirror reads its powers, solves, projector and group inverse off the
+    core side: (a*)^k = (a^k)*, a power membership of a* is the opposite one of
+    a, starred, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided result
+    for f^-1 is the {1,4f} result of (a, f) before it is starred back, so
     inv_14f and the dual constructions share that entry.
 
     The instance of a keeps its mirror, which points back weakly, so the two form
@@ -254,21 +329,22 @@ class _Instance(Mat):
             self._mirror = _Instance(super().star(), self._facts, self)
         return self._mirror
 
-    def _fact(self, key, make, *weights: Weight):
+    def _fact(self, key, make, w: Weight | None = None):
         """make() once per call for this side, key (a name or a value's form) and
-        weights. A weight is keyed by the identity of its matrix, which the entry
+        weight. A weight is keyed by the identity of its matrix, which the entry
         keeps alive so that no other matrix can take it: hashing a weight by value
         would cost a sizeable share of a solve."""
-        values = tuple(w.value for w in weights)
-        key = (self._dual, key, *map(id, values))
+        key = (self._dual, key) if w is None else (self._dual, key, id(w.value))
         entry = self._facts.get(key)
         if entry is None:
-            entry = self._facts[key] = (make(), values)
+            entry = self._facts[key] = (make(), None if w is None else w.value)
         return entry[0]
 
     def power(self, k: int) -> Mat:
         if not _is_int(k) or k < 2:
             return super().power(k)
+        if self._dual:  # (a*)^k = (a^k)*
+            return self._fact(("power", k), lambda: self.star().power(k).star())
         return self._fact(("power", k), lambda: self.power(k - 1) * self)
 
     def _products(self, x: Mat) -> _Products:
@@ -296,9 +372,23 @@ class _Instance(Mat):
         core = self.star() if self._dual else self
         return core.solve_power(2, "right").consistent
 
+    def projector(self) -> Mat:
+        """a^# a, for a group-invertible a: a x for the x of a = a^2 x, since
+        a x = a^# a^2 x = a^# a. The mirror's is its star: (a*)^# a* = (a a^#)*."""
+        if self._dual:
+            return self.star().projector().star()
+        return self._fact("projector", lambda: self * self.solve_power(2, "right").solution)
+
+    def held_projector(self) -> Mat | None:
+        """a^# a if the call has formed it, else None; forms nothing."""
+        entry = self._facts.get((False, "projector"))
+        if entry is None:
+            return None
+        return entry[0].star() if self._dual else entry[0]
+
     def group(self) -> Mat | NotInvertible:
-        """a^# = a x^2 from the x of a = a^2 x, formed once: a x = a^# a^2 x = a^# a,
-        so a x^2 = a^# a x = a^# a^# a = a^#."""
+        """a^# = (a^# a) x from the x of a = a^2 x, formed once: a^# a x = a^# a^# a
+        = a^#."""
         if self._dual:  # (a*)^# = (a^#)*; a group negative keeps its text
             return _star_back(self.star().group(), {})
         return self._fact("group", lambda: _group(self))
@@ -316,6 +406,15 @@ class _Instance(Mat):
         """The uncertified {1,3e} builder result (value, witnesses) for the weight w."""
         return self._fact("13e", lambda: _inv_13e(self, w), w)
 
+    def gram(self, w: Weight) -> tuple[Mat, Mat]:
+        """The Gram pair (a* w, a* w a) of the weight w."""
+
+        def make():
+            aw = self.star() * w.value
+            return aw, aw * self
+
+        return self._fact("gram", make, w)
+
 
 def _instance(a: Mat) -> _Instance:
     return a if isinstance(a, _Instance) else _Instance(a)
@@ -324,8 +423,7 @@ def _instance(a: Mat) -> _Instance:
 def _group(a: _Instance) -> Mat | NotInvertible:
     if not a.group_invertible():
         return NotInvertible(GInverseKind.GROUP.value, "a^2R", "a not in a^2 R")
-    x = a.solve_power(2, "right").solution
-    return a * x * x
+    return a.projector() * a.solve_power(2, "right").solution
 
 
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
@@ -340,9 +438,8 @@ def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     return _certified(GInverseKind.GROUP, a, (g, witnesses))
 
 
-def _inv_13e(a: Mat, e: Weight):
-    gram = a.star() * e.value * a
-    w = solve_left(gram, a)
+def _inv_13e(a: _Instance, e: Weight):
+    w = solve_left(a.gram(e)[1], a)
     if not w.consistent:
         return NotInvertible(GInverseKind.ONE_THREE_E.value, "Ra*ea", "a not in R a* e a")
     x = w.solution
@@ -368,7 +465,7 @@ def _e_core(a: _Instance, e: Weight):
     i13 = a.one_sided(e)
     if isinstance(i13, NotInvertible):
         return NotInvertible(GInverseKind.E_CORE.value, "13e", f"{{1,3e}} prerequisite failed: {i13.reason}")
-    return g * a * i13[0], {"group_inverse": g, "inv_13e": i13[0]}
+    return a.projector() * i13[0], {"group_inverse": g, "inv_13e": i13[0]}
 
 
 def e_core(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:
@@ -453,10 +550,7 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     """
     _check_n(n, 2)
     a = _instance(a)
-    first = (
-        solve_left(a.star() * e.value * a, a).consistent
-        and a.solve_power(n, "right").consistent
-    )
+    first = solve_left(a.gram(e)[1], a).consistent and a.solve_power(n, "right").consistent
     second = solve_left(a.star().power(n) * e.value * a, a).consistent
     return first, second
 

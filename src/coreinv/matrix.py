@@ -135,9 +135,8 @@ class Mat:
         return None if x is None else Mat._of(self.field, self.n, x)
 
     def rank(self) -> int:
-        """The rank, from one elimination of the matrix alone."""
-        pivots, _ = self.field.rref(self.field.augment(self.form), self.n)
-        return len(pivots)
+        """The rank, from one forward elimination of the matrix alone."""
+        return self.field.rank(self.field.augment(self.form))
 
     def is_invertible(self) -> bool:
         """Whether the matrix has full rank; forms no inverse (see `inverse`)."""
@@ -220,30 +219,38 @@ def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
 
 
 class Weight:
-    """An invertible Hermitian matrix that twists the symmetry conditions."""
+    """An invertible Hermitian matrix that twists the symmetry conditions.
 
-    __slots__ = ("value", "inv")
+    Invertibility is checked by rank; the inverse is formed on its first read,
+    so a weight whose inverse no call reads costs no `[W | I]` reduction."""
+
+    __slots__ = ("value", "_inv")
 
     def __init__(self, value: Mat):
         if not value.is_hermitian():
             raise ValueError("weight must be Hermitian")
-        inv = value.inverse()
-        if inv is None:
+        if not value.is_invertible():
             raise ValueError("weight must be invertible")
-        self.value = value
-        self.inv = inv
+        self.value, self._inv = value, None
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Weight":
         """The identity weight: Hermitian and its own inverse, so not validated."""
         w = object.__new__(cls)
-        w.value = w.inv = Mat.identity(field, n)
+        w.value = w._inv = Mat.identity(field, n)
         return w
+
+    @property
+    def inv(self) -> Mat:
+        """w^{-1}, formed once per weight."""
+        if self._inv is None:
+            self._inv = self.value.inverse()
+        return self._inv
 
     def inverse(self) -> "Weight":
         """The weight w^{-1}; Hermitian and invertible because w is, so not validated again."""
         w = object.__new__(Weight)
-        w.value, w.inv = self.inv, self.value
+        w.value, w._inv = self.inv, self.value
         return w
 
     def __eq__(self, other):

@@ -449,6 +449,30 @@ class ScalarField:
             return None
         return pivots, rows[:r]
 
+    def rank(self, rows) -> int:
+        """The rank of integer rows (`augment`): the pivot count of `rref` on all
+        their columns, by forward elimination alone. With the pivot rule of
+        `rref`, clearing only the rows below each pivot finds the same pivots.
+        Q(i) overrides this method."""
+        rows = list(rows)
+        eliminate = self._eliminate
+        nrows = len(rows)
+        r = 0
+        for c in range(len(rows[0])):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            prow = rows[r]
+            for i in range(r + 1, nrows):
+                rows[i] = eliminate(rows[i], prow, c)
+            r += 1
+            if r == nrows:
+                break
+        return r
+
     def solution(self, pivots, rows, n: int) -> tuple:
         """The form of the n-by-n matrix whose row c, for each pivot column c of
         `rref`, is the last n entries of its pivot row divided by the pivot; the
@@ -692,38 +716,8 @@ class GaussianRationalField(_ClearedField):
         raises.
         """
         w = len(rows[0]) // 2 if rows else 0
-        re = [row[:w] for row in rows]
-        im = [row[w:] for row in rows]
-        nrows = len(rows)
-        pivots: list[int] = []
-        dr, di = 1, 0
-        r = 0
-        for c in range(lead):
-            for i in range(r, nrows):
-                if re[i][c] or im[i][c]:
-                    break
-            else:
-                continue
-            re[r], re[i], im[r], im[i] = re[i], re[r], im[i], im[r]
-            pr, pi = re[r][c], im[r][c]
-            br, bi = re[r][c + 1:], im[r][c + 1:]
-            for i in range(r + 1, nrows):
-                xr, xi = re[i], im[i]
-                fr, fi = xr[c], xi[c]
-                ar, ai = xr[c + 1:], xi[c + 1:]
-                nr = [pr * a - pi * b - fr * g + fi * h for a, b, g, h in zip(ar, ai, br, bi)]
-                ni = [pr * b + pi * a - fr * h - fi * g for a, b, g, h in zip(ar, ai, br, bi)]
-                if pivots:
-                    q = _exact_quotient(nr, ni, dr, di)
-                    nr, ni = q[:len(nr)], q[len(nr):]
-                # the entries up to column c are stale from here on; no later step
-                # reads them
-                xr[c + 1:], xi[c + 1:] = nr, ni
-            pivots.append(c)
-            dr, di = pr, pi
-            r += 1
-            if r == nrows:
-                break
+        re, im, pivots, dr, di = self._forward(rows, lead)
+        r, nrows = len(pivots), len(rows)
         if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, nrows)):
             return None
         pivot_set = set(pivots)
@@ -761,6 +755,48 @@ class GaussianRationalField(_ClearedField):
             out.append(row_re + row_im)
         out.reverse()
         return pivots, out
+
+    def rank(self, rows):
+        return len(self._forward(rows, len(rows[0]) // 2)[2])
+
+    @staticmethod
+    def _forward(rows, lead):
+        """The forward phase of `rref` on the first `lead` columns: (re parts, im
+        parts, pivot columns, last pivot's re, its im)."""
+        w = len(rows[0]) // 2 if rows else 0
+        re = [row[:w] for row in rows]
+        im = [row[w:] for row in rows]
+        nrows = len(rows)
+        pivots: list[int] = []
+        dr, di = 1, 0
+        r = 0
+        for c in range(lead):
+            for i in range(r, nrows):
+                if re[i][c] or im[i][c]:
+                    break
+            else:
+                continue
+            re[r], re[i], im[r], im[i] = re[i], re[r], im[i], im[r]
+            pr, pi = re[r][c], im[r][c]
+            br, bi = re[r][c + 1:], im[r][c + 1:]
+            for i in range(r + 1, nrows):
+                xr, xi = re[i], im[i]
+                fr, fi = xr[c], xi[c]
+                ar, ai = xr[c + 1:], xi[c + 1:]
+                nr = [pr * a - pi * b - fr * g + fi * h for a, b, g, h in zip(ar, ai, br, bi)]
+                ni = [pr * b + pi * a - fr * h - fi * g for a, b, g, h in zip(ar, ai, br, bi)]
+                if pivots:
+                    q = _exact_quotient(nr, ni, dr, di)
+                    nr, ni = q[:len(nr)], q[len(nr):]
+                # the entries up to column c are stale from here on; no later step
+                # reads them
+                xr[c + 1:], xi[c + 1:] = nr, ni
+            pivots.append(c)
+            dr, di = pr, pi
+            r += 1
+            if r == nrows:
+                break
+        return re, im, pivots, dr, di
 
     def solution(self, pivots, rows, n):
         # v / p = v conj(p) / |p|^2, each pivot row over the lcm of the norms

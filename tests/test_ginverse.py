@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 
 import pytest
 
@@ -38,7 +39,8 @@ from coreinv import (
     verify,
     weighted_mp,
 )
-from coreinv.ginverse import MAX_POWER, _instance
+from coreinv.ginverse import EQUATIONS, MAX_POWER, _instance
+from coreinv.oracle import EnumerationSpace, iter_invertible_symmetric
 
 A = Mat(QQ, [[1, 1], [0, 0]])  # a non-Hermitian idempotent used throughout
 N = Mat(QQ, [[0, 1], [0, 0]])  # nilpotent, not group invertible
@@ -373,15 +375,18 @@ def test_cross_check_solves_each_prerequisite_once(work):
     # and {1,4f} prerequisites are not certified), and evaluates (1), (2), (5)
     # on a; (1), (2), (3e), (6), (7) on diag(1, 0); (1), (2), (3e), (4f) on
     # [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
-    # Products, to build + to check: group 3 + 4 (a^2, a x, a x x; a x, x a, (1),
-    # (2)); {1,3e} 3 (a* e, a* e a, x* e); core 2 + 7 (g a, g a x; a x, x a and
-    # one per label); {1,4f} 3; dual 2 + 7; Moore-Penrose 2 + 6; the power paths
-    # 5 + 0 and 4 + 0 (a^2 is kept from the group). 48 in all
+    # Products, to build + to check: group 3 + 4 (a^2, a x = a^# a, (a^# a) x; a x,
+    # x a, one object since equal, (1), (2)); {1,3e} 3 (a* e, a* e a, x* e); core
+    # 1 + 6 ((a^# a) a^(1,3e); a x, which is not a^# a, so x a is not formed, and
+    # one per label: (2) as x (a x), (6) as x a^2); {1,4f} 3; dual 1 + 6 (its
+    # mirror; x a, which is not a^# a, and one per label: (1) as a (x a), (8) as
+    # a^2 x); Moore-Penrose 2 + 6; the power paths 4 + 0 and 4 + 0 ((a*)^2 is the
+    # star of a^2, which is kept from the group). 43 in all
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 48}
+    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 43}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):
@@ -389,12 +394,16 @@ def test_weighted_ep_solves_the_group_inverse_once(work):
     # (3 solves; the group inverse a x^2 and the one-sided inverses are
     # prerequisites, not certified). Every value is diag(1, 0): verify runs for
     # core and dual core (2) and evaluates each of (1), (2), (3e), (4f), (6), (7),
-    # (8), (9) once. Products: 3 for a x^2 (a^2, a x, a x x), 3 + 3 for the
-    # one-sided inverses (a* e a and x* e), 2 + 2 for the core values, 10 to check
-    # (a x, x a and one per label) and 2 for p = 1 - a^# a and its check a^# a = a a^#
+    # (8), (9) once. Products: 3 for a^# (a^2, a x = a^# a, (a^# a) x), 3 + 3 for
+    # the one-sided inverses (a* e, a* e a, x* e and their mirrors), 1 + 1 for the
+    # core values ((a^# a) a^(1,3e) and its mirror), 5 to check (a x, which is the
+    # a^# a the call holds, so x a too, kept as one object; (1), (2) and (3e);
+    # (6) and (7) read the products of (1) and (2), the dual core's (4f) the
+    # product of (3e), and (8) and (9) again those of (1) and (2)) and none for
+    # p = 1 - a^# a and its check a^# a = a a^#, which reads the a x of the value
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
-    assert work == {"solve": 3, "verify": 2, "equations": 8, "mul": 25}
+    assert work == {"solve": 3, "verify": 2, "equations": 8, "mul": 16}
 
 
 def test_weighted_mp_certifies_only_its_own_value(work):
@@ -412,14 +421,117 @@ def test_weighted_mp_certifies_only_its_own_value(work):
 
 def test_inv_14f_is_solved_on_the_mirror_and_certified_on_a(work):
     # the builder runs on (a*, f^-1): a f^-1, a f^-1 a* and f^-1 y* (3 products, one
-    # solve); the value is then certified on (1) and (4f) of (a, f): a x, (1), x a
-    # and (4f) (4 products)
+    # solve); the value is then certified on (1) and (4f) of (a, f), which read
+    # x a alone: x a, (1) as a (x a), and (4f) (3 products)
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     cert = inv_14f(Mat(f3, [[1, 1], [0, 0]]), w)
     assert cert.value == Mat(f3, [[2, 0], [2, 0]])
     assert cert.witnesses == {"y": Mat(f3, [[2, 2], [0, 0]])}
-    assert work == {"solve": 1, "verify": 1, "equations": 2, "mul": 7}
+    assert work == {"solve": 1, "verify": 1, "equations": 2, "mul": 6}
+
+
+def test_gram_formula_forms_the_gram_matrix_once(monkeypatch):
+    # the {1,3e} solve of e_core and the Gram formula read one Gram pair (a* e,
+    # a* e a), and the formula's p = 1 - a x reads the a x that certified x
+    formed = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda x, y: formed.append((x.form, y.form)) or mul(x, y))
+    for field in (QQ, QI):
+        a = random_group_invertible(4, field, seed=3, rank=2)
+        e = random_weight(4, field, seed=4, definite=True)
+        ae = a.star() * e.value
+        formed.clear()
+        value = gram_formula(a, e)
+        assert formed.count((ae.form, a.form)) == 1
+        assert len(set(formed)) == len(formed)  # no product formed twice
+        assert value == e_core(a, e).value
+
+
+def test_e_core_on_a_weighted_ep_input_shares_the_products_of_its_labels(monkeypatch):
+    # a = w^-1 h with h Hermitian is weighted-EP for e = f = w: its core inverse x
+    # commutes with a, so a x and x a are one object, and (6) x a^2 = a and
+    # (7) a x^2 = x compare the a x a of (1) and the x a x of (2)
+    products, formed = [], {}
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    for label, predicate in coreinv.ginverse._PREDICATES.items():
+
+        def counted(*args, label=label, predicate=predicate):
+            before = len(products)
+            ok = predicate(*args)
+            formed[label] = len(products) - before
+            return ok
+
+        monkeypatch.setitem(coreinv.ginverse._PREDICATES, label, counted)
+    for field in (QQ, QI):
+        w = random_weight(3, field, seed=5, definite=True)
+        b = random_mat(3, field, seed=6)
+        a = w.inv * b.star() * Mat(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]) * b
+        assert a.rank() == 2 and is_weighted_ep(a, w, w).weighted_ep
+        formed.clear()
+        assert not isinstance(e_core(a, w), NotInvertible)
+        assert formed == {"(1)": 1, "(2)": 1, "(3e)": 1, "(6)": 0, "(7)": 0}
+
+
+# The kinds in the order cross_check meets them: the group inverse, the core
+# inverse after its {1,3e} prerequisite, the dual core inverse after its {1,4f}
+# prerequisite, and the weighted Moore-Penrose inverse.
+VISIT_ORDER = (
+    GInverseKind.GROUP,
+    GInverseKind.ONE_THREE_E,
+    GInverseKind.E_CORE,
+    GInverseKind.ONE_FOUR_F,
+    GInverseKind.F_DUAL_CORE,
+    GInverseKind.WEIGHTED_MP,
+)
+
+
+def fresh_outcomes(a, x, e, f):
+    """Every label's outcome from fresh products of plain matrices, as written."""
+    return {
+        "(1)": a * x * a == a,
+        "(2)": x * a * x == x,
+        "(3e)": (e.value * (a * x)).is_hermitian(),
+        "(4f)": (f.value * (x * a)).is_hermitian(),
+        "(5)": a * x == x * a,
+        "(6)": x * a * a == a,
+        "(7)": a * x * x == x,
+        "(8)": a * a * x == a,
+        "(9)": x * x * a == x,
+    }
+
+
+def test_verify_on_shared_products_matches_fresh_products():
+    """Over all of M_2(F_3) and every invertible symmetric weight, verify on one
+    instance per a, which keeps each value's products and outcomes across kinds
+    and weights, reports what fresh products report: for every constructed
+    value, shared by kinds or commuting with a, and for seeded random candidates."""
+    f3 = GF(3)
+    rng = random.Random(2109)
+    weights = [Weight(Mat(f3, w)) for w in iter_invertible_symmetric(3, 2)]
+    aliased = 0
+    for a_raw in EnumerationSpace(3, 2).matrices():
+        a = Mat(f3, a_raw)
+        inst = _instance(a)
+        sample = [Mat(f3, [[rng.randrange(3) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
+        for w in weights:
+            built = (
+                group_inverse(inst),
+                inv_13e(inst, w),
+                e_core(inst, w),
+                inv_14f(inst, w),
+                f_dual_core(inst, w),
+                weighted_mp(inst, w, w),
+            )
+            values = {r.value: None for r in built if not isinstance(r, NotInvertible)}
+            for x in [*values, *sample]:
+                fresh = fresh_outcomes(a, x, w, w)
+                aliased += fresh["(5)"]
+                for kind in VISIT_ORDER:
+                    expected = tuple((label, fresh[label]) for label in EQUATIONS[kind])
+                    assert verify(kind, inst, x, e=w, f=w).results == expected, (a, w, x, kind)
+    assert aliased > 0
 
 
 def test_a_value_shared_by_kinds_is_evaluated_once_per_label(work):

@@ -231,6 +231,60 @@ def test_rank_decides_invertibility_as_the_inverse_does(field):
                 assert m.is_invertible() == (m.inverse() is not None) == (m.rank() == dim)
 
 
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_rank_is_the_pivot_count_of_rref(field):
+    """Forward elimination alone finds the pivots that the full RREF finds."""
+    for dim in range(1, 9):
+        mats = [random_mat(dim, field, seed=dim), Mat.zeros(field, dim)]
+        mats += [random_group_invertible(dim, field, seed=dim + r, rank=r) for r in (dim // 2, dim)]
+        if dim > 1:
+            mats.append(random_non_group_invertible(dim, field, seed=dim))
+        for m in mats:
+            pivots, _ = field.rref(field.augment(m.form), dim)
+            assert m.rank() == len(pivots)
+        assert [m.rank() for m in mats[1:4]] == [0, dim // 2, dim]
+
+
+def test_weight_is_validated_at_construction():
+    with pytest.raises(ValueError, match="^weight must be Hermitian$"):
+        Weight(Mat(QQ, [[1, 1], [0, 1]]))
+    for field in (QQ, QI, GF(3)):
+        with pytest.raises(ValueError, match="^weight must be invertible$"):
+            Weight(Mat(field, [[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="^weight must be invertible$"):
+            Weight(Mat.zeros(field, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_a_weight_forms_its_inverse_once_on_first_read(field, monkeypatch):
+    inversions = []
+    real_inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda m: inversions.append(m) or real_inverse(m))
+    for seed in range(3):
+        w = random_weight(4, field, seed=seed)
+        assert inversions == []  # the constructor checks the rank alone
+        assert w.inv * w.value == w.value * w.inv == Mat.identity(field, 4)
+        assert w.inv is w.inv and w.inverse().value is w.inv
+        assert w.inverse().inverse().value is w.value
+        assert w.inverse().inv is w.value
+        assert inversions == [w.value]
+        inversions.clear()
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_identity_weight_runs_no_reduction(field, monkeypatch):
+    reductions = []
+    for name in ("rref", "rank"):
+        real = getattr(field, name)
+        monkeypatch.setattr(field, name, lambda *args, real=real: reductions.append(1) or real(*args))
+    w = Weight.identity(field, 3)
+    assert w.inv is w.value == Mat.identity(field, 3)
+    assert w.inverse().value is w.value and w.inverse().inv is w.value
+    assert reductions == []
+    Weight(Mat.identity(field, 3))
+    assert reductions == [1]  # a weight built from a matrix has its rank checked
+
+
 def test_jacobson_invertibility_symmetry():
     for field in (QQ, GF(5)):
         ident = Mat.identity(field, 3)
