@@ -81,6 +81,14 @@ def _load_weight(path: str | None, dim, field) -> Weight:
     return Weight(m)
 
 
+def _load_weights(args, a: Mat) -> tuple[Weight, Weight]:
+    """(e, f) from --e and --f; one Weight serves as both when they name the same
+    path or are both absent, so it is decoded and validated once."""
+    e = _load_weight(args.e, a.n, a.field)
+    f = e if args.f == args.e else _load_weight(args.f, a.n, a.field)
+    return e, f
+
+
 def _result_json(result) -> dict:
     if isinstance(result, NotInvertible):
         return not_invertible_to_json(result)
@@ -93,8 +101,7 @@ def cmd_compute(args) -> int:
     if n is not None and kind not in (GInverseKind.E_CORE, GInverseKind.F_DUAL_CORE):
         raise ValueError(f"--n applies to the kinds ecore and fdual only, not {kind.value}")
     a = _load_matrix(args.a)
-    e = _load_weight(args.e, a.n, a.field)
-    f = _load_weight(args.f, a.n, a.field)
+    e, f = _load_weights(args, a)
     if kind is GInverseKind.GROUP:
         result = group_inverse(a)
     elif kind is GInverseKind.ONE_THREE_E:
@@ -115,8 +122,7 @@ def cmd_compute(args) -> int:
 
 def _verify_certificate(args, payload, a: Mat) -> int:
     cert = certificate_from_json(payload)
-    e = _load_weight(args.e, a.n, a.field)
-    f = _load_weight(args.f, a.n, a.field)
+    e, f = _load_weights(args, a)
     report = verify(cert.kind, a, cert.value, e=e, f=f)
     _emit(
         {
@@ -165,8 +171,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ep(args) -> int:
     a = _load_matrix(args.a)
-    e = _load_weight(args.e, a.n, a.field)
-    f = _load_weight(args.f, a.n, a.field)
+    e, f = _load_weights(args, a)
     report = is_weighted_ep(a, e, f)
     _emit(
         {

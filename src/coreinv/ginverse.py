@@ -415,6 +415,15 @@ class _Instance(Mat):
 
         return self._fact("gram", make, w)
 
+    def power_gram(self, w: Weight, n: int) -> Mat:
+        """(a*)^n w a. When the call holds the Gram pair of w it is (a*)^{n-1} (a* w a),
+        one product, where (a*)^1 is the mirror; else ((a*)^n w) a, which forms
+        no Gram pair."""
+        held = self._facts.get((self._dual, "gram", id(w.value)))
+        if held is None:
+            return self.star().power(n) * w.value * self
+        return self.star().power(n - 1) * held[0][1]
+
 
 def _instance(a: Mat) -> _Instance:
     return a if isinstance(a, _Instance) else _Instance(a)
@@ -489,8 +498,7 @@ def _check_n(n: int, least: int = 1):
 
 
 def _e_core_via_power(a: _Instance, e: Weight, n: int):
-    gram = a.star().power(n) * e.value * a
-    sw = solve_left(gram, a)
+    sw = solve_left(a.power_gram(e, n), a)
     if not sw.consistent:
         return NotInvertible(
             GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a"
@@ -551,7 +559,7 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     _check_n(n, 2)
     a = _instance(a)
     first = solve_left(a.gram(e)[1], a).consistent and a.solve_power(n, "right").consistent
-    second = solve_left(a.star().power(n) * e.value * a, a).consistent
+    second = solve_left(a.power_gram(e, n), a).consistent
     return first, second
 
 

@@ -4,10 +4,10 @@ The ring involution is conjugate-transpose: plain transpose on prime fields
 (identity conjugation) and Hermitian transpose on Gaussian rationals. A matrix
 is held in its field's canonical integer form, and products, sums, transposes
 and row reductions run in the field's own integer kernels (`ScalarField.mul`,
-`ScalarField.rref`, ...). Linear solves run reduced row echelon form with a
-fixed pivoting rule (columns left to right, first nonzero row) and zero all
-free variables, so every witness is deterministic and certificates replay
-byte-for-byte.
+`ScalarField.solve`, ...). Linear solves return the solution of the reduced row
+echelon form with a fixed pivoting rule (columns left to right, first nonzero
+row) and all free variables zero, so every witness is deterministic and
+certificates replay byte-for-byte.
 """
 
 from __future__ import annotations
@@ -178,11 +178,9 @@ class SolveWitness:
 
 
 def _solve(field: ScalarField, n: int, lhs, rhs) -> tuple | None:
-    """The form of x with lhs x = rhs, given as the forms of n-by-n matrices: the
-    pivot rows of the RREF at their pivot columns, free variables zeroed; None if
-    inconsistent."""
-    reduced = field.rref(field.augment(lhs, rhs), n)
-    return None if reduced is None else field.solution(*reduced, n)
+    """The form of the pinned x with lhs x = rhs, given as the forms of n-by-n
+    matrices (`ScalarField.solve`); None if inconsistent."""
+    return field.solve(field.augment(lhs, rhs), n)
 
 
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
@@ -201,21 +199,17 @@ def solve_left(a: Mat, b: Mat) -> SolveWitness:
 
 
 def left_annihilator_basis(m: Mat) -> tuple[tuple, ...]:
-    """A canonical basis of row vectors v with v @ m = 0."""
+    """A canonical basis of row vectors v with v @ m = 0: e_fc - X[:, fc] for each
+    free column fc of the RREF of m^T, where X is the pinned solution of
+    m^T X = m^T. X holds the RREF's entries at its pivot rows, so a pivot column c
+    has X[c][c] = 1 and a free column fc a zero row, X[fc][fc] = 0."""
     field, n = m.field, m.n
-    pivots, reduced = field.rref(field.augment(field.transpose(m.form)), n)
-    x = field.to_rows(field.solution(pivots, reduced, n))
-    zero, one = field.zero(), field.one()
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [zero] * n
-        vec[fc] = one
-        for c in pivots:
-            vec[c] = -x[c][fc]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    mt = field.transpose(m.form)
+    x = field.to_rows(_solve(field, n, mt, mt))
+    one = field.one()
+    return tuple(
+        tuple([one if c == fc else -x[c][fc] for c in range(n)]) for fc in range(n) if not x[fc][fc]
+    )
 
 
 class Weight:

@@ -10,7 +10,6 @@ Floats are rejected everywhere; there is no approximate mode.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -290,7 +289,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _divided(xs: list[int], d: int) -> list[int]:
     """Each x // d, where d must divide every x: a remainder is a broken
-    invariant of `rref`, not bad input."""
+    invariant of the row reduction, not bad input."""
     qs = [x // d for x in xs]
     # every floor remainder has the sign of d, so they sum to 0 only if each is 0
     if sum(xs) != d * sum(qs):
@@ -398,32 +397,42 @@ class ScalarField:
 
     def augment(self, *forms) -> list[list[int]]:
         """The rows of matrices with equally many rows, side by side, as the integer
-        rows `rref` takes."""
+        rows `solve` and `rank` take."""
         raise NotImplementedError
 
-    def rref(self, rows, lead: int) -> tuple[list[int], list[list[int]]] | None:
-        """The RREF of integer rows (`augment`) on their first `lead` columns as
-        (pivot columns, integer pivot rows), or None when a row past the rank is
-        nonzero beyond column `lead`, an inconsistent system. `rows` is not
-        modified. Each pivot row is a nonzero multiple of its row of the RREF;
-        `solution` divides it by its pivot.
+    def solve(self, rows, lead: int) -> tuple | None:
+        """The pinned solution X of a system given as integer rows (`augment`), the
+        coefficients in the first `lead` columns and the right-hand sides in the
+        rest: the form of the `lead`-by-(width - `lead`) matrix whose row c, for
+        each pivot column c of the RREF, holds that pivot row's right-hand entries,
+        and whose other rows, the free variables, are zero. None when the system
+        is inconsistent. `rows` is not modified.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
-        entry at or below the current row.
+        entry at or below the current row. Q and F_p reduce the rows by
+        `_rref`, then `_solution(pivots, pivot_rows, lead, m)` divides the last m
+        entries of each pivot row by its pivot. Q(i) overrides this method.
+        """
+        reduced = self._rref(rows, lead)
+        return None if reduced is None else self._solution(*reduced, lead, len(rows[0]) - lead)
+
+    def _rref(self, rows, lead: int) -> tuple[list[int], list[list[int]]] | None:
+        """The RREF of integer rows on their first `lead` columns as (pivot columns,
+        integer pivot rows), each pivot row a nonzero multiple of its row of the
+        RREF, or None when a row past the rank is nonzero beyond column `lead`.
 
         A row of ints stands for a nonzero multiple of a row of elements; only its
-        direction matters until `solution`. Over Q and Q(i) `augment` divides each
-        row by the gcd of its entries, so the rows it gives are the same whatever
+        direction matters until it is divided by its pivot. Over Q `augment` divides each row by
+        the gcd of its entries, so the rows it gives are the same whatever
         denominators the matrices were cleared over. This fraction-free
-        Gauss-Jordan loop, which Q and F_p run, replaces every other row, above
-        and below the pivot, by pivot * row - entry * pivot_row up to a nonzero
-        factor the field chooses (`_eliminate`). Every row stays a nonzero
-        multiple of the same row of the reduction over the field, so the pivots
-        and zero patterns are the RREF's. The rows past the rank are zero in the
-        first `lead` columns, so any nonzero integer in them decides the verdict.
-        Q divides each new row by the gcd of its entries, its whole content,
-        which keeps its rows smaller than the minors Bareiss keeps; F_p reduces
-        modulo p. Q(i) overrides this method.
+        Gauss-Jordan loop replaces every other row, above and below the pivot, by
+        pivot * row - entry * pivot_row up to a nonzero factor the field chooses
+        (`_eliminate`). Every row stays a nonzero multiple of the same row of the
+        reduction over the field, so the pivots and zero patterns are the RREF's.
+        The rows past the rank are zero in the first `lead` columns, so any
+        nonzero integer in them decides the verdict. Q divides each new row by
+        the gcd of its entries, its whole content, which keeps its rows smaller
+        than the minors Bareiss keeps; F_p reduces modulo p.
         """
         rows = list(rows)
         eliminate = self._eliminate
@@ -450,10 +459,10 @@ class ScalarField:
         return pivots, rows[:r]
 
     def rank(self, rows) -> int:
-        """The rank of integer rows (`augment`): the pivot count of `rref` on all
-        their columns, by forward elimination alone. With the pivot rule of
-        `rref`, clearing only the rows below each pivot finds the same pivots.
-        Q(i) overrides this method."""
+        """The rank of integer rows (`augment`): the number of pivots of their RREF,
+        by forward elimination alone. With the pivot rule of `solve`, clearing
+        only the rows below each pivot finds the same pivots. Q(i) overrides
+        this method."""
         rows = list(rows)
         eliminate = self._eliminate
         nrows = len(rows)
@@ -472,12 +481,6 @@ class ScalarField:
             if r == nrows:
                 break
         return r
-
-    def solution(self, pivots, rows, n: int) -> tuple:
-        """The form of the n-by-n matrix whose row c, for each pivot column c of
-        `rref`, is the last n entries of its pivot row divided by the pivot; the
-        other rows are zero (free variables)."""
-        raise NotImplementedError
 
     def _eliminate(self, row: list[int], prow: list[int], c: int) -> list[int]:
         """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
@@ -580,13 +583,13 @@ class RationalField(_ClearedField):
             return row
         return _primitive([p * a - f * b for a, b in zip(row, prow)])
 
-    def solution(self, pivots, rows, n):
+    def _solution(self, pivots, rows, lead, m):
         # each pivot row over the lcm of the pivots
         d = lcm(*[row[c] for row, c in zip(rows, pivots)])
-        x = [(0,) * n] * n
+        x = [(0,) * m] * lead
         for c, row in zip(pivots, rows):
             k = d // row[c]
-            x[c] = [v * k for v in row[-n:]]
+            x[c] = [v * k for v in row[lead:]]
         return _canonical(d, x)
 
     def __eq__(self, other):
@@ -696,72 +699,70 @@ class GaussianRationalField(_ClearedField):
         re, im, d = x
         return tuple(zip(*re)), tuple([tuple([-v for v in col]) for col in zip(*im)]), d
 
-    def rref(self, rows, lead):
-        """`ScalarField.rref` for Q(i), by fraction-free forward elimination and
-        back substitution in Z[i] (Bareiss 1968; Nakos, Turner and Williams 1997).
-        An integer row is the re parts followed by the im parts.
+    def solve(self, rows, lead):
+        """`ScalarField.solve` for Q(i), by fraction-free forward elimination in Z[i]
+        and back substitution of the right-hand columns alone (Bareiss 1968; Nakos,
+        Turner and Williams 1997). An integer row is the re parts followed by the
+        im parts.
 
-        Forward: at the k-th pivot p_k, in column c, every row below becomes
-        (p_k * row - row[c] * pivot_row) / p_{k-1}, with p_{-1} = 1, on the
-        columns right of c only, also where row[c] is already zero. Each entry is
-        then a minor of the cleared input, so the division is exact. Let U[k] be
-        the k-th pivot row as the forward phase leaves it, c_k its pivot column
-        and D the last pivot, the determinant of the cleared input at the pivot
-        rows and columns. Back: for every non-pivot column j and k from the last
-        pivot row up, y_k = (D * U[k][j] - sum_{t>k} U[k][c_t] * y_t) / U[k][c_k].
-        Pivot row k is returned as D at c_k, 0 at the other pivot columns and y_k
-        elsewhere: D times its row of the RREF. By Cramer's rule each y_k is a
-        minor of order rank of the cleared input, so this division is exact too.
-        A remainder in either is a broken invariant, which `_exact_quotient`
-        raises.
+        Forward (`_forward`): at the k-th pivot p_k, in column c, every row below
+        becomes (p_k * row - row[c] * pivot_row) / p_{k-1}, with p_{-1} = 1, on
+        the columns right of c only, also where row[c] is already zero. Each
+        entry is then a minor of the cleared input, so the division is exact.
+        Let U[k] be the k-th pivot row as the forward phase leaves it, c_k its
+        pivot column and D the last pivot, the determinant of the cleared input
+        at the pivot rows and columns. Back: for every right-hand column j and k
+        from the last pivot row up, y_k = (D * U[k][j] - sum_{t>k} U[k][c_t] *
+        y_t) / U[k][c_k], which is U[k][j] for the last row. By Cramer's rule
+        each y_k is a minor of order rank of the cleared input, so this division
+        is exact too; a remainder in either is a broken invariant, which
+        `_exact_quotient` raises. Each y_k is D times the RREF's entry, so the
+        answer is divided by the one D at the end: y / D = y conj(D) / |D|^2,
+        which is just y / D when D is real.
         """
-        w = len(rows[0]) // 2 if rows else 0
         re, im, pivots, dr, di = self._forward(rows, lead)
-        r, nrows = len(pivots), len(rows)
-        if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, nrows)):
+        r = len(pivots)
+        if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, len(rows))):
             return None
-        pivot_set = set(pivots)
-        free = [j for j in range(w) if j not in pivot_set]
-        # per free column, y_t for t = r-1, r-2, ...: re parts, im parts, their sums
-        ys = [([], [], []) for _ in free]
-        out = []
+        m = len(rows[0]) // 2 - lead
+        # per right-hand column, y_t for t = r-1, r-2, ...: re parts, im parts, their sums
+        ys = [([], [], []) for _ in range(m)]
+        out_re, out_im = [(0,) * m] * lead, [(0,) * m] * lead
         for k in reversed(range(r)):
-            c, xr, xi = pivots[k], re[k], im[k]
-            s = bisect_right(free, c)  # y_k is 0 in the free columns left of c
-            cols = free[s:]
-            if k == r - 1:
-                # D * U[k][j] / U[k][c] with U[k][c] = D
-                yr_k, yi_k = [xr[j] for j in cols], [xi[j] for j in cols]
-            else:
+            c, xr, xi = pivots[k], re[k][lead:], im[k][lead:]
+            if k < r - 1:
                 later = pivots[:k:-1]  # c_t for t = r-1, ..., k+1
-                ur, ui = [xr[ct] for ct in later], [xi[ct] for ct in later]
+                ur, ui = [re[k][ct] for ct in later], [im[k][ct] for ct in later]
                 us = list(map(add, ur, ui))
                 # sum_t U[k][c_t] y_t with its imaginary part from three dot products
-                rr = [sum(map(mul, ur, y[0])) for y in ys[s:]]
-                ii = [sum(map(mul, ui, y[1])) for y in ys[s:]]
-                ss = [sum(map(mul, us, y[2])) for y in ys[s:]]
-                nr = [dr * xr[j] - di * xi[j] - a + b for j, a, b in zip(cols, rr, ii)]
-                ni = [dr * xi[j] + di * xr[j] - g + a + b for j, a, b, g in zip(cols, rr, ii, ss)]
-                q = _exact_quotient(nr, ni, xr[c], xi[c])
-                yr_k, yi_k = q[:len(cols)], q[len(cols):]
-            row_re, row_im = [0] * w, [0] * w
-            row_re[c], row_im[c] = dr, di
-            for (yr, yi, ysum), a, b in zip(ys, [0] * s + yr_k, [0] * s + yi_k):
+                rr = [sum(map(mul, ur, y[0])) for y in ys]
+                ii = [sum(map(mul, ui, y[1])) for y in ys]
+                ss = [sum(map(mul, us, y[2])) for y in ys]
+                nr = [dr * a - di * b - u + v for a, b, u, v in zip(xr, xi, rr, ii)]
+                ni = [dr * b + di * a - g + u + v for a, b, u, v, g in zip(xr, xi, rr, ii, ss)]
+                q = _exact_quotient(nr, ni, re[k][c], im[k][c])
+                xr, xi = q[:m], q[m:]
+            for (yr, yi, ysum), a, b in zip(ys, xr, xi):
                 yr.append(a)
                 yi.append(b)
                 ysum.append(a + b)
-            for j, a, b in zip(cols, yr_k, yi_k):
-                row_re[j], row_im[j] = a, b
-            out.append(row_re + row_im)
-        out.reverse()
-        return pivots, out
+            out_re[c], out_im[c] = xr, xi
+        if di:  # y / D = y conj(D) / |D|^2
+            for c in pivots:
+                xr, xi = out_re[c], out_im[c]
+                out_re[c] = [a * dr + b * di for a, b in zip(xr, xi)]
+                out_im[c] = [b * dr - a * di for a, b in zip(xr, xi)]
+            return _canonical(dr * dr + di * di, out_re, out_im)
+        if dr < 0:  # y / D = -(y / |D|)
+            return self.neg(_canonical(-dr, out_re, out_im))
+        return _canonical(dr, out_re, out_im)
 
     def rank(self, rows):
         return len(self._forward(rows, len(rows[0]) // 2)[2])
 
     @staticmethod
     def _forward(rows, lead):
-        """The forward phase of `rref` on the first `lead` columns: (re parts, im
+        """The forward phase of `solve` on the first `lead` columns: (re parts, im
         parts, pivot columns, last pivot's re, its im)."""
         w = len(rows[0]) // 2 if rows else 0
         re = [row[:w] for row in rows]
@@ -797,20 +798,6 @@ class GaussianRationalField(_ClearedField):
             if r == nrows:
                 break
         return re, im, pivots, dr, di
-
-    def solution(self, pivots, rows, n):
-        # v / p = v conj(p) / |p|^2, each pivot row over the lcm of the norms
-        m = len(rows[0]) // 2 if rows else 0
-        norms = [row[c] * row[c] + row[c + m] * row[c + m] for row, c in zip(rows, pivots)]
-        d = lcm(*norms)
-        re, im = [(0,) * n] * n, [(0,) * n] * n
-        for c, row, norm in zip(pivots, rows, norms):
-            k = d // norm
-            pr, pi = row[c] * k, row[c + m] * k
-            parts = list(zip(row[m - n:m], row[2 * m - n:]))
-            re[c] = [ar * pr + ai * pi for ar, ai in parts]
-            im[c] = [ai * pr - ar * pi for ar, ai in parts]
-        return _canonical(d, re, im)
 
     def __eq__(self, other):
         return type(other) is GaussianRationalField
@@ -906,12 +893,12 @@ class PrimeField(ScalarField):
             return row
         return [(pivot * a - f * b) % p for a, b in zip(row, prow)]
 
-    def solution(self, pivots, rows, n):
+    def _solution(self, pivots, rows, lead, m):
         p = self.p
-        x = [(0,) * n] * n
+        x = [(0,) * m] * lead
         for c, row in zip(pivots, rows):
             inv = pow(row[c], p - 2, p)
-            x[c] = tuple([v * inv % p for v in row[-n:]])
+            x[c] = tuple([v * inv % p for v in row[lead:]])
         return tuple(x)
 
     def __eq__(self, other):

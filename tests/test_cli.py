@@ -350,6 +350,52 @@ def test_ep_verdicts(tmp_path, capsys):
     assert payload["p"]["entries"] == [["0", "0"], ["0", "1"]]
 
 
+def test_one_weight_file_is_decoded_into_one_weight(tmp_path, capsys, monkeypatch):
+    """--e and --f naming one path, or both absent, give one Weight that serves as
+    both; stdout and exit codes are those of two copies of the file."""
+    made = []
+
+    class Counted(Weight):
+        __slots__ = ()
+
+        def __init__(self, value):
+            made.append(value)
+            super().__init__(value)
+
+        @classmethod
+        def identity(cls, field, n):
+            made.append(None)
+            return super().identity(field, n)
+
+    monkeypatch.setattr(coreinv.cli, "Weight", Counted)
+    a = write(tmp_path, "a.json", A_OBJ)
+    diag = write(tmp_path, "d.json", {"backend": "Q", "dim": 2, "entries": [["2", "0"], ["0", "0"]]})
+    good = {"backend": "Q", "dim": 2, "entries": [["2", "1"], ["1", "1"]]}
+    singular = {"backend": "Q", "dim": 2, "entries": [["1", "1"], ["1", "1"]]}
+    w = write(tmp_path, "w.json", good)
+    assert main(["compute", "--kind", "wmp", "--a", a, "--e", w, "--f", w]) == 0
+    cert = write(tmp_path, "cert.json", json.loads(capsys.readouterr().out))
+    commands = [["compute", "--kind", k.value, "--a", m] for k in GInverseKind for m in (a, diag)]
+    commands += [["ep", "--a", m] for m in (a, diag)] + [["verify", "--a", a, "--cert", cert]]
+    codes = set()
+    for argv in commands:
+        made.clear()
+        main(argv)  # both absent; the certificate's weight fails (3e) and (4f)
+        capsys.readouterr()
+        assert made == [None], argv
+        for name, obj in (("good", good), ("singular", singular)):
+            path, copy = write(tmp_path, f"{name}.json", obj), write(tmp_path, f"{name}-2.json", obj)
+            made.clear()
+            one = main(argv + ["--e", path, "--f", path]), capsys.readouterr().out
+            assert len(made) == 1, argv
+            made.clear()
+            two = main(argv + ["--e", path, "--f", copy]), capsys.readouterr().out
+            assert len(made) == (2 if obj is good else 1), argv  # a singular e stops the load
+            assert one == two, argv
+            codes.add(one[0])
+    assert codes == {0, 2}
+
+
 def test_oracle_exhaustive_and_refusal(tmp_path, capsys):
     code, out = run(capsys, ["oracle", "--p", "2", "--dim", "2"])
     assert code == 0

@@ -380,13 +380,14 @@ def test_cross_check_solves_each_prerequisite_once(work):
     # 1 + 6 ((a^# a) a^(1,3e); a x, which is not a^# a, so x a is not formed, and
     # one per label: (2) as x (a x), (6) as x a^2); {1,4f} 3; dual 1 + 6 (its
     # mirror; x a, which is not a^# a, and one per label: (1) as a (x a), (8) as
-    # a^2 x); Moore-Penrose 2 + 6; the power paths 4 + 0 and 4 + 0 ((a*)^2 is the
-    # star of a^2, which is kept from the group). 43 in all
+    # a^2 x); Moore-Penrose 2 + 6; the power paths 3 + 0 and 3 + 0 ((a*)^2 e a is
+    # a* (a* e a), on the Gram pair the {1,3e} solve formed, and on the dual side
+    # likewise). 41 in all
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 43}
+    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 41}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):

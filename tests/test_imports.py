@@ -78,6 +78,36 @@ def test_oracle_takes_only_constructors_from_ginverse():
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
 
 
+# The field hooks matrix.py may call. Of them only augment, solve and rank
+# eliminate, so an exact solve is replaced behind one hook, not in its callers.
+MATRIX_FIELD_HOOKS = {
+    "augment", "solve", "rank",
+    "to_form", "to_rows", "coerce", "decode", "encode_form", "zero", "one", "random",
+    "mul", "add", "neg", "transpose", "star", "is_zero", "tag", "p",
+}
+
+
+def test_matrix_reaches_elimination_only_through_solve_and_rank():
+    tree = _tree("matrix")
+    private = {
+        name for module, names in _package_imports(tree) if module == "scalar"
+        for name in names if name.startswith("_")
+    }
+    assert private <= {"_is_int"}, private
+    # every attribute read off a field: `field.x`, `self.field.x`, `m.field.x`, ...
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            isinstance(node.value, ast.Name) and node.value.id == "field"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "field"
+        )
+    }
+    assert read <= MATRIX_FIELD_HOOKS, read - MATRIX_FIELD_HOOKS
+    assert {"augment", "solve", "rank"} <= read
+
+
 def _dotted(node):
     """The names of an attribute chain such as ci.Mat.inverse, root first, or None."""
     names = []

@@ -233,14 +233,14 @@ def test_rank_decides_invertibility_as_the_inverse_does(field):
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
 def test_rank_is_the_pivot_count_of_rref(field):
-    """Forward elimination alone finds the pivots that the full RREF finds."""
+    """Forward elimination alone finds as many pivots as the full RREF has."""
     for dim in range(1, 9):
         mats = [random_mat(dim, field, seed=dim), Mat.zeros(field, dim)]
         mats += [random_group_invertible(dim, field, seed=dim + r, rank=r) for r in (dim // 2, dim)]
         if dim > 1:
             mats.append(random_non_group_invertible(dim, field, seed=dim))
         for m in mats:
-            pivots, _ = field.rref(field.augment(m.form), dim)
+            _, pivots = ref_rref(m.rows, dim, field)
             assert m.rank() == len(pivots)
         assert [m.rank() for m in mats[1:4]] == [0, dim // 2, dim]
 
@@ -274,7 +274,7 @@ def test_a_weight_forms_its_inverse_once_on_first_read(field, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
 def test_identity_weight_runs_no_reduction(field, monkeypatch):
     reductions = []
-    for name in ("rref", "rank"):
+    for name in ("solve", "rank"):
         real = getattr(field, name)
         monkeypatch.setattr(field, name, lambda *args, real=real: reductions.append(1) or real(*args))
     w = Weight.identity(field, 3)
@@ -688,15 +688,30 @@ def test_forms_are_canonical_and_match_element_reference(name):
     check()
 
 
-def divided_rows(pivots, rows):
-    """The integer pivot rows of `QI.rref` as Gaussian rationals, each divided by
-    its pivot with element operators."""
-    out = []
-    for c, row in zip(pivots, rows):
-        m = len(row) // 2
-        elems = [GaussianRational(re, im) for re, im in zip(row[:m], row[m:])]
-        out.append([v / elems[c] for v in elems])
-    return out
+def ref_answer(rows, lead):
+    """(pivot columns, the form of the pinned solution) of Q(i) rows of elements
+    with `lead` coefficient columns, by the element reference, or None when the
+    system is inconsistent: the form `QI.solve` must return."""
+    expected, pivots = ref_rref(rows, lead, QI)
+    if any(any(r) for r in expected[len(pivots):]):
+        return None
+    x = [[QI.zero()] * (len(rows[0]) - lead) for _ in range(lead)]
+    for r, c in pivots:
+        x[c] = expected[r][lead:]
+    return [c for _, c in pivots], QI.to_form(x)
+
+
+def solved(rows, lead):
+    """QI.solve on the integer rows of `rows`, which it must leave unchanged; a
+    form it returns is made of ints."""
+    int_rows = QI.augment(QI.to_form(rows))
+    before = [list(r) for r in int_rows]
+    result = QI.solve(int_rows, lead)
+    assert int_rows == before
+    if result is not None:
+        assert type(result[2]) is int and result[2] > 0
+        assert all(type(v) is int for part in result[:2] for row in part for v in row)
+    return result
 
 
 def test_qi_rref_zero_rows_keep_the_pivot_scale():
@@ -717,19 +732,11 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
     verdicts = []
     for rows, lead in cases:
         rows = [[QI.coerce(v) for v in r] for r in rows]
-        expected, pivots = ref_rref(rows, lead, QI)
-        rank = len(pivots)
-        int_rows = QI.augment(QI.to_form(rows))
-        before = [list(r) for r in int_rows]
-        result = QI.rref(int_rows, lead)
-        assert int_rows == before
-        verdicts.append(any(any(r) for r in expected[rank:]))
-        if verdicts[-1]:
-            assert result is None
-        else:
-            assert result[0] == [c for _, c in pivots]
-            assert all(type(v) is int for row in result[1] for v in row)
-            assert divided_rows(*result) == expected[:rank]
+        if len(rows[0]) == lead:  # no right-hand side: solve for the coefficients
+            rows = [r + r[:lead] for r in rows]
+        expected = ref_answer(rows, lead)
+        verdicts.append(expected is None)
+        assert solved(rows, lead) == (None if expected is None else expected[1])
     assert verdicts == [False, True, False, True, True, False]
 
 
@@ -767,9 +774,11 @@ def qi_systems(draw):
 
 
 def test_qi_rref_matches_element_reference():
-    """QI.rref against the Gauss-Jordan reduction with element operators: the same
-    pivots and each pivot row a multiple of the RREF's, or None for an
-    inconsistent system, and `rows` untouched. Every kind of system below is met."""
+    """QI.solve against the Gauss-Jordan reduction with element operators: the
+    form of the same pinned solution, or None for an inconsistent system, and
+    `rows` untouched. A system without a right-hand side is solved for its own
+    coefficient columns, as `left_annihilator_basis` does. Every kind of system
+    below is met."""
     seen = set()
 
     @settings(max_examples=150, database=None, deadline=None)
@@ -777,33 +786,67 @@ def test_qi_rref_matches_element_reference():
     @given(qi_systems())
     def check(case):
         rows, lead = case
-        expected, pivots = ref_rref(rows, lead, QI)
-        rank = len(pivots)
-        int_rows = QI.augment(QI.to_form(rows))
-        before = [list(r) for r in int_rows]
-        result = QI.rref(int_rows, lead)
-        assert int_rows == before
-        if any(any(r) for r in expected[rank:]):
+        if len(rows[0]) == lead:
+            rows = [r + r[:lead] for r in rows]
+            seen.add("no right-hand side")
+        expected = ref_answer(rows, lead)
+        result = solved(rows, lead)
+        if expected is None:
             assert result is None
             seen.add("inconsistent")
             return
-        assert result[0] == [c for _, c in pivots]
-        assert all(type(v) is int for row in result[1] for v in row)
-        assert divided_rows(*result) == expected[:rank]
-        cols = [c for _, c in pivots]
+        cols, form = expected
+        assert result == form
+        rank = len(cols)
         seen.add("rank 0" if rank == 0 else "deficient" if rank < min(len(rows), lead) else "full")
         if cols and cols != list(range(len(cols))):
             seen.add("skipped column")
-        if len(rows[0]) == lead:
-            seen.add("no right-hand side")
-        for row, c in zip(result[1], cols):
-            seen.add("non-real pivot" if row[c + len(row) // 2] else "real pivot")
+        # the last pivot D, which divides the whole answer
+        *_, di = QI._forward(QI.augment(QI.to_form(rows)), lead)
+        if rank:
+            seen.add("non-real pivot" if di else "real pivot")
 
     check()
     assert seen == {
         "inconsistent", "rank 0", "deficient", "full", "skipped column",
         "no right-hand side", "real pivot", "non-real pivot",
     }
+
+
+def test_qi_solve_back_substitutes_only_the_answer_columns(monkeypatch):
+    """On a rank-deficient system whose coefficient column 1 is zero and skipped,
+    every division of the back phase (each `_exact_quotient` call outside the
+    forward phase) divides exactly the right-hand columns: the free coefficient
+    column is never solved for."""
+    i = GaussianRational(0, 1)
+    rows = [
+        [2 + i, 0, 1, 3, 1, 2 * i, 0],
+        [1, 0, 2 - i, 1 + i, i, 1, 1],
+        [i, 0, 5, 2, 3, 0, 2 - i],
+    ]
+    rows.append([u + v for u, v in zip(rows[0], rows[1])])
+    rows = [[QI.coerce(v) for v in r] for r in rows]
+    cols, form = ref_answer(rows, 4)
+    assert cols == [0, 2, 3]  # rank 3 of 4, column 1 skipped
+    real_forward, real_quotient = QI._forward, coreinv.scalar._exact_quotient
+    in_forward, back = [], []
+
+    def forward(*args):
+        in_forward.append(True)
+        try:
+            return real_forward(*args)
+        finally:
+            in_forward.pop()
+
+    def quotient(re, im, dr, di):
+        if not in_forward:
+            back.append(len(re))
+        return real_quotient(re, im, dr, di)
+
+    monkeypatch.setattr(coreinv.scalar, "_exact_quotient", quotient)
+    monkeypatch.setattr(type(QI), "_forward", staticmethod(forward))
+    assert solved(rows, 4) == form
+    assert back == [3, 3]  # the two pivot rows above the last, 3 answer columns each
 
 
 def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
@@ -834,9 +877,9 @@ def test_qi_rref_rows_stay_within_a_hadamard_bound(monkeypatch):
         monkeypatch.setattr(
             coreinv.scalar, "_exact_quotient", recording(coreinv.scalar._exact_quotient, formed)
         )
-        pivots, _ = QI.rref(inputs, 12)
-        rank = len(pivots)
+        assert QI.solve(inputs, 12) is not None
         monkeypatch.undo()
+        rank = lhs.rank()
         # 10 + 9 + ... + 0 forward rows below the second to last pivots, and 11
         # back-substitution rows above the last
         assert rank == 12 and len(formed) == 55 + 11
