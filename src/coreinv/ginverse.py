@@ -301,7 +301,9 @@ class _Instance(Mat):
     powers (a^2 among them), the power-membership solves, the projector a^# a
     and the group inverse, per weight w the Gram pair (a* w, a* w a) and the
     uncertified one-sided builder result, and the products and equation
-    outcomes of each value (see verify). So each is worked out once per call.
+    outcomes of each value (see verify). So each is worked out once per call;
+    oracle.cross_check holds one instance across a thread's consecutive calls
+    on the same matrix object, so there it is worked out once for all of them.
     The mirror reads its powers, solves, projector and group inverse off the
     core side: (a*)^k = (a^k)*, a power membership of a* is the opposite one of
     a, starred, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided result

@@ -11,7 +11,9 @@ yields the solution sets of all six kinds at once.
 
 from __future__ import annotations
 
+import operator
 import random as _random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -69,11 +71,8 @@ class EnumerationSpace:
 
 
 def _mmul(x, y, p):
-    n = len(x)
     cols = tuple(zip(*y))
-    return tuple(
-        tuple(sum(row[k] * col[k] for k in range(n)) % p for col in cols) for row in x
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in x)
 
 
 def _madd(x, y, p):
@@ -321,6 +320,22 @@ def _compare(kind, constructed, brute: set, own: set):
     }
 
 
+# The matrix of this thread's last cross_check and its instance. A call on the
+# same object shares the instance, and with it every fact the earlier calls
+# worked out; the slot keeps the matrix alive, so no other matrix can take its
+# id. It is per thread because an instance's entries are filled without a lock.
+_held = threading.local()
+
+
+def _subject(a: Mat):
+    """The instance of a: the held one when a is the held matrix, else a fresh
+    one, which then takes the slot."""
+    if getattr(_held, "a", None) is not a:
+        _held.instance = _instance(a)
+        _held.a = a
+    return _held.instance
+
+
 def cross_check(
     a: Mat,
     e: Weight,
@@ -336,9 +351,12 @@ def cross_check(
     the power-representation paths must match the direct ones as well. They all
     share one instance of a, so each prerequisite is solved once, the power
     memberships are read off the group one, and each equation is evaluated once
-    per value, a power value equal to the direct one included.
+    per value, a power value equal to the direct one included. Consecutive calls
+    in one thread on the same matrix object share that instance too (see
+    _subject), so the weight-free facts of a are worked out once for all of
+    their weights; a fresh matrix, even an equal one, starts fresh.
     """
-    a = _instance(a)
+    a = _subject(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     constructed = {
@@ -429,9 +447,10 @@ def cross_check_sweep(
     if sample is None:
         matrices = space.matrices()  # an oversized space is refused before any weight is listed
         weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
-        instances = (_instance(_to_mat(a_raw, p)) for a_raw in matrices)
-        # `a` is bound once per matrix, so all the weights of a share its instance
-        reports = (cross_check(a, w, w, n=n) for a in instances for w in weights)
+        # one Mat per matrix, passed for all its weights, so that they share the
+        # instance cross_check holds for it
+        plain = (_to_mat(a_raw, p) for a_raw in matrices)
+        reports = (cross_check(a, w, w, n=n) for a in plain for w in weights)
     else:
         _check_sample(sample, seed)
         reports = _sampled_reports(space, n, sample, seed)

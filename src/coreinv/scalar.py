@@ -293,7 +293,7 @@ def _divided(xs: list[int], d: int) -> list[int]:
     qs = [x // d for x in xs]
     # every floor remainder has the sign of d, so they sum to 0 only if each is 0
     if sum(xs) != d * sum(qs):
-        raise RuntimeError("internal error: rref pivot does not divide a row exactly")
+        raise RuntimeError("internal error: an exact divisor does not divide every entry")
     return qs
 
 

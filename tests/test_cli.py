@@ -500,7 +500,7 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
         assert code == 3 and captured.out == "", kind
         assert captured.err.startswith("error: internal error:")
         assert "Traceback" not in captured.err
-    # so is a remainder in one of rref's exact divisions in Z[i], here injected
+    # so is a remainder in one of the exact divisions in Z[i], here injected
     # into the first entry of every row the Q(i) reduction divides
     monkeypatch.undo()
     real_quotient = coreinv.scalar._exact_quotient
@@ -516,7 +516,7 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["compute", "--kind", "group", "--a", tri])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: internal error: rref pivot does not divide")
+    assert captured.err.startswith("error: internal error: an exact divisor does not divide")
 
 
 def containers(inner):

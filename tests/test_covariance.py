@@ -35,7 +35,7 @@ from coreinv import (
     weighted_mp,
 )
 
-FIELDS = {"Q": QQ, "Qi": QI, "F5": GF(5)}
+FIELDS = {"Q": QQ, "Qi": QI, "F3": GF(3), "F5": GF(5)}
 
 
 def similarity(dim, field, seed):
@@ -72,7 +72,12 @@ def constructions(a, e, f):
 
 
 # Q(i) costs about 20 times what Q does at dim 12, so it skips some dims
-DIMS = {"Q": range(2, 13), "Qi": (2, 3, 4, 5, 6, 8, 12), "F5": range(2, 13)}
+DIMS = {
+    "Q": range(2, 13),
+    "Qi": (2, 3, 4, 5, 6, 8, 12),
+    "F3": range(2, 13),
+    "F5": range(2, 13),
+}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

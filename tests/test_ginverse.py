@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import threading
 
 import pytest
 
@@ -545,9 +546,77 @@ def test_a_value_shared_by_kinds_is_evaluated_once_per_label(work):
     inverse = [["1", "2"], ["0", "1"]]
     assert report["ok"] and all(c["constructed"]["entries"] == inverse for c in report["checks"])
     assert (work["verify"], work["equations"]) == (6, 9)
-    # the memo dies with the call: the next call evaluates them all again
+    # the next call on the same object shares the instance the oracle holds for
+    # it: each certificate is verified again, but no label is evaluated again
     cross_check(a, w, w, n=2)
-    assert (work["verify"], work["equations"]) == (12, 18)
+    assert (work["verify"], work["equations"]) == (12, 9)
+    # a fresh equal matrix starts fresh and evaluates them all again
+    cross_check(Mat(f3, [[1, 1], [0, 1]]), w, w, n=2)
+    assert (work["verify"], work["equations"]) == (18, 18)
+
+
+@pytest.fixture
+def group_solves(monkeypatch):
+    """The solves of a = a^k x: the only solve_right calls the constructions make."""
+    solves = []
+    solve = coreinv.ginverse.solve_right
+
+    def counted(lhs, rhs):
+        solves.append(lhs)
+        return solve(lhs, rhs)
+
+    monkeypatch.setattr(coreinv.ginverse, "solve_right", counted)
+    return solves
+
+
+def test_consecutive_cross_checks_on_one_matrix_share_its_instance(work, group_solves):
+    # a = [[1, 1], [0, 0]] = a^2 over F3; against all 18 weights one Mat solves
+    # a = a^2 x once, fresh equal matrices once each, with the same reports
+    f3, rows = GF(3), [[1, 1], [0, 0]]
+    weights = [Weight(Mat(f3, w)) for w in iter_invertible_symmetric(3, 2)]
+    a = Mat(f3, rows)
+    held = [cross_check(a, w, w, n=2) for w in weights]
+    assert len(group_solves) == 1
+    products = work["mul"]
+    fresh = [cross_check(Mat(f3, rows), w, w, n=2) for w in weights]
+    assert len(group_solves) == 1 + 18
+    assert held == fresh and all(r["ok"] for r in held)
+    assert work["mul"] - products > products
+
+
+def test_an_equal_or_interrupted_matrix_starts_fresh(group_solves):
+    f3, rows = GF(3), [[1, 1], [0, 0]]
+    w = Weight.identity(f3, 2)
+    a = Mat(f3, rows)
+    first = cross_check(a, w, w, n=2)
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 1
+    # an equal matrix is another object: it starts fresh and takes the slot
+    assert cross_check(Mat(f3, rows), w, w, n=2) == first and len(group_solves) == 2
+    # so a is no longer held, and starts fresh again
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 3
+    # likewise after a call on another matrix in between
+    cross_check(Mat(f3, [[1, 1], [0, 1]]), w, w, n=2)
+    solves = len(group_solves)
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == solves + 1
+
+
+def test_another_thread_does_not_share_the_held_instance(work):
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    a = Mat(f3, [[1, 1], [0, 0]])
+
+    def spent(call):
+        before = dict(work)
+        result = call()
+        return result, {key: work[key] - before[key] for key in work}
+
+    report, full = spent(lambda: cross_check(a, w, w, n=2))
+    _, held = spent(lambda: cross_check(a, w, w, n=2))
+    assert held["solve"] < full["solve"] and held["mul"] < full["mul"]
+    other = []
+    thread = threading.Thread(target=lambda: other.append(cross_check(a, w, w, n=2)))
+    _, spent_there = spent(lambda: (thread.start(), thread.join()))
+    assert other == [report] and spent_there == full
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
