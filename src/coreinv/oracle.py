@@ -26,6 +26,7 @@ from .ginverse import (
     e_core_via_power,
     f_dual_core,
     f_dual_core_via_power,
+    group_inverse,
     weighted_mp,
 )
 from .matrix import MAX_DIM, Mat, Weight, mat_to_json, random_weight, weight_to_json
@@ -354,13 +355,14 @@ def cross_check(
     per value, a power value equal to the direct one included. Consecutive calls
     in one thread on the same matrix object share that instance too (see
     _subject), so the weight-free facts of a are worked out once for all of
-    their weights; a fresh matrix, even an equal one, starts fresh.
+    their weights, and the facts of a weight once per weight value; a fresh
+    matrix, even an equal one, starts fresh.
     """
     a = _subject(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     constructed = {
-        GInverseKind.GROUP: a.group_certificate(),
+        GInverseKind.GROUP: group_inverse(a),
         GInverseKind.E_CORE: e_core(a, e),
         GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),

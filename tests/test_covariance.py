@@ -71,12 +71,13 @@ def constructions(a, e, f):
     }
 
 
-# Q(i) costs about 20 times what Q does at dim 12, so it skips some dims
+# Q(i) costs about 20 times what Q does at dim 12, so it skips some dims and
+# stops at 12: its dim 16 alone takes about 8 s, which belongs in a slow tier
 DIMS = {
-    "Q": range(2, 13),
+    "Q": range(2, 17),
     "Qi": (2, 3, 4, 5, 6, 8, 12),
-    "F3": range(2, 13),
-    "F5": range(2, 13),
+    "F3": range(2, 17),
+    "F5": range(2, 17),
 }
 
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 import coreinv.ginverse
+import coreinv.oracle
 from coreinv import (
     GF,
     QI,
@@ -366,9 +367,10 @@ def work(monkeypatch):
 
 def test_cross_check_solves_each_prerequisite_once(work):
     # a = [[1, 1], [0, 0]] = a^2 over F3, w = 1; all six constructions exist.
-    # Solves: a = a^2 x once (group), {1,3e} and {1,4f} once each, and each power
-    # path its (a*)^n e a membership (1 + 1 + 1 + 2); a in R a^2 and, on the dual
-    # side, a* in R (a*)^2 are read off a = a^2 x, and a = y a^2 is not solved.
+    # Solves: a = a^2 x and a = y a^2 once each (the group certificate carries x
+    # and y), {1,3e} and {1,4f} once each, and each power path its (a*)^n e a
+    # membership (2 + 1 + 1 + 2); a in R a^2 and, on the dual side, a* in
+    # R (a*)^2 are read off a = a^2 x.
     # Values: the group inverse a, the {1,3e}-inverse diag(1, 0), which is also
     # the core inverse and both power values, the {1,4f}-inverse [[2, 0], [2, 0]],
     # which is also the weighted Moore-Penrose inverse, and the dual core inverse
@@ -378,17 +380,17 @@ def test_cross_check_solves_each_prerequisite_once(work):
     # [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
     # Products, to build + to check: group 3 + 4 (a^2, a x = a^# a, (a^# a) x; a x,
     # x a, one object since equal, (1), (2)); {1,3e} 3 (a* e, a* e a, x* e); core
-    # 1 + 6 ((a^# a) a^(1,3e); a x, which is not a^# a, so x a is not formed, and
-    # one per label: (2) as x (a x), (6) as x a^2); {1,4f} 3; dual 1 + 6 (its
-    # mirror; x a, which is not a^# a, and one per label: (1) as a (x a), (8) as
-    # a^2 x); Moore-Penrose 2 + 6; the power paths 3 + 0 and 3 + 0 ((a*)^2 e a is
+    # 1 + 7 ((a^# a) a^(1,3e); a x and x a, which differ, and one per label: (1)
+    # as (a x) a, (2) as (x a) x, (3e) as e (a x), (6) as (x a) a, (7) as
+    # (a x) x); {1,4f} 3; dual 1 + 7 (its mirror; a x, x a and one per label);
+    # Moore-Penrose 2 + 6; the power paths 3 + 0 and 3 + 0 ((a*)^2 e a is
     # a* (a* e a), on the Gram pair the {1,3e} solve formed, and on the dual side
-    # likewise). 41 in all
+    # likewise). 43 in all
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     report = cross_check(Mat(f3, [[1, 1], [0, 0]]), w, w, n=2)
     assert report["ok"] and all(c["constructed"] is not None for c in report["checks"])
-    assert work == {"solve": 5, "verify": 6, "equations": 17, "mul": 41}
+    assert work == {"solve": 6, "verify": 6, "equations": 17, "mul": 43}
 
 
 def test_weighted_ep_solves_the_group_inverse_once(work):
@@ -398,14 +400,14 @@ def test_weighted_ep_solves_the_group_inverse_once(work):
     # core and dual core (2) and evaluates each of (1), (2), (3e), (4f), (6), (7),
     # (8), (9) once. Products: 3 for a^# (a^2, a x = a^# a, (a^# a) x), 3 + 3 for
     # the one-sided inverses (a* e, a* e a, x* e and their mirrors), 1 + 1 for the
-    # core values ((a^# a) a^(1,3e) and its mirror), 5 to check (a x, which is the
-    # a^# a the call holds, so x a too, kept as one object; (1), (2) and (3e);
-    # (6) and (7) read the products of (1) and (2), the dual core's (4f) the
-    # product of (3e), and (8) and (9) again those of (1) and (2)) and none for
-    # p = 1 - a^# a and its check a^# a = a a^#, which reads the a x of the value
+    # core values ((a^# a) a^(1,3e) and its mirror), 6 to check (a x and x a, kept
+    # as one object since equal; (1), (2), (3e) and the dual core's (4f), which
+    # forms f (x a) itself; (6) and (7) read the products of (1) and (2), and
+    # (8) and (9) again those of (1) and (2)) and none for p = 1 - a^# a and its
+    # check a^# a = a a^#, which reads the a x of the value
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
-    assert work == {"solve": 3, "verify": 2, "equations": 8, "mul": 16}
+    assert work == {"solve": 3, "verify": 2, "equations": 8, "mul": 17}
 
 
 def test_weighted_mp_certifies_only_its_own_value(work):
@@ -584,6 +586,29 @@ def test_consecutive_cross_checks_on_one_matrix_share_its_instance(work, group_s
     assert work["mul"] - products > products
 
 
+def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
+    # a weight is keyed by its value: after the first of 2,000 cross_checks on one
+    # matrix object, each with a fresh Weight equal to 1, the held instance adds
+    # no fact and no call forms one again. Each still makes 2 solves and 10
+    # products, the builder steps no fact holds: each power route's (a*)^2 e a
+    # membership, with a* (a* e a), a s* and (a s*) e, the core values
+    # (a^# a) a^(1,3e) and its mirror, and y a x
+    f3 = GF(3)
+    a = Mat(f3, [[1, 1], [0, 0]])
+
+    def spent():
+        w = Weight(Mat(f3, [[1, 0], [0, 1]]))
+        before = dict(work)
+        cross_check(a, w, w, n=2)
+        return {key: work[key] - before[key] for key in ("solve", "mul")}
+
+    spent()
+    facts = len(coreinv.oracle._held.instance._facts)
+    for _ in range(1999):
+        assert spent() == {"solve": 2, "mul": 10}
+    assert len(coreinv.oracle._held.instance._facts) == facts <= 20
+
+
 def test_an_equal_or_interrupted_matrix_starts_fresh(group_solves):
     f3, rows = GF(3), [[1, 1], [0, 0]]
     w = Weight.identity(f3, 2)
@@ -669,7 +694,7 @@ def test_a_perturbed_power_value_is_still_verified(work, monkeypatch):
         assert work["equations"] > evaluated  # a new value: its equations are evaluated
 
 
-def test_an_equal_value_under_another_weight_object_is_verified_again(work):
+def test_an_equal_weight_under_another_weight_object_evaluates_no_label_again(work):
     a = _instance(A)
     same = Weight(Mat(QQ, [[1, 0], [0, 1]]))  # equal to I2, but another matrix
     direct = e_core(a, I2)
@@ -678,8 +703,8 @@ def test_an_equal_value_under_another_weight_object_is_verified_again(work):
     # the direct value's form, under the same I2: verified, but nothing evaluated
     assert (work["verify"], work["equations"]) == (verified + 1, evaluated)
     again = e_core_via_power(a, same, 2)
-    # under another weight object, (3e) is evaluated again, and only (3e)
-    assert (work["verify"], work["equations"]) == (verified + 2, evaluated + 1)
+    # a weight is keyed by its value: under another object, nothing is evaluated
+    assert (work["verify"], work["equations"]) == (verified + 2, evaluated)
     assert direct.value == powered.value == again.value
     assert (powered.n, again.n, powered.witnesses.keys()) == (2, 2, {"s"})
 

@@ -78,6 +78,23 @@ def test_oracle_takes_only_constructors_from_ginverse():
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
 
 
+# The only readers of the per-call fact table. Every other route asks for a fact
+# by name and so forms it one fixed way, never by what the table holds.
+FACT_TABLE_READERS = {"_Instance.__init__", "_Instance.star", "_Instance._fact"}
+
+
+def test_only_the_fact_accessor_reads_the_fact_table():
+    readers = set()
+    for node in _tree("ginverse").body:
+        is_class = isinstance(node, ast.ClassDef)
+        for part in node.body if is_class else [node]:
+            name = getattr(part, "name", f"line {part.lineno}")
+            if any(isinstance(inner, ast.Attribute) and inner.attr == "_facts"
+                   for inner in ast.walk(part)):
+                readers.add(f"{node.name}.{name}" if is_class else name)
+    assert readers == FACT_TABLE_READERS, readers ^ FACT_TABLE_READERS
+
+
 # The field hooks matrix.py may call. Of them only augment, solve and rank
 # eliminate, so an exact solve is replaced behind one hook, not in its callers.
 MATRIX_FIELD_HOOKS = {
