@@ -32,6 +32,7 @@ from .ginverse import (
 )
 from .matrix import Mat, Weight, _rand_mat, mat_from_json, mat_to_json, solve_right
 from .oracle import brute_idempotent_certificates
+from .scalar import _is_int
 
 # Draws random_annihilator_witness makes before it gives up.
 _WITNESS_TRIES = 32
@@ -165,6 +166,7 @@ def dual_decompose(
     The mirror of the core-side decomposition of (a*, f^{-1}).
     """
     _check_n(n)
+    flavor = Flavor(flavor)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("dual_decompose produces idempotent flavors only")
     a = _instance(a)
@@ -283,9 +285,7 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     matrix ring), and the recovered inverse is checked against the direct one.
     """
     a = _instance(a)
-    _require(p.is_idempotent(), "p must be idempotent")
-    _require((e.value * p).is_hermitian(), "(e p)* != e p")
-    _require((p * a).is_zero(), "p a != 0")
+    _validate_element(a, e, p, 1, Flavor.IDEM_P, Side.CORE, None)
     recovered = _gram_value(a, e, p)
     if recovered is None:
         return False
@@ -368,6 +368,7 @@ def uniqueness_audit(a: Mat, e: Weight, n: int, flavor: Flavor) -> bool:
     identity is two consistency checks of the solver.
     """
     _check_n(n)
+    flavor = Flavor(flavor)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("uniqueness_audit applies to idempotent flavors only")
     a = _instance(a)
@@ -397,6 +398,7 @@ def random_annihilator_witness(
     invertible. Typically not idempotent.
     """
     _check_n(n)
+    side, flavor = Side(side), Flavor(flavor)
     if flavor not in (Flavor.ELEM_S, Flavor.ELEM_T):
         raise ValueError("witness generation applies to element flavors only")
     a = _instance(a)
@@ -435,6 +437,6 @@ def decomposition_from_json(obj) -> Decomposition:
         unit = mat_from_json(obj["unit"])
     except KeyError as exc:
         raise ValueError(f"decomposition missing field {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"decomposition n must be an int, got {n!r}")
     return Decomposition(flavor, side, element, unit, n)

@@ -136,7 +136,7 @@ class Mat:
 
     def rank(self) -> int:
         """The rank, from one forward elimination of the matrix alone."""
-        return self.field.rank(self.field.augment(self.form))
+        return self.field.rank(self.field.augment(self.form), self.n)
 
     def is_invertible(self) -> bool:
         """Whether the matrix has full rank; forms no inverse (see `inverse`)."""
@@ -345,7 +345,7 @@ def _field_from_json(obj: dict) -> ScalarField:
         return QI
     if backend == "Fp":
         p = obj.get("p")
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise ValueError("Fp matrix object requires an integer 'p'")
         return GF(p)
     raise ValueError(f"unknown backend tag: {backend!r}")
@@ -357,7 +357,7 @@ def mat_from_json(obj) -> Mat:
         raise ValueError("matrix object must be a JSON object")
     field = _field_from_json(obj)
     dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError(f"invalid dim: {dim!r}")
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} exceeds the maximum {MAX_DIM}")

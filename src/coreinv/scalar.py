@@ -324,7 +324,9 @@ class ScalarField:
       - F_p: the rows of residues in [0, p).
     The kernels and codecs below take or return forms. `to_form` and `to_rows`
     convert rows of elements to a form and back: `Mat(field, rows)` calls the
-    first and every read of `Mat.rows` the second.
+    first and every read of `Mat.rows` the second. `solve` and `rank` are
+    defined here alone, from the two elimination phases each field supplies,
+    `_forward` and `_back`.
     """
 
     tag: str
@@ -409,30 +411,32 @@ class ScalarField:
         is inconsistent. `rows` is not modified.
 
         Pivot rule: scan columns left to right, take the first row with a nonzero
-        entry at or below the current row. Q and F_p reduce the rows by
-        `_rref`, then `_solution(pivots, pivot_rows, lead, m)` divides the last m
-        entries of each pivot row by its pivot. Q(i) overrides this method.
+        entry at or below the current row. Each field supplies two phases:
+        `_forward(rows, lead)` eliminates below each pivot and returns a tuple
+        whose first item is the list of pivot columns, and `_back(*forward, lead)`
+        gives None if a row past the rank is nonzero beyond column `lead`, else
+        the answer.
         """
-        reduced = self._rref(rows, lead)
-        return None if reduced is None else self._solution(*reduced, lead, len(rows[0]) - lead)
+        return self._back(*self._forward(rows, lead), lead)
 
-    def _rref(self, rows, lead: int) -> tuple[list[int], list[list[int]]] | None:
-        """The RREF of integer rows on their first `lead` columns as (pivot columns,
-        integer pivot rows), each pivot row a nonzero multiple of its row of the
-        RREF, or None when a row past the rank is nonzero beyond column `lead`.
+    def rank(self, rows, lead: int) -> int:
+        """The rank of integer rows (`augment`) on their first `lead` columns: the
+        number of pivots of the forward phase of `solve` alone."""
+        return len(self._forward(rows, lead)[0])
+
+    def _forward(self, rows, lead: int) -> tuple[list[int], list[list[int]]]:
+        """(pivot columns, integer rows in echelon form on the first `lead` columns).
 
         A row of ints stands for a nonzero multiple of a row of elements; only its
-        direction matters until it is divided by its pivot. Over Q `augment` divides each row by
-        the gcd of its entries, so the rows it gives are the same whatever
-        denominators the matrices were cleared over. This fraction-free
-        Gauss-Jordan loop replaces every other row, above and below the pivot, by
-        pivot * row - entry * pivot_row up to a nonzero factor the field chooses
-        (`_eliminate`). Every row stays a nonzero multiple of the same row of the
-        reduction over the field, so the pivots and zero patterns are the RREF's.
-        The rows past the rank are zero in the first `lead` columns, so any
-        nonzero integer in them decides the verdict. Q divides each new row by
-        the gcd of its entries, its whole content, which keeps its rows smaller
-        than the minors Bareiss keeps; F_p reduces modulo p.
+        direction matters until it is divided by its pivot. Over Q `augment`
+        divides each row by the gcd of its entries, so the rows it gives are the
+        same whatever denominators the matrices were cleared over. Each pivot
+        replaces every row below it by pivot * row - entry * pivot_row up to a
+        nonzero factor the field chooses (`_eliminate`), so every row stays a
+        nonzero multiple of a row of the reduction over the field and the pivots
+        are the RREF's. Q divides each new row by the gcd of its entries, its
+        whole content, which keeps its rows smaller than the minors Bareiss
+        keeps; F_p reduces modulo p.
         """
         rows = list(rows)
         eliminate = self._eliminate
@@ -447,40 +451,31 @@ class ScalarField:
                 continue
             rows[r], rows[i] = rows[i], rows[r]
             prow = rows[r]
-            for i, row in enumerate(rows):
-                if i != r:
-                    rows[i] = eliminate(row, prow, c)
+            for i in range(r + 1, nrows):
+                rows[i] = eliminate(rows[i], prow, c)
             pivots.append(c)
             r += 1
             if r == nrows:
                 break
+        return pivots, rows
+
+    def _back(self, pivots, rows, lead: int) -> tuple | None:
+        """The answer from the forward phase's rows, or None when a row past the
+        rank is nonzero: such a row is zero in the first `lead` columns, so any
+        nonzero integer in it decides the verdict. Each pivot row, from the last
+        up, clears its column in the rows above it (`_eliminate`), which leaves
+        each pivot row a nonzero multiple of its row of the RREF; then
+        `_solution(pivots, pivot_rows, lead, m)` divides the last m entries of
+        each pivot row by its pivot."""
+        r = len(pivots)
         if any(map(any, rows[r:])):
             return None
-        return pivots, rows[:r]
-
-    def rank(self, rows) -> int:
-        """The rank of integer rows (`augment`): the number of pivots of their RREF,
-        by forward elimination alone. With the pivot rule of `solve`, clearing
-        only the rows below each pivot finds the same pivots. Q(i) overrides
-        this method."""
-        rows = list(rows)
         eliminate = self._eliminate
-        nrows = len(rows)
-        r = 0
-        for c in range(len(rows[0])):
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            prow = rows[r]
-            for i in range(r + 1, nrows):
+        for k in range(r - 1, 0, -1):
+            prow, c = rows[k], pivots[k]
+            for i in range(k):
                 rows[i] = eliminate(rows[i], prow, c)
-            r += 1
-            if r == nrows:
-                break
-        return r
+        return self._solution(pivots, rows[:r], lead, len(rows[0]) - lead)
 
     def _eliminate(self, row: list[int], prow: list[int], c: int) -> list[int]:
         """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
@@ -699,72 +694,17 @@ class GaussianRationalField(_ClearedField):
         re, im, d = x
         return tuple(zip(*re)), tuple([tuple([-v for v in col]) for col in zip(*im)]), d
 
-    def solve(self, rows, lead):
-        """`ScalarField.solve` for Q(i), by fraction-free forward elimination in Z[i]
-        and back substitution of the right-hand columns alone (Bareiss 1968; Nakos,
-        Turner and Williams 1997). An integer row is the re parts followed by the
-        im parts.
-
-        Forward (`_forward`): at the k-th pivot p_k, in column c, every row below
-        becomes (p_k * row - row[c] * pivot_row) / p_{k-1}, with p_{-1} = 1, on
-        the columns right of c only, also where row[c] is already zero. Each
-        entry is then a minor of the cleared input, so the division is exact.
-        Let U[k] be the k-th pivot row as the forward phase leaves it, c_k its
-        pivot column and D the last pivot, the determinant of the cleared input
-        at the pivot rows and columns. Back: for every right-hand column j and k
-        from the last pivot row up, y_k = (D * U[k][j] - sum_{t>k} U[k][c_t] *
-        y_t) / U[k][c_k], which is U[k][j] for the last row. By Cramer's rule
-        each y_k is a minor of order rank of the cleared input, so this division
-        is exact too; a remainder in either is a broken invariant, which
-        `_exact_quotient` raises. Each y_k is D times the RREF's entry, so the
-        answer is divided by the one D at the end: y / D = y conj(D) / |D|^2,
-        which is just y / D when D is real.
-        """
-        re, im, pivots, dr, di = self._forward(rows, lead)
-        r = len(pivots)
-        if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, len(rows))):
-            return None
-        m = len(rows[0]) // 2 - lead
-        # per right-hand column, y_t for t = r-1, r-2, ...: re parts, im parts, their sums
-        ys = [([], [], []) for _ in range(m)]
-        out_re, out_im = [(0,) * m] * lead, [(0,) * m] * lead
-        for k in reversed(range(r)):
-            c, xr, xi = pivots[k], re[k][lead:], im[k][lead:]
-            if k < r - 1:
-                later = pivots[:k:-1]  # c_t for t = r-1, ..., k+1
-                ur, ui = [re[k][ct] for ct in later], [im[k][ct] for ct in later]
-                us = list(map(add, ur, ui))
-                # sum_t U[k][c_t] y_t with its imaginary part from three dot products
-                rr = [sum(map(mul, ur, y[0])) for y in ys]
-                ii = [sum(map(mul, ui, y[1])) for y in ys]
-                ss = [sum(map(mul, us, y[2])) for y in ys]
-                nr = [dr * a - di * b - u + v for a, b, u, v in zip(xr, xi, rr, ii)]
-                ni = [dr * b + di * a - g + u + v for a, b, u, v, g in zip(xr, xi, rr, ii, ss)]
-                q = _exact_quotient(nr, ni, re[k][c], im[k][c])
-                xr, xi = q[:m], q[m:]
-            for (yr, yi, ysum), a, b in zip(ys, xr, xi):
-                yr.append(a)
-                yi.append(b)
-                ysum.append(a + b)
-            out_re[c], out_im[c] = xr, xi
-        if di:  # y / D = y conj(D) / |D|^2
-            for c in pivots:
-                xr, xi = out_re[c], out_im[c]
-                out_re[c] = [a * dr + b * di for a, b in zip(xr, xi)]
-                out_im[c] = [b * dr - a * di for a, b in zip(xr, xi)]
-            return _canonical(dr * dr + di * di, out_re, out_im)
-        if dr < 0:  # y / D = -(y / |D|)
-            return self.neg(_canonical(-dr, out_re, out_im))
-        return _canonical(dr, out_re, out_im)
-
-    def rank(self, rows):
-        return len(self._forward(rows, len(rows[0]) // 2)[2])
-
     @staticmethod
     def _forward(rows, lead):
-        """The forward phase of `solve` on the first `lead` columns: (re parts, im
-        parts, pivot columns, last pivot's re, its im)."""
-        w = len(rows[0]) // 2 if rows else 0
+        """The forward phase for Q(i) on the first `lead` columns, by fraction-free
+        elimination in Z[i] (Bareiss 1968): (pivot columns, re parts, im parts,
+        last pivot's re, its im). An integer row is the re parts followed by the
+        im parts. At the k-th pivot p_k, in column c, every row below becomes
+        (p_k * row - row[c] * pivot_row) / p_{k-1}, with p_{-1} = 1, on the
+        columns right of c only, also where row[c] is already zero. Each entry is
+        then a minor of the cleared input, so the division is exact.
+        """
+        w = len(rows[0]) // 2
         re = [row[:w] for row in rows]
         im = [row[w:] for row in rows]
         nrows = len(rows)
@@ -797,7 +737,56 @@ class GaussianRationalField(_ClearedField):
             r += 1
             if r == nrows:
                 break
-        return re, im, pivots, dr, di
+        return pivots, re, im, dr, di
+
+    def _back(self, pivots, re, im, dr, di, lead):
+        """The back phase for Q(i): back substitution of the right-hand columns
+        alone (Nakos, Turner and Williams 1997). Let U[k] be the k-th pivot row as
+        `_forward` leaves it, c_k its pivot column and D the last pivot, the
+        determinant of the cleared input at the pivot rows and columns. For every
+        right-hand column j and k from the last pivot row up, y_k = (D * U[k][j] -
+        sum_{t>k} U[k][c_t] * y_t) / U[k][c_k], which is U[k][j] for the last row.
+        By Cramer's rule each y_k is a minor of order rank of the cleared input,
+        so this division is exact; a remainder is a broken invariant, which
+        `_exact_quotient` raises. Each y_k is D times the RREF's entry, so the
+        answer is divided by the one D at the end: y / D = y conj(D) / |D|^2,
+        which is just y / D when D is real.
+        """
+        r = len(pivots)
+        if any(any(re[i][lead:]) or any(im[i][lead:]) for i in range(r, len(re))):
+            return None
+        m = len(re[0]) - lead
+        # per right-hand column, y_t for t = r-1, r-2, ...: re parts, im parts, their sums
+        ys = [([], [], []) for _ in range(m)]
+        out_re, out_im = [(0,) * m] * lead, [(0,) * m] * lead
+        for k in reversed(range(r)):
+            c, xr, xi = pivots[k], re[k][lead:], im[k][lead:]
+            if k < r - 1:
+                later = pivots[:k:-1]  # c_t for t = r-1, ..., k+1
+                ur, ui = [re[k][ct] for ct in later], [im[k][ct] for ct in later]
+                us = list(map(add, ur, ui))
+                # sum_t U[k][c_t] y_t with its imaginary part from three dot products
+                rr = [sum(map(mul, ur, y[0])) for y in ys]
+                ii = [sum(map(mul, ui, y[1])) for y in ys]
+                ss = [sum(map(mul, us, y[2])) for y in ys]
+                nr = [dr * a - di * b - u + v for a, b, u, v in zip(xr, xi, rr, ii)]
+                ni = [dr * b + di * a - g + u + v for a, b, u, v, g in zip(xr, xi, rr, ii, ss)]
+                q = _exact_quotient(nr, ni, re[k][c], im[k][c])
+                xr, xi = q[:m], q[m:]
+            for (yr, yi, ysum), a, b in zip(ys, xr, xi):
+                yr.append(a)
+                yi.append(b)
+                ysum.append(a + b)
+            out_re[c], out_im[c] = xr, xi
+        if di:  # y / D = y conj(D) / |D|^2
+            for c in pivots:
+                xr, xi = out_re[c], out_im[c]
+                out_re[c] = [a * dr + b * di for a, b in zip(xr, xi)]
+                out_im[c] = [b * dr - a * di for a, b in zip(xr, xi)]
+            return _canonical(dr * dr + di * di, out_re, out_im)
+        if dr < 0:  # y / D = -(y / |D|)
+            return self.neg(_canonical(-dr, out_re, out_im))
+        return _canonical(dr, out_re, out_im)
 
     def __eq__(self, other):
         return type(other) is GaussianRationalField

@@ -188,6 +188,23 @@ def test_witness_generator_contract():
     assert non_idempotent > 0
 
 
+def test_side_and_flavor_may_be_given_as_strings():
+    # A is not EP for e = 1: its core-side witness annihilates it on the left only
+    s = random_annihilator_witness(A, I2, 1, 0, side="core", flavor="t")
+    assert s == random_annihilator_witness(A, I2, 1, 0, side=Side.CORE, flavor=Flavor.ELEM_T)
+    assert (s * A).is_zero() and not (A * s).is_zero()
+    assert dual_decompose(A, I2, 1, "q") == dual_decompose(A, I2, 1, Flavor.IDEM_Q)
+    assert uniqueness_audit(A, I2, 1, "p") == uniqueness_audit(A, I2, 1, Flavor.IDEM_P)
+    for call in (
+        lambda: random_annihilator_witness(A, I2, 1, 0, side="x"),
+        lambda: random_annihilator_witness(A, I2, 1, 0, flavor="x"),
+        lambda: dual_decompose(A, I2, 1, "x"),
+        lambda: uniqueness_audit(A, I2, 1, "x"),
+    ):
+        with pytest.raises(ValueError, match="'x' is not a valid"):
+            call()
+
+
 def test_gram_formula_examples():
     assert gram_formula(Mat.identity(QQ, 2), I2) == Mat.identity(QQ, 2)
     p = Mat(QQ, [[0, 0], [0, 1]])

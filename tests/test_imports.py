@@ -125,6 +125,18 @@ def test_matrix_reaches_elimination_only_through_solve_and_rank():
     assert {"augment", "solve", "rank"} <= read
 
 
+def test_only_the_base_field_defines_solve_and_rank():
+    """Each field supplies the two phases (`_forward`, `_back`); `ScalarField`
+    alone composes them into `solve` and `rank`."""
+    defines = {
+        (node.name, part.name)
+        for node in _tree("scalar").body if isinstance(node, ast.ClassDef)
+        for part in node.body
+        if isinstance(part, ast.FunctionDef) and part.name in ("solve", "rank")
+    }
+    assert defines == {("ScalarField", "solve"), ("ScalarField", "rank")}, defines
+
+
 def _dotted(node):
     """The names of an attribute chain such as ci.Mat.inverse, root first, or None."""
     names = []

@@ -688,29 +688,31 @@ def test_forms_are_canonical_and_match_element_reference(name):
     check()
 
 
-def ref_answer(rows, lead):
-    """(pivot columns, the form of the pinned solution) of Q(i) rows of elements
-    with `lead` coefficient columns, by the element reference, or None when the
-    system is inconsistent: the form `QI.solve` must return."""
-    expected, pivots = ref_rref(rows, lead, QI)
+def ref_answer(rows, lead, field):
+    """(pivot columns, the form of the pinned solution) of rows of elements with
+    `lead` coefficient columns, by the element reference, the form None when the
+    system is inconsistent: the form `field.solve` must return."""
+    expected, pivots = ref_rref(rows, lead, field)
+    cols = [c for _, c in pivots]
     if any(any(r) for r in expected[len(pivots):]):
-        return None
-    x = [[QI.zero()] * (len(rows[0]) - lead) for _ in range(lead)]
+        return cols, None
+    x = [[field.zero()] * (len(rows[0]) - lead) for _ in range(lead)]
     for r, c in pivots:
         x[c] = expected[r][lead:]
-    return [c for _, c in pivots], QI.to_form(x)
+    return cols, field.to_form(x)
 
 
-def solved(rows, lead):
-    """QI.solve on the integer rows of `rows`, which it must leave unchanged; a
+def solved(rows, lead, field):
+    """field.solve on the integer rows of `rows`, which it must leave unchanged; a
     form it returns is made of ints."""
-    int_rows = QI.augment(QI.to_form(rows))
+    int_rows = field.augment(field.to_form(rows))
     before = [list(r) for r in int_rows]
-    result = QI.solve(int_rows, lead)
+    result = field.solve(int_rows, lead)
     assert int_rows == before
     if result is not None:
-        assert type(result[2]) is int and result[2] > 0
-        assert all(type(v) is int for part in result[:2] for row in part for v in row)
+        *parts, d = (result, 1) if field.tag == "Fp" else result
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for part in parts for row in part for v in row)
     return result
 
 
@@ -734,24 +736,29 @@ def test_qi_rref_zero_rows_keep_the_pivot_scale():
         rows = [[QI.coerce(v) for v in r] for r in rows]
         if len(rows[0]) == lead:  # no right-hand side: solve for the coefficients
             rows = [r + r[:lead] for r in rows]
-        expected = ref_answer(rows, lead)
-        verdicts.append(expected is None)
-        assert solved(rows, lead) == (None if expected is None else expected[1])
+        _, form = ref_answer(rows, lead, QI)
+        verdicts.append(form is None)
+        assert solved(rows, lead, QI) == form
     assert verdicts == [False, True, False, True, True, False]
 
 
 @st.composite
-def qi_systems(draw):
-    """(rows, lead) of Gaussian rationals: 1..5 rows of `lead` 1..5 coefficient
-    columns and 0..3 right-hand columns. The rows are often rank-deficient
-    (combinations of fewer rows), sometimes zero or real, and a coefficient
-    column is sometimes zero."""
+def systems(draw, field):
+    """(rows, lead) over the field: 1..5 rows of `lead` 1..5 coefficient columns
+    and 0..3 right-hand columns. The rows are often rank-deficient (combinations
+    of fewer rows), sometimes zero, and a coefficient column is sometimes zero.
+    Over Q(i) the rows are sometimes real."""
     nrows, lead, extra = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
     width = lead + extra
     parts = st.integers(-3, 3) | st.just(0)
-    elems = st.builds(GaussianRational, parts, parts | st.just(0))
-    if draw(st.booleans()):
-        elems = parts.map(GaussianRational)
+    if field is QI:
+        elems = st.builds(GaussianRational, parts, parts | st.just(0))
+        if draw(st.booleans()):
+            elems = parts.map(GaussianRational)
+    elif field is QQ:
+        elems = st.builds(Fraction, parts, st.integers(1, 3))
+    else:
+        elems = parts.map(field.coerce)
     line = st.lists(elems, min_size=width, max_size=width)
     rows = draw(st.lists(line, min_size=nrows, max_size=nrows))
     shape = draw(st.sampled_from(["full", "deficient", "deficient", "zero-column", "zero"]))
@@ -759,7 +766,7 @@ def qi_systems(draw):
         basis = rows[: draw(st.integers(0, nrows - 1))]
         coefs = st.lists(elems, min_size=len(basis), max_size=len(basis))
         rows = [
-            [sum((c * b[j] for c, b in zip(cs, basis)), QI.zero()) for j in range(width)]
+            [sum((c * b[j] for c, b in zip(cs, basis)), field.zero()) for j in range(width)]
             for cs in (draw(coefs) for _ in range(nrows))
         ]
         if draw(st.booleans()):  # a right-hand side outside the column space
@@ -767,49 +774,50 @@ def qi_systems(draw):
             rows[k] = rows[k][:lead] + [v + 1 for v in rows[k][lead:]]
     elif shape == "zero-column":
         col = draw(st.integers(0, lead - 1))
-        rows = [r[:col] + [QI.zero()] + r[col + 1:] for r in rows]
+        rows = [r[:col] + [field.zero()] + r[col + 1:] for r in rows]
     elif shape == "zero":
-        rows = [[QI.zero()] * width for _ in rows]
-    return [[QI.coerce(v) for v in r] for r in rows], lead
+        rows = [[field.zero()] * width for _ in rows]
+    return [[field.coerce(v) for v in r] for r in rows], lead
 
 
-def test_qi_rref_matches_element_reference():
-    """QI.solve against the Gauss-Jordan reduction with element operators: the
+@pytest.mark.parametrize("field", [QQ, QI, GF(2), GF(3), GF(5)], ids=str)
+def test_solve_matches_element_reference(field):
+    """field.solve against the Gauss-Jordan reduction with element operators: the
     form of the same pinned solution, or None for an inconsistent system, and
-    `rows` untouched. A system without a right-hand side is solved for its own
-    coefficient columns, as `left_annihilator_basis` does. Every kind of system
-    below is met."""
+    `rows` untouched; field.rank is the reference's pivot count. A system without
+    a right-hand side is solved for its own coefficient columns, as
+    `left_annihilator_basis` does. Every kind of system below is met, the pivot
+    kinds over Q(i) only."""
     seen = set()
 
     @settings(max_examples=150, database=None, deadline=None)
     @seed(KERNEL_SEED)
-    @given(qi_systems())
+    @given(systems(field))
     def check(case):
         rows, lead = case
         if len(rows[0]) == lead:
             rows = [r + r[:lead] for r in rows]
             seen.add("no right-hand side")
-        expected = ref_answer(rows, lead)
-        result = solved(rows, lead)
-        if expected is None:
-            assert result is None
+        cols, form = ref_answer(rows, lead, field)
+        assert solved(rows, lead, field) == form
+        assert field.rank(field.augment(field.to_form(rows)), lead) == len(cols)
+        if form is None:
             seen.add("inconsistent")
             return
-        cols, form = expected
-        assert result == form
         rank = len(cols)
         seen.add("rank 0" if rank == 0 else "deficient" if rank < min(len(rows), lead) else "full")
         if cols and cols != list(range(len(cols))):
             seen.add("skipped column")
-        # the last pivot D, which divides the whole answer
-        *_, di = QI._forward(QI.augment(QI.to_form(rows)), lead)
-        if rank:
+        if field is QI and rank:
+            # the last pivot D, which divides the whole answer
+            *_, di = QI._forward(QI.augment(QI.to_form(rows)), lead)
             seen.add("non-real pivot" if di else "real pivot")
 
     check()
+    pivot_kinds = {"real pivot", "non-real pivot"} if field is QI else set()
     assert seen == {
         "inconsistent", "rank 0", "deficient", "full", "skipped column",
-        "no right-hand side", "real pivot", "non-real pivot",
+        "no right-hand side", *pivot_kinds,
     }
 
 
@@ -826,7 +834,7 @@ def test_qi_solve_back_substitutes_only_the_answer_columns(monkeypatch):
     ]
     rows.append([u + v for u, v in zip(rows[0], rows[1])])
     rows = [[QI.coerce(v) for v in r] for r in rows]
-    cols, form = ref_answer(rows, 4)
+    cols, form = ref_answer(rows, 4, QI)
     assert cols == [0, 2, 3]  # rank 3 of 4, column 1 skipped
     real_forward, real_quotient = QI._forward, coreinv.scalar._exact_quotient
     in_forward, back = [], []
@@ -845,7 +853,7 @@ def test_qi_solve_back_substitutes_only_the_answer_columns(monkeypatch):
 
     monkeypatch.setattr(coreinv.scalar, "_exact_quotient", quotient)
     monkeypatch.setattr(type(QI), "_forward", staticmethod(forward))
-    assert solved(rows, 4) == form
+    assert solved(rows, 4, QI) == form
     assert back == [3, 3]  # the two pivot rows above the last, 3 answer columns each
 
 
