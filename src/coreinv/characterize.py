@@ -64,6 +64,12 @@ class Decomposition:
     unit: Mat
     n: int
 
+    def __post_init__(self):
+        # a certificate built with the strings "p", "core", ... replays as one built
+        # with the members
+        object.__setattr__(self, "flavor", Flavor(self.flavor))
+        object.__setattr__(self, "side", Side(self.side))
+
 
 @dataclass(frozen=True)
 class EPReport:

@@ -25,7 +25,6 @@ from .ginverse import (
     MAX_POWER,
     GInverseKind,
     NotInvertible,
-    _instance,
     certificate_from_json,
     certificate_to_json,
     e_core,
@@ -140,8 +139,7 @@ def _verify_decomposition(args, payload, a: Mat) -> int:
     d = decomposition_from_json(payload)
     core = d.side is Side.CORE
     w = _load_weight(args.e if core else args.f, a.n, a.field)
-    a = _instance(a)  # the replayed and the direct value share their equations
-    try:
+    try:  # the replay and the direct inverse share the instance held for a
         reconstructed = replay(a, w, d)
     except InvalidCertificateError as exc:
         _emit({"ok": False, "error": str(exc)}, args.out)

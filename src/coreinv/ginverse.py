@@ -4,8 +4,8 @@ Six inverse kinds are supported: group, {1,3e}, {1,4f}, weighted Moore-Penrose,
 weighted core (e-core) and weighted dual core (f-dual core). Every constructor
 solves the defining membership equations for an explicit witness, re-verifies
 the full defining-equation set of its kind on the result (each equation once
-per distinct value within one top-level call), and returns an
-InverseCertificate carrying both. The group and one-sided inverses that a
+per distinct value on one instance of the matrix, see _instance), and returns
+an InverseCertificate carrying both. The group and one-sided inverses that a
 core, dual core or Moore-Penrose construction builds on are not certified by
 themselves, since the result is. Non-existence is a typed negative result
 (NotInvertible) naming the membership that failed, never an exception.
@@ -25,6 +25,7 @@ Equation labels follow the standard numbering for weighted inverses:
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -33,6 +34,9 @@ from .matrix import Mat, SolveWitness, Weight, mat_from_json, mat_to_json, solve
 from .scalar import _is_int
 
 MAX_POWER = 8
+# The bounds on the instances a thread holds across top-level calls (see _instance).
+HELD_MATRICES = 16
+HELD_FACTS = 256
 
 
 class GInverseKind(str, Enum):
@@ -206,14 +210,13 @@ def verify(
 ) -> VerifyReport:
     """Evaluate every defining equation of `kind` for the candidate x exactly.
 
-    Within one top-level call (a is its private instance) each equation is
-    evaluated once per value of x and of each weight, whatever kinds ask for it,
-    on the products the value already has (see _Products)."""
+    On one instance of a (see _instance) each equation is evaluated once per
+    value of x and of each weight, whatever kinds ask for it, on the products
+    the value already has (see _Products)."""
     kind = GInverseKind(kind)
     e, f = _weights_used(kind, e, f)
     a._compat(x)
-    if not isinstance(a, _Instance):
-        a = _Instance(a)
+    a = _instance(a)
     p = a._products(x)
     p.form_sides(kind)
     return VerifyReport(kind, tuple((label, p.holds(label, a, e, f)) for label in EQUATIONS[kind]))
@@ -272,17 +275,16 @@ def _transport(build, a: Mat, f: Weight, *args):
 
 
 class _Instance(Mat):
-    """The matrix a within one top-level call, which the constructions of the call
-    share in place of a. Its facts are kept in one table per call, shared with its
-    mirror star(), the instance of a*, and keyed by the side each belongs to, its
-    name and the form of the weight it depends on: the powers (a^2 among them),
-    the power-membership solves, the projector a^# a and the group inverse, per
-    weight w the Gram pair (a* w, a* w a) and the uncertified one-sided builder
-    result, and the products and equation outcomes of each value (see verify).
-    Each is formed on its first use by one fixed route, so it is worked out once
-    per call; oracle.cross_check holds one instance across a thread's
-    consecutive calls on the same matrix object, so there it is worked out once
-    for all of them, and an equal weight under another object finds its facts.
+    """The matrix a as the constructions share it, within one top-level call and,
+    while _instance holds it, across a thread's calls on the same matrix object.
+    Its facts are kept in one table, shared with its mirror star(), the instance
+    of a*, and keyed by the side each belongs to, its name and the form of the
+    weight it depends on: the powers (a^2 among them), the power-membership
+    solves, the projector a^# a and the group inverse, per weight w the Gram
+    pair (a* w, a* w a) and the uncertified one-sided builder result, and the
+    products and equation outcomes of each value (see verify). Each is formed on
+    its first use by one fixed route, so it is worked out once per instance,
+    and an equal weight under another object finds its facts.
     The mirror reads its powers, solves, projector and group inverse off the
     core side: (a*)^k = (a^k)*, a power membership of a* is the opposite one of
     a, starred, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided result
@@ -311,9 +313,9 @@ class _Instance(Mat):
         return self._mirror
 
     def _fact(self, key, make, w: Weight | None = None):
-        """make() once per call for this side, key (a name or a value's form) and
-        the form of the weight w. Hashing a form is a C tuple hash: about 1 µs at
-        dim 8 over Q(i), against about 340 µs for one product there."""
+        """make() once per instance for this side, key (a name or a value's form)
+        and the form of the weight w. Hashing a form is a C tuple hash: about
+        1 µs at dim 8 over Q(i), against about 340 µs for one product there."""
         key = (self._dual, key) if w is None else (self._dual, key, w.value.form)
         fact = self._facts.get(key)
         if fact is None:
@@ -384,8 +386,33 @@ class _Instance(Mat):
         return self.star().power(n - 1) * self.gram(w)[1]
 
 
+# Per thread, since an instance's entries are filled without a lock: the id of
+# each held matrix -> (the matrix, its instance), least recently handed out
+# first. An entry keeps its matrix alive, so no other object can take its id.
+_held = threading.local()
+
+
 def _instance(a: Mat) -> _Instance:
-    return a if isinstance(a, _Instance) else _Instance(a)
+    """The instance every public entry point works on. An instance, passed down
+    by a nested call or a mirror, is its own. A plain matrix gets the instance
+    this thread holds for that object, so the thread's top-level calls on it
+    share every fact; it gets a fresh one when the held one has more than
+    HELD_FACTS facts, or when the thread holds none for the object (an equal
+    fresh matrix included). A thread holds at most HELD_MATRICES matrices and
+    drops the one least recently handed out first. The bounds are checked here
+    only, so between top-level calls."""
+    if isinstance(a, _Instance):
+        return a
+    table = getattr(_held, "table", None)
+    if table is None:
+        table = _held.table = {}
+    entry = table.pop(id(a), None)
+    if entry is None or len(entry[1]._facts) > HELD_FACTS:
+        entry = (a, _Instance(a))
+    table[id(a)] = entry
+    if len(table) > HELD_MATRICES:
+        del table[next(iter(table))]
+    return entry[1]
 
 
 def _group(a: _Instance) -> Mat | NotInvertible:

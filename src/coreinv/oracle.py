@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import random as _random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -321,22 +320,6 @@ def _compare(kind, constructed, brute: set, own: set):
     }
 
 
-# The matrix of this thread's last cross_check and its instance. A call on the
-# same object shares the instance, and with it every fact the earlier calls
-# worked out; the slot keeps the matrix alive, so no other matrix can take its
-# id. It is per thread because an instance's entries are filled without a lock.
-_held = threading.local()
-
-
-def _subject(a: Mat):
-    """The instance of a: the held one when a is the held matrix, else a fresh
-    one, which then takes the slot."""
-    if getattr(_held, "a", None) is not a:
-        _held.instance = _instance(a)
-        _held.a = a
-    return _held.instance
-
-
 def cross_check(
     a: Mat,
     e: Weight,
@@ -352,13 +335,13 @@ def cross_check(
     the power-representation paths must match the direct ones as well. They all
     share one instance of a, so each prerequisite is solved once, the power
     memberships are read off the group one, and each equation is evaluated once
-    per value, a power value equal to the direct one included. Consecutive calls
-    in one thread on the same matrix object share that instance too (see
-    _subject), so the weight-free facts of a are worked out once for all of
-    their weights, and the facts of a weight once per weight value; a fresh
-    matrix, even an equal one, starts fresh.
+    per value, a power value equal to the direct one included. Calls in one
+    thread on the same matrix object share that instance too while the thread
+    holds it (see ginverse._instance), so the weight-free facts of a are worked
+    out once for all of their weights, and the facts of a weight once per
+    weight value; a fresh matrix, even an equal one, starts fresh.
     """
-    a = _subject(a)
+    a = _instance(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
     constructed = {
@@ -450,7 +433,7 @@ def cross_check_sweep(
         matrices = space.matrices()  # an oversized space is refused before any weight is listed
         weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
         # one Mat per matrix, passed for all its weights, so that they share the
-        # instance cross_check holds for it
+        # instance the thread holds for it
         plain = (_to_mat(a_raw, p) for a_raw in matrices)
         reports = (cross_check(a, w, w, n=n) for a in plain for w in weights)
     else:

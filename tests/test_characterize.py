@@ -3,6 +3,7 @@
 import pytest
 
 from coreinv import (
+    GInverseKind,
     GF,
     QI,
     QQ,
@@ -28,18 +29,25 @@ from coreinv import (
     dual_from_t,
     dual_gram_formula,
     e_core,
+    e_core_via_power,
     ep_decompose,
     ep_from_s,
     f_dual_core,
+    f_dual_core_via_power,
     gram_converse_check,
     gram_formula,
     group_inverse,
+    inv_13e,
+    inv_14f,
     is_weighted_ep,
     random_annihilator_witness,
     random_group_invertible,
+    random_mat,
     random_non_group_invertible,
     random_weight,
+    replay,
     uniqueness_audit,
+    verify,
     weighted_mp,
 )
 
@@ -357,3 +365,76 @@ def test_decomposition_json_round_trip():
         decomposition_from_json({"flavor": "p", "side": "core", "n": 1})
     with pytest.raises(ValueError):
         decomposition_from_json({**obj, "flavor": "x"})
+
+
+def test_a_certificate_built_with_strings_replays():
+    d = decompose_idempotent(A, I2, 1)
+    built = Decomposition("p", "core", d.element, d.unit, 1)
+    assert (built.flavor, built.side) == (Flavor.IDEM_P, Side.CORE) and built == d
+    assert replay(A, I2, built) == core_from_pu(A, I2, built) == A_CORE
+    dq = dual_decompose(A, I2, 2, Flavor.IDEM_Q)
+    built = Decomposition("q", "dual", dq.element, dq.unit, 2)
+    assert replay(A, I2, built) == dual_from_qw(A, I2, built) == f_dual_core(A, I2).value
+    with pytest.raises(ValueError):
+        Decomposition("x", "core", d.element, d.unit, 1)
+    with pytest.raises(ValueError):
+        Decomposition("p", "left", d.element, d.unit, 1)
+
+
+def _public_calls(e, f, certificates):
+    """A fixed sequence of public calls, each on the matrix it is given."""
+    calls = [
+        group_inverse,
+        lambda a: inv_13e(a, e),
+        lambda a: inv_14f(a, f),
+        lambda a: e_core(a, e),
+        lambda a: f_dual_core(a, f),
+        lambda a: weighted_mp(a, e, f),
+        lambda a: e_core_via_power(a, e, 2),
+        lambda a: f_dual_core_via_power(a, f, 3),
+        lambda a: is_weighted_ep(a, e, f),
+        lambda a: decompose_idempotent(a, e, 2),
+        lambda a: decompose_q(a, e, 1),
+        lambda a: dual_decompose(a, f, 2, Flavor.IDEM_Q),
+        lambda a: gram_formula(a, e),
+        lambda a: dual_gram_formula(a, f),
+        lambda a: ep_decompose(a, e, f, 2),
+        lambda a: verify(GInverseKind.E_CORE, a, Mat.identity(a.field, a.n), e=e),
+    ]
+    for d in certificates:
+        calls.append(lambda a, d=d: replay(a, e if d.side is Side.CORE else f, d))
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_calls_on_one_held_matrix_give_what_fresh_copies_give(field, monkeypatch):
+    """Every call of the sequence on one Mat, which the thread holds with its facts
+    from one call to the next, returns what the same call returns on a fresh copy."""
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    ep_reports = 0
+    for seed in (3, 4, 5):
+        w = random_weight(3, field, seed=10 + seed, definite=seed == 4)
+        b = random_mat(3, field, seed=20 + seed)
+        h = b.star() * Mat(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]) * b
+        for a, e, f in (
+            (w.inv * h, w, w),  # w-selfadjoint: weighted-EP for e = f = w when group invertible
+            (random_group_invertible(3, field, seed=seed, rank=2), w, Weight.identity(field, 3)),
+            (random_non_group_invertible(3, field, seed=seed), w, w),
+        ):
+
+            def fresh(a=a):
+                return Mat._of(a.field, a.n, a.form)
+
+            built = (decompose_idempotent(fresh(), e, 1), dual_decompose(fresh(), f, 2))
+            calls = _public_calls(e, f, [d for d in built if not isinstance(d, NotInvertible)])
+            products.clear()
+            cold = [call(fresh()) for call in calls]
+            spent_cold = len(products)
+            products.clear()
+            warm = [call(a) for call in calls]
+            assert warm == cold, (field, seed)
+            assert len(products) < spent_cold
+            ep_reports += warm[8].weighted_ep
+    assert ep_reports > 0

@@ -8,7 +8,6 @@ import threading
 import pytest
 
 import coreinv.ginverse
-import coreinv.oracle
 from coreinv import (
     GF,
     QI,
@@ -41,7 +40,7 @@ from coreinv import (
     verify,
     weighted_mp,
 )
-from coreinv.ginverse import EQUATIONS, MAX_POWER, _instance
+from coreinv.ginverse import EQUATIONS, HELD_FACTS, HELD_MATRICES, MAX_POWER, _instance, _Instance
 from coreinv.oracle import EnumerationSpace, iter_invertible_symmetric
 
 A = Mat(QQ, [[1, 1], [0, 0]])  # a non-Hermitian idempotent used throughout
@@ -474,7 +473,8 @@ def test_e_core_on_a_weighted_ep_input_shares_the_products_of_its_labels(monkeyp
         a = w.inv * b.star() * Mat(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]) * b
         assert a.rank() == 2 and is_weighted_ep(a, w, w).weighted_ep
         formed.clear()
-        assert not isinstance(e_core(a, w), NotInvertible)
+        # another object: the instance held for a has every outcome already
+        assert not isinstance(e_core(Mat._of(field, a.n, a.form), w), NotInvertible)
         assert formed == {"(1)": 1, "(2)": 1, "(3e)": 1, "(6)": 0, "(7)": 0}
 
 
@@ -603,24 +603,37 @@ def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
         return {key: work[key] - before[key] for key in ("solve", "mul")}
 
     spent()
-    facts = len(coreinv.oracle._held.instance._facts)
+    facts = len(held(a)._facts)
     for _ in range(1999):
         assert spent() == {"solve": 2, "mul": 10}
-    assert len(coreinv.oracle._held.instance._facts) == facts <= 20
+    assert len(held(a)._facts) == facts <= 20
 
 
-def test_an_equal_or_interrupted_matrix_starts_fresh(group_solves):
+def held(a):
+    """The instance this thread holds for the matrix object a."""
+    entry = coreinv.ginverse._held.table[id(a)]
+    assert entry[0] is a
+    return entry[1]
+
+
+def test_an_equal_matrix_starts_fresh_and_an_interrupted_one_stays_held(group_solves):
     f3, rows = GF(3), [[1, 1], [0, 0]]
     w = Weight.identity(f3, 2)
     a = Mat(f3, rows)
     first = cross_check(a, w, w, n=2)
     assert cross_check(a, w, w, n=2) == first and len(group_solves) == 1
-    # an equal matrix is another object: it starts fresh and takes the slot
+    # an equal matrix is another object: it starts fresh, and a stays held
     assert cross_check(Mat(f3, rows), w, w, n=2) == first and len(group_solves) == 2
-    # so a is no longer held, and starts fresh again
-    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 3
-    # likewise after a call on another matrix in between
-    cross_check(Mat(f3, [[1, 1], [0, 1]]), w, w, n=2)
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 2
+    # a stays held while fewer than HELD_MATRICES other matrices come between
+    others = [Mat(f3, [[1, 1], [0, 1]]) for _ in range(HELD_MATRICES)]
+    for b in others[1:]:
+        cross_check(b, w, w, n=2)
+    solves = len(group_solves)
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == solves
+    # and starts fresh once HELD_MATRICES others have been handed out since
+    for b in others:
+        cross_check(b, w, w, n=2)
     solves = len(group_solves)
     assert cross_check(a, w, w, n=2) == first and len(group_solves) == solves + 1
 
@@ -628,20 +641,52 @@ def test_an_equal_or_interrupted_matrix_starts_fresh(group_solves):
 def test_another_thread_does_not_share_the_held_instance(work):
     f3 = GF(3)
     w = Weight.identity(f3, 2)
-    a = Mat(f3, [[1, 1], [0, 0]])
 
     def spent(call):
         before = dict(work)
         result = call()
         return result, {key: work[key] - before[key] for key in work}
 
-    report, full = spent(lambda: cross_check(a, w, w, n=2))
-    _, held = spent(lambda: cross_check(a, w, w, n=2))
-    assert held["solve"] < full["solve"] and held["mul"] < full["mul"]
-    other = []
-    thread = threading.Thread(target=lambda: other.append(cross_check(a, w, w, n=2)))
-    _, spent_there = spent(lambda: (thread.start(), thread.join()))
-    assert other == [report] and spent_there == full
+    for call in (
+        lambda a: cross_check(a, w, w, n=2),
+        lambda a: e_core(a, w),
+        lambda a: decompose_idempotent(a, w),
+    ):
+        a = Mat(f3, [[1, 1], [0, 0]])
+        result, full = spent(lambda: call(a))
+        _, again = spent(lambda: call(a))
+        assert again["solve"] < full["solve"] and again["mul"] < full["mul"]
+        other = []
+        thread = threading.Thread(target=lambda: other.append(call(a)))
+        _, spent_there = spent(lambda: (thread.start(), thread.join()))
+        assert other == [result] and spent_there == full
+
+
+def test_distinct_matrices_leave_at_most_the_held_bound():
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    mats = [Mat(f3, [[1, 1], [0, 0]]) for _ in range(2000)]
+    for a in mats:
+        e_core(a, w)
+    # the thread holds the last HELD_MATRICES of them, least recently used first
+    table = coreinv.ginverse._held.table
+    assert HELD_MATRICES == 16
+    assert [m for m, _ in table.values()] == mats[-HELD_MATRICES:]
+
+
+def test_distinct_weights_keep_the_held_facts_within_the_cap():
+    # each weight value adds its one-sided result and its Gram pair: the held
+    # instance is replaced once it has gone past HELD_FACTS, so it never stays
+    # above the cap by more than the facts of one call
+    a = Mat(QQ, [[1, 1], [0, 0]])
+    facts = []
+    for k in range(1, 2001):
+        assert e_core(a, Weight(Mat(QQ, [[1, 0], [0, k]]))).value == Mat(QQ, [[1, 0], [0, 0]])
+        facts.append(len(held(a)._facts))
+    assert HELD_FACTS == 256
+    assert max(facts) <= HELD_FACTS + 2
+    replaced = [i for i in range(1, len(facts)) if facts[i] < facts[i - 1]]
+    assert len(replaced) >= 2000 * 2 // HELD_FACTS - 1
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
@@ -759,7 +804,7 @@ def test_a_mirror_kept_past_its_core_works_alone(field):
     for seed in range(3):
         for a in (random_group_invertible(3, field, seed=seed), random_mat(3, field, seed=seed)):
             s = a.star()
-            mirror = _instance(a).star()  # nothing else holds the core: it is gone
+            mirror = _Instance(a).star()  # nothing else holds the core: it is gone
             for k in (2, 3):
                 for side, solve in (("left", solve_left), ("right", solve_right)):
                     assert mirror.solve_power(k, side).solution == solve(s.power(k), s).solution
@@ -777,7 +822,7 @@ def test_a_mirror_kept_past_its_core_works_alone(field):
     gc.collect()
     gc.disable()
     try:
-        mirror = _instance(A).star()
+        mirror = _Instance(A).star()
         f_dual_core(mirror, I2)
         del mirror
         assert gc.collect() == 0

@@ -78,9 +78,11 @@ def test_oracle_takes_only_constructors_from_ginverse():
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
 
 
-# The only readers of the per-call fact table. Every other route asks for a fact
-# by name and so forms it one fixed way, never by what the table holds.
-FACT_TABLE_READERS = {"_Instance.__init__", "_Instance.star", "_Instance._fact"}
+# The only readers of an instance's fact table: the accessor and the hand-out
+# rule `_instance`, which reads only its size, for the fact bound. Every other
+# route asks for a fact by name and so forms it one fixed way, never by what
+# the table holds.
+FACT_TABLE_READERS = {"_Instance.__init__", "_Instance.star", "_Instance._fact", "_instance"}
 
 
 def test_only_the_fact_accessor_reads_the_fact_table():

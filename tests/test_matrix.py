@@ -918,7 +918,15 @@ def test_qi_constructions_match_element_reference_solves(monkeypatch):
     a = random_group_invertible(12, QI, seed=1000)
     e = random_weight(12, QI, seed=2000)
     f = random_weight(12, QI, seed=2001)
-    calls = (lambda: e_core(a, e), lambda: f_dual_core(a, f), lambda: weighted_mp(a, e, f))
+
+    def fresh():  # another object each call: a held instance would not solve again
+        return Mat._of(a.field, a.n, a.form)
+
+    calls = (
+        lambda: e_core(fresh(), e),
+        lambda: f_dual_core(fresh(), f),
+        lambda: weighted_mp(fresh(), e, f),
+    )
     got = [certificate_to_json(call()) for call in calls]
     sides = []
 
