@@ -138,7 +138,7 @@ def _idempotent(a: _Instance, e: Weight) -> Mat | NotInvertible:
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
-    return Mat.identity(a.field, a.n) - a._products(cert.value).ax
+    return Mat.identity(a.field, a.n) - a._products(cert.value).get("ax")
 
 
 def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, element):
@@ -271,7 +271,7 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     cert = e_core(a, e)
     if isinstance(cert, NotInvertible):
         return cert
-    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a._products(cert.value).ax)
+    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a._products(cert.value).get("ax"))
     if value is None:
         raise RuntimeError("internal error: Gram matrix must be invertible here")
     if value != cert.value:
@@ -317,7 +317,7 @@ def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
     if ok:
         # a^# a is held, and a a^# is the a·x that certified the common value a^#
         projector = a.projector()
-        if a._products(ec.witnesses["group_inverse"]).ax != projector:
+        if a._products(ec.witnesses["group_inverse"]).get("ax") != projector:
             raise RuntimeError("internal error: group inverse must commute with a")
         p = Mat.identity(a.field, a.n) - projector
     return EPReport(ok, ec, fc, p)

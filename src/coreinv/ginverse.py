@@ -102,15 +102,35 @@ EQUATIONS: dict[GInverseKind, tuple[str, ...]] = {
 # Exact associativity makes every route to a product the same matrix, so each
 # decides its equation.
 _PREDICATES = {
-    "(1)": lambda a, x, p, e, f: p.axa == a,
-    "(2)": lambda a, x, p, e, f: p.xax == x,
-    "(3e)": lambda a, x, p, e, f: (e.value * p.ax).is_hermitian(),
-    "(4f)": lambda a, x, p, e, f: (f.value * p.xa).is_hermitian(),
-    "(5)": lambda a, x, p, e, f: p.ax is p.xa,  # equal forms are kept as one object
-    "(6)": lambda a, x, p, e, f: p.xaa == a,
-    "(7)": lambda a, x, p, e, f: p.axx == x,
-    "(8)": lambda a, x, p, e, f: p.aax == a,
-    "(9)": lambda a, x, p, e, f: p.xxa == x,
+    "(1)": lambda a, x, p, e, f: p.get("axa") == a,
+    "(2)": lambda a, x, p, e, f: p.get("xax") == x,
+    "(3e)": lambda a, x, p, e, f: (e.value * p.get("ax")).is_hermitian(),
+    "(4f)": lambda a, x, p, e, f: (f.value * p.get("xa")).is_hermitian(),
+    "(5)": lambda a, x, p, e, f: p.get("ax") == p.get("xa"),
+    "(6)": lambda a, x, p, e, f: p.get("xaa") == a,
+    "(7)": lambda a, x, p, e, f: p.get("axx") == x,
+    "(8)": lambda a, x, p, e, f: p.get("aax") == a,
+    "(9)": lambda a, x, p, e, f: p.get("xxa") == x,
+}
+
+
+def _commute(p) -> bool:
+    """Whether a x = x a, by the forms of the two products, as (5) decides it."""
+    return p.get("ax") == p.get("xa")
+
+
+# The one route of each product the labels read, from a, x and the products
+# before it, whatever was read first. When a x = x a, x a^2 and a^2 x are the
+# a x a of (1), and a x^2 and x^2 a the x a x of (2).
+_ROUTES = {
+    "ax": lambda p: p.a * p.x,
+    "xa": lambda p: p.x * p.a,
+    "axa": lambda p: p.get("ax") * p.a,
+    "xax": lambda p: p.get("xa") * p.x,
+    "xaa": lambda p: p.get("axa") if _commute(p) else p.get("xa") * p.a,
+    "axx": lambda p: p.get("xax") if _commute(p) else p.get("ax") * p.x,
+    "aax": lambda p: p.get("axa") if _commute(p) else p.a * p.get("ax"),
+    "xxa": lambda p: p.get("xax") if _commute(p) else p.x * p.get("xa"),
 }
 
 
@@ -125,79 +145,29 @@ def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
 
 
 class _Products:
-    """One value x of a: the products verify's labels compare, each formed at most
-    once, and the outcome of each label, evaluated at most once per weight value
-    it uses (keyed by the weight's form).
+    """One value x of a: the products verify's labels compare, each formed on its
+    first read by its route in _ROUTES, and the outcome of each label, evaluated
+    at most once per weight value it uses. Both are kept in one dict, a product
+    under its name and an outcome under its label, or its label and the form of
+    its weight."""
 
-    a·x and x·a are kept as one object when their forms are equal, as for every
-    weighted-EP value. Then x a^2 (6) and a^2 x (8) are a·x·a, which (1)
-    compares, and a x^2 (7) and x^2 a (9) are x·a·x, which (2) compares. Else
-    (1) is a·(x·a) and (2) is x·(a·x) when only x·a or only a·x is formed."""
-
-    __slots__ = ("a", "x", "_ax", "_xa", "_axa", "_xax", "_holds")
+    __slots__ = ("a", "x", "_known")
 
     def __init__(self, a: Mat, x: Mat):
-        self.a, self.x, self._holds = a, x, {}
-        self._ax = self._xa = self._axa = self._xax = None
+        self.a, self.x, self._known = a, x, {}
 
-    @property
-    def ax(self) -> Mat:
-        if self._ax is None:
-            ax = self.a * self.x
-            self._ax = self._xa if self._xa is not None and self._xa.form == ax.form else ax
-        return self._ax
-
-    @property
-    def xa(self) -> Mat:
-        if self._xa is None:
-            xa = self.x * self.a
-            self._xa = self._ax if self._ax is not None and self._ax.form == xa.form else xa
-        return self._xa
-
-    # a·x·a and x·a·x extend a side that form_sides has formed.
-
-    @property
-    def axa(self) -> Mat:
-        if self._axa is None:
-            self._axa = self.a * self._xa if self._ax is None else self._ax * self.a
-        return self._axa
-
-    @property
-    def xax(self) -> Mat:
-        if self._xax is None:
-            self._xax = self.x * self._ax if self._xa is None else self._xa * self.x
-        return self._xax
-
-    @property
-    def xaa(self) -> Mat:
-        return self.axa if self.ax is self.xa else self.xa * self.a
-
-    @property
-    def axx(self) -> Mat:
-        return self.xax if self.ax is self.xa else self.ax * self.x
-
-    @property
-    def aax(self) -> Mat:
-        return self.axa if self.ax is self.xa else self.a * self.ax
-
-    @property
-    def xxa(self) -> Mat:
-        return self.xax if self.ax is self.xa else self.x * self.xa
-
-    def form_sides(self, kind: GInverseKind):
-        """Form the products of x the kind's labels read first: a·x unless the kind
-        is {1,4f}, whose labels read x·a alone, and x·a unless it is {1,3e}."""
-        if kind is not GInverseKind.ONE_FOUR_F:
-            self.ax
-        if kind is not GInverseKind.ONE_THREE_E:
-            self.xa
+    def get(self, name: str) -> Mat:
+        m = self._known.get(name)
+        if m is None:
+            m = self._known[name] = _ROUTES[name](self)
+        return m
 
     def holds(self, label: str, a: _Instance, e: Weight | None, f: Weight | None) -> bool:
         w = e if label == "(3e)" else f if label == "(4f)" else None
         key = label if w is None else (label, w.value.form)
-        ok = self._holds.get(key)
+        ok = self._known.get(key)
         if ok is None:
-            ok = self._holds[key] = _PREDICATES[label](a, self.x, self, e, f)
+            ok = self._known[key] = _PREDICATES[label](a, self.x, self, e, f)
         return ok
 
 
@@ -211,14 +181,13 @@ def verify(
     """Evaluate every defining equation of `kind` for the candidate x exactly.
 
     On one instance of a (see _instance) each equation is evaluated once per
-    value of x and of each weight, whatever kinds ask for it, on the products
-    the value already has (see _Products)."""
+    value of x and of each weight, whatever kinds ask for it, on products
+    formed once per value, each by one fixed route (see _Products)."""
     kind = GInverseKind(kind)
     e, f = _weights_used(kind, e, f)
     a._compat(x)
     a = _instance(a)
     p = a._products(x)
-    p.form_sides(kind)
     return VerifyReport(kind, tuple((label, p.holds(label, a, e, f)) for label in EQUATIONS[kind]))
 
 
@@ -281,10 +250,11 @@ class _Instance(Mat):
     of a*, and keyed by the side each belongs to, its name and the form of the
     weight it depends on: the powers (a^2 among them), the power-membership
     solves, the projector a^# a and the group inverse, per weight w the Gram
-    pair (a* w, a* w a) and the uncertified one-sided builder result, and the
-    products and equation outcomes of each value (see verify). Each is formed on
-    its first use by one fixed route, so it is worked out once per instance,
-    and an equal weight under another object finds its facts.
+    pair (a* w, a* w a), the solve of a = s (a*)^n w a per n and the
+    uncertified one-sided builder result, and the products and equation
+    outcomes of each value (see verify). Each is formed on its first use by
+    one fixed route, so it is worked out once per instance, and an equal
+    weight under another object finds its facts.
     The mirror reads its powers, solves, projector and group inverse off the
     core side: (a*)^k = (a^k)*, a power membership of a* is the opposite one of
     a, starred, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided result
@@ -381,9 +351,14 @@ class _Instance(Mat):
 
         return self._fact("gram", make, w)
 
-    def power_gram(self, w: Weight, n: int) -> Mat:
-        """(a*)^n w a as (a*)^{n-1} (a* w a), where (a*)^1 is the mirror."""
-        return self.star().power(n - 1) * self.gram(w)[1]
+    def solve_power_gram(self, w: Weight, n: int) -> SolveWitness:
+        """The witness of a = s (a*)^n w a, solved once per n and weight value, with
+        (a*)^n w a formed as (a*)^{n-1} (a* w a), where (a*)^1 is the mirror."""
+
+        def make():
+            return solve_left(self.star().power(n - 1) * self.gram(w)[1], self)
+
+        return self._fact(("power_gram", n), make, w)
 
 
 # Per thread, since an instance's entries are filled without a lock: the id of
@@ -484,7 +459,7 @@ def _check_n(n: int, least: int = 1):
 
 
 def _e_core_via_power(a: _Instance, e: Weight, n: int):
-    sw = solve_left(a.power_gram(e, n), a)
+    sw = a.solve_power_gram(e, n)
     if not sw.consistent:
         return NotInvertible(
             GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a"
@@ -541,14 +516,15 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
 
     Returns (a in R a* e a and a in a^n R, a in R (a*)^n e a); the two booleans
     agree for every input, which the test suite asserts. The first membership is
-    the {1,3e} builder's solve, so a call on a shared instance solves it once.
+    the {1,3e} builder's solve and the second the power route's, so a call on a
+    shared instance solves each once.
     """
     _check_n(n, 2)
     a = _instance(a)
     first = (
         not isinstance(a.one_sided(e), NotInvertible) and a.solve_power(n, "right").consistent
     )
-    second = solve_left(a.power_gram(e, n), a).consistent
+    second = a.solve_power_gram(e, n).consistent
     return first, second
 
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ginverse import (
+    MAX_POWER,
     GInverseKind,
     NotInvertible,
     _instance,
@@ -84,8 +85,6 @@ def _msub(x, y, p):
 
 
 def _mpow(x, k, p):
-    if k == 0:
-        return _eye(len(x))
     acc = x
     for _ in range(k - 1):
         acc = _mmul(acc, x, p)
@@ -224,6 +223,13 @@ def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | Non
     return tuple(raws)
 
 
+def _check_n(n: int):
+    """Reject an exponent n that is not an int in 1..MAX_POWER, the range every
+    other entry point accepts; a bool is not an int here."""
+    if not _is_int(n) or not 1 <= n <= MAX_POWER:
+        raise ValueError(f"n must be an int with 1 <= n <= {MAX_POWER}, got {n!r}")
+
+
 def _check_sample(sample: int, seed: int | None):
     """A sampled run needs a seed and at least one draw: checking nothing is not a pass."""
     if seed is None:
@@ -280,6 +286,7 @@ def brute_idempotent_certificates(a: Mat, e: Weight, n: int, flavor: str) -> set
     """
     if flavor not in ("p", "q"):
         raise ValueError("idempotent enumeration applies to idempotent flavors only")
+    _check_n(n)
     a_raw, p = _raw(a)
     e_raw, _ = _weight_raws(GInverseKind.E_CORE, a_raw, p, e, None)
     dim = a.n
@@ -332,15 +339,17 @@ def cross_check(
 
     For each of the four uniquely-determined kinds, the constructed value (or
     negative result) must agree with the brute-force solution set; with n >= 2
-    the power-representation paths must match the direct ones as well. They all
-    share one instance of a, so each prerequisite is solved once, the power
-    memberships are read off the group one, and each equation is evaluated once
-    per value, a power value equal to the direct one included. Calls in one
+    (n is an int in 1..MAX_POWER) the power-representation paths must match
+    the direct ones as well. They all share one instance of a, so each
+    prerequisite is solved once, the power memberships are read off the group
+    one, and each equation is evaluated once per value, a power value equal
+    to the direct one included. Calls in one
     thread on the same matrix object share that instance too while the thread
     holds it (see ginverse._instance), so the weight-free facts of a are worked
     out once for all of their weights, and the facts of a weight once per
     weight value; a fresh matrix, even an equal one, starts fresh.
     """
+    _check_n(n)
     a = _instance(a)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(GInverseKind.WEIGHTED_MP, a_raw, p, e, f)
@@ -428,6 +437,7 @@ def cross_check_sweep(
     sampled mode draws `sample` >= 1 seeded random (matrix, weight) instances
     and requires a seed.
     """
+    _check_n(n)
     space = EnumerationSpace(p, dim)
     if sample is None:
         matrices = space.matrices()  # an oversized space is refused before any weight is listed

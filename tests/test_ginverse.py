@@ -378,7 +378,7 @@ def test_cross_check_solves_each_prerequisite_once(work):
     # on a; (1), (2), (3e), (6), (7) on diag(1, 0); (1), (2), (3e), (4f) on
     # [[2, 0], [2, 0]]; (1), (2), (4f), (8), (9) on [[2, 2], [2, 2]].
     # Products, to build + to check: group 3 + 4 (a^2, a x = a^# a, (a^# a) x; a x,
-    # x a, one object since equal, (1), (2)); {1,3e} 3 (a* e, a* e a, x* e); core
+    # x a, equal, (1), (2)); {1,3e} 3 (a* e, a* e a, x* e); core
     # 1 + 7 ((a^# a) a^(1,3e); a x and x a, which differ, and one per label: (1)
     # as (a x) a, (2) as (x a) x, (3e) as e (a x), (6) as (x a) a, (7) as
     # (a x) x); {1,4f} 3; dual 1 + 7 (its mirror; a x, x a and one per label);
@@ -399,10 +399,10 @@ def test_weighted_ep_solves_the_group_inverse_once(work):
     # core and dual core (2) and evaluates each of (1), (2), (3e), (4f), (6), (7),
     # (8), (9) once. Products: 3 for a^# (a^2, a x = a^# a, (a^# a) x), 3 + 3 for
     # the one-sided inverses (a* e, a* e a, x* e and their mirrors), 1 + 1 for the
-    # core values ((a^# a) a^(1,3e) and its mirror), 6 to check (a x and x a, kept
-    # as one object since equal; (1), (2), (3e) and the dual core's (4f), which
-    # forms f (x a) itself; (6) and (7) read the products of (1) and (2), and
-    # (8) and (9) again those of (1) and (2)) and none for p = 1 - a^# a and its
+    # core values ((a^# a) a^(1,3e) and its mirror), 6 to check (a x and x a,
+    # which are equal; (1), (2), (3e) and the dual core's (4f), which forms
+    # f (x a) itself; (6) and (7) read the products of (1) and (2), and (8) and
+    # (9) again those of (1) and (2)) and none for p = 1 - a^# a and its
     # check a^# a = a a^#, which reads the a x of the value
     rep = is_weighted_ep(Mat(QQ, [[1, 0], [0, 0]]), I2, I2)
     assert rep.weighted_ep
@@ -424,14 +424,15 @@ def test_weighted_mp_certifies_only_its_own_value(work):
 
 def test_inv_14f_is_solved_on_the_mirror_and_certified_on_a(work):
     # the builder runs on (a*, f^-1): a f^-1, a f^-1 a* and f^-1 y* (3 products, one
-    # solve); the value is then certified on (1) and (4f) of (a, f), which read
-    # x a alone: x a, (1) as a (x a), and (4f) (3 products)
+    # solve); the value is then certified on (1) and (4f) of (a, f): (1) by its
+    # one route (a x) a, and (4f) as f (x a) (4 products). The route of (1) does
+    # not depend on which side (4f) formed first, which costs one product here
     f3 = GF(3)
     w = Weight.identity(f3, 2)
     cert = inv_14f(Mat(f3, [[1, 1], [0, 0]]), w)
     assert cert.value == Mat(f3, [[2, 0], [2, 0]])
     assert cert.witnesses == {"y": Mat(f3, [[2, 2], [0, 0]])}
-    assert work == {"solve": 1, "verify": 1, "equations": 2, "mul": 6}
+    assert work == {"solve": 1, "verify": 1, "equations": 2, "mul": 7}
 
 
 def test_gram_formula_forms_the_gram_matrix_once(monkeypatch):
@@ -453,8 +454,9 @@ def test_gram_formula_forms_the_gram_matrix_once(monkeypatch):
 
 def test_e_core_on_a_weighted_ep_input_shares_the_products_of_its_labels(monkeypatch):
     # a = w^-1 h with h Hermitian is weighted-EP for e = f = w: its core inverse x
-    # commutes with a, so a x and x a are one object, and (6) x a^2 = a and
-    # (7) a x^2 = x compare the a x a of (1) and the x a x of (2)
+    # commutes with a, so a x and x a have equal forms, and (6) x a^2 = a and
+    # (7) a x^2 = x compare the a x a of (1) and the x a x of (2). (1) forms a x
+    # and (a x) a, (2) x a and (x a) x, since no side is formed in advance
     products, formed = [], {}
     mul = Mat.__mul__
     monkeypatch.setattr(Mat, "__mul__", lambda x, y: products.append(1) or mul(x, y))
@@ -475,7 +477,7 @@ def test_e_core_on_a_weighted_ep_input_shares_the_products_of_its_labels(monkeyp
         formed.clear()
         # another object: the instance held for a has every outcome already
         assert not isinstance(e_core(Mat._of(field, a.n, a.form), w), NotInvertible)
-        assert formed == {"(1)": 1, "(2)": 1, "(3e)": 1, "(6)": 0, "(7)": 0}
+        assert formed == {"(1)": 2, "(2)": 2, "(3e)": 1, "(6)": 0, "(7)": 0}
 
 
 # The kinds in the order cross_check meets them: the group inverse, the core
@@ -589,10 +591,10 @@ def test_consecutive_cross_checks_on_one_matrix_share_its_instance(work, group_s
 def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
     # a weight is keyed by its value: after the first of 2,000 cross_checks on one
     # matrix object, each with a fresh Weight equal to 1, the held instance adds
-    # no fact and no call forms one again. Each still makes 2 solves and 10
-    # products, the builder steps no fact holds: each power route's (a*)^2 e a
-    # membership, with a* (a* e a), a s* and (a s*) e, the core values
-    # (a^# a) a^(1,3e) and its mirror, and y a x
+    # no fact and no call forms one again. The (a*)^2 e a membership of each
+    # power route is a fact, so a repeat call solves nothing; it still makes the
+    # 8 products of the builder steps no fact holds: a s* and (a s*) e on each
+    # power route, the core values (a^# a) a^(1,3e) and its mirror, and y a x
     f3 = GF(3)
     a = Mat(f3, [[1, 1], [0, 0]])
 
@@ -605,7 +607,7 @@ def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
     spent()
     facts = len(held(a)._facts)
     for _ in range(1999):
-        assert spent() == {"solve": 2, "mul": 10}
+        assert spent() == {"solve": 0, "mul": 8}
     assert len(held(a)._facts) == facts <= 20
 
 

@@ -19,6 +19,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 ORDER = ("scalar", "matrix", "ginverse", "oracle", "characterize", "cli", "__init__")
 
 ORACLE_FROM_GINVERSE = {
+    "MAX_POWER",
     "GInverseKind",
     "NotInvertible",
     "_instance",
@@ -95,6 +96,34 @@ def test_only_the_fact_accessor_reads_the_fact_table():
                    for inner in ast.walk(part)):
                 readers.add(f"{node.name}.{name}" if is_class else name)
     assert readers == FACT_TABLE_READERS, readers ^ FACT_TABLE_READERS
+
+
+def test_verify_forms_products_by_their_routes_and_compares_forms():
+    """Each product of a value is formed by its route in `_ROUTES`, never in a
+    `_Products` method, so what is formed does not depend on which label read
+    first; and no label's predicate compares with `is`, so (5) compares forms."""
+    tree = _tree("ginverse")
+    products = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Products"
+    )
+    formed = [
+        (part.name, inner.lineno)
+        for part in products.body
+        for inner in ast.walk(part)
+        if isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.Mult)
+    ]
+    assert formed == []
+    predicates = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_PREDICATES"
+    )
+    identity = [
+        inner.lineno
+        for inner in ast.walk(predicates)
+        if isinstance(inner, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in inner.ops)
+    ]
+    assert len(predicates.keys) == 9 and identity == []
 
 
 # The field hooks matrix.py may call. Of them only augment, solve and rank

@@ -29,6 +29,7 @@ from coreinv import (
     random_weight,
     weighted_mp,
 )
+from coreinv.ginverse import MAX_POWER
 from coreinv.matrix import MAX_DIM
 from coreinv.oracle import iter_invertible_symmetric
 
@@ -215,6 +216,19 @@ def test_sampled_mode_refuses_to_check_nothing():
             cross_check_sweep(2, 2, sample=sample, seed=1)
     with pytest.raises(ValueError, match="requires a seed"):
         cross_check(nil, E3, E3, sample=5)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3, MAX_POWER + 1, 10**5, True, 1.0, "2"])
+def test_an_exponent_outside_the_power_bound_is_refused(n):
+    # n = 0 would read a^0 = 1 and n < 0 would act as 1; each is refused before
+    # any search, as the constructors and characterizations refuse it
+    a = Mat(F3, [[1, 1], [0, 0]])
+    with pytest.raises(ValueError, match=f"1 <= n <= {MAX_POWER}"):
+        cross_check(a, E3, E3, n=n)
+    with pytest.raises(ValueError, match=f"1 <= n <= {MAX_POWER}"):
+        cross_check_sweep(3, 2, n=n)
+    with pytest.raises(ValueError, match=f"1 <= n <= {MAX_POWER}"):
+        brute_idempotent_certificates(a, E3, n, Flavor.IDEM_P)
 
 
 def _bogus_e_core(monkeypatch, value):
