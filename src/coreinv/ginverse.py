@@ -149,7 +149,8 @@ class _Products:
     first read by its route in _ROUTES, and the outcome of each label, evaluated
     at most once per weight value it uses. Both are kept in one dict, a product
     under its name and an outcome under its label, or its label and the form of
-    its weight."""
+    its weight; an outcome is kept only while the dict holds fewer than
+    HELD_FACTS entries, so fresh weights cannot grow it without bound."""
 
     __slots__ = ("a", "x", "_known")
 
@@ -165,9 +166,12 @@ class _Products:
     def holds(self, label: str, a: _Instance, e: Weight | None, f: Weight | None) -> bool:
         w = e if label == "(3e)" else f if label == "(4f)" else None
         key = label if w is None else (label, w.value.form)
-        ok = self._known.get(key)
+        known = self._known
+        ok = known.get(key)
         if ok is None:
-            ok = self._known[key] = _PREDICATES[label](a, self.x, self, e, f)
+            ok = _PREDICATES[label](a, self.x, self, e, f)
+            if len(known) < HELD_FACTS:
+                known[key] = ok
         return ok
 
 

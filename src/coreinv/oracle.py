@@ -134,7 +134,8 @@ def _raw(m: Mat):
 
 
 def _to_mat(raw, p) -> Mat:
-    return Mat(GF(p), raw)
+    # rows of residues in [0, p) as tuples are the F_p form itself
+    return Mat._of(GF(p), len(raw), raw)
 
 
 # The equations each kind adds to (1). The oracle keeps its own copy of the

@@ -330,22 +330,22 @@ class ScalarField:
     """
 
     tag: str
+    p = None  # the modulus of a prime field
 
     def zero(self):
-        return self.from_int(0)
+        return self.coerce(0)
 
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, k: int):
-        raise NotImplementedError
+        return self.coerce(1)
 
     def coerce(self, value):
-        """Convert value into this backend, rejecting other backends and floats."""
+        """Convert value into this backend, rejecting other backends and floats; a
+        string is read as `parse` reads it."""
         raise NotImplementedError
 
     def conj(self, x):
-        raise NotImplementedError
+        """The involution: the identity, except on Q(i)."""
+        return self.coerce(x)
 
     def parse(self, obj):
         """Decode a JSON-level entry into a scalar."""
@@ -481,6 +481,12 @@ class ScalarField:
         """prow[c] * row - row[c] * prow up to a nonzero factor; zero at column c."""
         raise NotImplementedError
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other.p == self.p
+
+    def __hash__(self):
+        return hash((type(self), self.p))
+
     def __repr__(self):
         return self.tag
 
@@ -524,19 +530,15 @@ class RationalField(_ClearedField):
 
     tag = "Q"
 
-    def from_int(self, k):
-        return Fraction(k)
-
     def coerce(self, value):
         _reject_float(value)
         if isinstance(value, Fraction):
             return value
-        if _is_int(value) or isinstance(value, str):
+        if _is_int(value):
             return Fraction(value)
+        if isinstance(value, str):
+            return self.parse(value)
         raise BackendMismatchError(f"cannot interpret {value!r} as a rational")
-
-    def conj(self, x):
-        return self.coerce(x)
 
     def parse(self, obj):
         return _fraction(*_rational(obj))
@@ -587,20 +589,11 @@ class RationalField(_ClearedField):
             x[c] = [v * k for v in row[lead:]]
         return _canonical(d, x)
 
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash(RationalField)
-
 
 class GaussianRationalField(_ClearedField):
     """Gaussian rationals a + b*i with complex conjugation as involution."""
 
     tag = "Qi"
-
-    def from_int(self, k):
-        return GaussianRational(k)
 
     def coerce(self, value):
         _reject_float(value)
@@ -650,10 +643,7 @@ class GaussianRationalField(_ClearedField):
         ]
 
     def random(self, rng):
-        return GaussianRational(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-        )
+        return GaussianRational(QQ.random(rng), QQ.random(rng))
 
     def to_form(self, rows):
         # canonical as built, as over Q
@@ -788,12 +778,6 @@ class GaussianRationalField(_ClearedField):
             return self.neg(_canonical(-dr, out_re, out_im))
         return _canonical(dr, out_re, out_im)
 
-    def __eq__(self, other):
-        return type(other) is GaussianRationalField
-
-    def __hash__(self):
-        return hash(GaussianRationalField)
-
 
 class PrimeField(ScalarField):
     """The prime field F_p for p in {2, 3, 5}; conjugation is the identity."""
@@ -806,23 +790,14 @@ class PrimeField(ScalarField):
         self.p = p
         self._elements = tuple(PrimeFieldElement(k, p) for k in range(p))
 
-    def from_int(self, k):
-        return PrimeFieldElement(k, self.p)
-
     def coerce(self, value):
         _reject_float(value)
-        if isinstance(value, PrimeFieldElement):
-            if value.p != self.p:
-                raise BackendMismatchError(f"mixed moduli: F{self.p} vs F{value.p}")
-            return value
-        if _is_int(value):
-            return PrimeFieldElement(value, self.p)
         if isinstance(value, str):
-            return PrimeFieldElement(int(value), self.p)
-        raise BackendMismatchError(f"cannot interpret {value!r} as an element of F{self.p}")
-
-    def conj(self, x):
-        return self.coerce(x)
+            return self.parse(value)
+        x = self._elements[0]._coerce(value)
+        if x is None:
+            raise BackendMismatchError(f"cannot interpret {value!r} as an element of F{self.p}")
+        return x
 
     def _residue(self, obj) -> int:
         """A JSON-level entry as its residue in [0, p)."""
@@ -846,7 +821,7 @@ class PrimeField(ScalarField):
         return [[str(v) for v in row] for row in form]
 
     def random(self, rng):
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+        return self._elements[rng.randrange(self.p)]
 
     def to_form(self, rows):
         return tuple([tuple([v.value for v in row]) for row in rows])
@@ -889,12 +864,6 @@ class PrimeField(ScalarField):
             inv = pow(row[c], p - 2, p)
             x[c] = tuple([v * inv % p for v in row[lead:]])
         return tuple(x)
-
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
-
-    def __hash__(self):
-        return hash((PrimeField, self.p))
 
     def __repr__(self):
         return f"F{self.p}"

@@ -691,6 +691,15 @@ def test_distinct_weights_keep_the_held_facts_within_the_cap():
     assert len(replaced) >= 2000 * 2 // HELD_FACTS - 1
 
 
+def test_distinct_weights_keep_a_values_outcomes_within_the_cap():
+    # each weight value adds one (3e) outcome to the products of x, which the
+    # held instance keeps under x's form; the dict stops taking outcomes at the cap
+    a, x = Mat(QQ, [[1, 1], [0, 0]]), Mat(QQ, [[1, 0], [0, 0]])
+    for k in range(1, 2001):
+        assert verify(GInverseKind.ONE_THREE_E, a, x, e=Weight(Mat(QQ, [[1, 0], [0, k]]))).ok
+    assert len(held(a)._products(x)._known) <= HELD_FACTS
+
+
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
 def test_mirror_power_solve_equals_a_fresh_solve(field, work):
     """The mirror reads a* = x (a*)^k and a* = (a*)^k x off the core's opposite

@@ -11,6 +11,7 @@ import importlib
 from pathlib import Path
 
 import coreinv
+import coreinv.scalar
 
 SRC = Path(coreinv.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -166,6 +167,23 @@ def test_only_the_base_field_defines_solve_and_rank():
         if isinstance(part, ast.FunctionDef) and part.name in ("solve", "rank")
     }
     assert defines == {("ScalarField", "solve"), ("ScalarField", "rank")}, defines
+
+
+def test_each_scalar_field_rule_is_defined_once():
+    """The field equality, zero and one are defined on `ScalarField` alone, and
+    the identity involution there too, which Q(i) alone overrides; an element
+    from an int is `coerce`."""
+    defines = {}
+    for node in _tree("scalar").body:
+        if isinstance(node, ast.ClassDef):
+            is_field = issubclass(getattr(coreinv.scalar, node.name), coreinv.scalar.ScalarField)
+            for part in node.body:
+                if isinstance(part, ast.FunctionDef):
+                    defines.setdefault((part.name, is_field), set()).add(node.name)
+    assert not any(name == "from_int" for name, _ in defines), defines
+    for name in ("zero", "one", "__eq__", "__hash__"):
+        assert defines[name, True] == {"ScalarField"}, name
+    assert defines["conj", True] == {"ScalarField", "GaussianRationalField"}
 
 
 def _dotted(node):

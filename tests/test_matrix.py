@@ -408,6 +408,31 @@ def test_rational_literals_read_as_fraction_reads_them():
             assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
 
 
+def test_a_string_entry_is_read_as_parse_reads_it():
+    # `coerce`, and so Mat(...) and GaussianRational(...), reads a string through
+    # the field's one literal reader: the digit bound and its errors hold there too
+    def read(reader, v):
+        try:
+            return reader(v)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    for v in LITERALS:
+        if isinstance(v, str) and len(v) <= MAX_ENTRY_DIGITS:
+            assert read(QQ.coerce, v) == read(QQ.parse, v), v
+    for build in (
+        lambda: Mat(QQ, [["1e5000"]]),
+        lambda: QQ.coerce("1e5000"),
+        lambda: QI.coerce(["1", "1e5000"]),
+        lambda: GaussianRational("1e5000"),
+        lambda: GF(3).coerce("1" * 5000),
+    ):
+        with pytest.raises(ValueError, match=f"more than {MAX_ENTRY_DIGITS} digits"):
+            build()
+    with pytest.raises(ValueError, match="zero denominator"):
+        Mat(QQ, [["1/0"]])
+
+
 @pytest.mark.parametrize("name", list(DECODE_FIELDS))
 def test_encode_form_matches_element_encode(name):
     field = DECODE_FIELDS[name]
@@ -523,7 +548,7 @@ ENTRIES = {
         st.builds(GaussianRational, rationals | BIG_RATIONALS, rationals | BIG_RATIONALS),
     ),
     **{
-        f"F{p}": (GF(p), st.integers(0, p - 1).map(GF(p).from_int), st.integers().map(GF(p).from_int))
+        f"F{p}": (GF(p), st.integers(0, p - 1).map(GF(p).coerce), st.integers().map(GF(p).coerce))
         for p in (2, 3, 5)
     },
 }
@@ -544,7 +569,7 @@ def kernel_cases(draw, field, small, large):
     if draw(st.booleans()):
         # u diag(mask) v has rank at most the number of ones in the mask
         mask = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=dim, max_size=dim))
-        diag = [[field.from_int(mask[i] if i == j else 0) for j in range(dim)] for i in range(dim)]
+        diag = [[field.coerce(mask[i] if i == j else 0) for j in range(dim)] for i in range(dim)]
         a = ref_mul(ref_mul(a, diag), b)
     return a, b, c
 

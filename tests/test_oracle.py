@@ -59,6 +59,14 @@ def test_enumeration_order_is_lexicographic():
     ]
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_raw_matrices_are_taken_as_forms(p):
+    # the oracle's rows of residues are the F_p form, so it builds no elements
+    for raw in EnumerationSpace(p, 2).matrices():
+        m, ref = coreinv.oracle._to_mat(raw, p), Mat(GF(p), raw)
+        assert m == ref and m.form == ref.form and m.rows == ref.rows
+
+
 def test_brute_ecore_examples():
     assert brute_solutions(GInverseKind.E_CORE, Mat.identity(F2, 2), e=E2) == {
         Mat.identity(F2, 2)

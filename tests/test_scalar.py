@@ -16,7 +16,13 @@ from coreinv import (
     Mat,
     PrimeFieldElement,
 )
-from coreinv.scalar import _exact_quotient, _fraction
+from coreinv.scalar import (
+    GaussianRationalField,
+    PrimeField,
+    RationalField,
+    _exact_quotient,
+    _fraction,
+)
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -32,7 +38,7 @@ def test_rational_addition():
 
 def test_prime_field_multiplication():
     F5 = GF(5)
-    assert F5.from_int(2) * F5.from_int(3) == F5.from_int(1)
+    assert F5.coerce(2) * F5.coerce(3) == F5.coerce(1)
 
 
 def test_gaussian_conjugate_product():
@@ -42,14 +48,25 @@ def test_gaussian_conjugate_product():
 
 def test_scalar_inv_examples():
     assert 1 / Fraction(2, 3) == Fraction(3, 2)
-    assert 1 / GF(5).from_int(2) == GF(5).from_int(3)
+    assert 1 / GF(5).coerce(2) == GF(5).coerce(3)
     assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
 
 
 def test_scalar_conj_examples():
     assert QQ.conj(Fraction(3, 4)) == Fraction(3, 4)
     assert QI.conj(GaussianRational(1, 2)) == GaussianRational(1, -2)
-    assert GF(5).conj(GF(5).from_int(4)) == GF(5).from_int(4)
+    assert GF(5).conj(GF(5).coerce(4)) == GF(5).coerce(4)
+
+
+def test_fields_are_equal_by_type_and_modulus():
+    fields = [QQ, QI, GF(2), GF(3), GF(5)]
+    fresh = [RationalField(), GaussianRationalField(), PrimeField(2), PrimeField(3), PrimeField(5)]
+    for i, f in enumerate(fields):
+        assert f == fresh[i] and hash(f) == hash(fresh[i])
+        assert [f == g for g in fields] == [j == i for j in range(len(fields))]
+    for f in fields:
+        assert not f.zero() and f.zero() == f.coerce("0")
+        assert f.one() * f.one() == f.one() == f.coerce("1")
 
 
 def test_division_by_zero():
@@ -58,16 +75,16 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         1 / GaussianRational(0, 0)
     with pytest.raises(ZeroDivisionError):
-        1 / GF(3).from_int(0)
+        1 / GF(3).coerce(0)
 
 
 def test_mixed_backend_rejected():
     with pytest.raises(BackendMismatchError):
-        GF(2).from_int(1) + GF(3).from_int(1)
+        GF(2).coerce(1) + GF(3).coerce(1)
     with pytest.raises(BackendMismatchError):
-        GF(2).from_int(1) * GF(3).from_int(1)
+        GF(2).coerce(1) * GF(3).coerce(1)
     with pytest.raises(BackendMismatchError):
-        GF(3).coerce(GF(2).from_int(1))
+        GF(3).coerce(GF(2).coerce(1))
     with pytest.raises(BackendMismatchError):
         QQ.coerce(GaussianRational(1))
     with pytest.raises(BackendMismatchError):
