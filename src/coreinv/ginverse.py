@@ -249,7 +249,7 @@ def _transport(build, a: Mat, f: Weight, *args):
 
 class _Instance(Mat):
     """The matrix a as the constructions share it, within one top-level call and,
-    while _instance holds it, across a thread's calls on the same matrix object.
+    while _instance holds it, across a thread's calls on an equal matrix.
     Its facts are kept in one table, shared with its mirror star(), the instance
     of a*, and keyed by the side each belongs to, its name and the form of the
     weight it depends on: the powers (a^2 among them), the power-membership
@@ -365,33 +365,42 @@ class _Instance(Mat):
         return self._fact(("power_gram", n), make, w)
 
 
-# Per thread, since an instance's entries are filled without a lock: the id of
-# each held matrix -> (the matrix, its instance), least recently handed out
-# first. An entry keeps its matrix alive, so no other object can take its id.
+# Per thread, since an instance's entries are filled without a lock: each held
+# instance, under itself as its key, least recently handed out first. A plain
+# matrix finds the entry of its value, since `Mat.__eq__` and `__hash__` compare
+# field and form, so no entry keeps a caller's object alive.
 _held = threading.local()
 
 
 def _instance(a: Mat) -> _Instance:
     """The instance every public entry point works on. An instance, passed down
     by a nested call or a mirror, is its own. A plain matrix gets the instance
-    this thread holds for that object, so the thread's top-level calls on it
-    share every fact; it gets a fresh one when the held one has more than
-    HELD_FACTS facts, or when the thread holds none for the object (an equal
-    fresh matrix included). A thread holds at most HELD_MATRICES matrices and
-    drops the one least recently handed out first. The bounds are checked here
-    only, so between top-level calls."""
+    this thread holds for its value, so the thread's top-level calls on that
+    value share every fact, whichever equal object each passes (a decoded copy
+    included); it gets a fresh one when the held one has more than HELD_FACTS
+    facts, or when the thread holds none for the value. A thread holds at most
+    HELD_MATRICES values and drops the one least recently handed out first.
+    The bounds are checked here only, so between top-level calls."""
     if isinstance(a, _Instance):
         return a
     table = getattr(_held, "table", None)
     if table is None:
         table = _held.table = {}
-    entry = table.pop(id(a), None)
-    if entry is None or len(entry[1]._facts) > HELD_FACTS:
-        entry = (a, _Instance(a))
-    table[id(a)] = entry
+    held = table.pop(a, None)
+    if held is None or len(held._facts) > HELD_FACTS:
+        held = _Instance(a)
+    table[held] = held
     if len(table) > HELD_MATRICES:
         del table[next(iter(table))]
-    return entry[1]
+    return held
+
+
+def _release(a: Mat) -> None:
+    """Drop the instance this thread holds for the value of a, if any, so that a
+    caller done with a value (a sweep past its weights) frees its facts at once."""
+    table = getattr(_held, "table", None)
+    if table is not None:
+        table.pop(a, None)
 
 
 def _group(a: _Instance) -> Mat | NotInvertible:

@@ -22,6 +22,7 @@ from .ginverse import (
     GInverseKind,
     NotInvertible,
     _instance,
+    _release,
     e_core,
     e_core_via_power,
     f_dual_core,
@@ -345,10 +346,9 @@ def cross_check(
     prerequisite is solved once, the power memberships are read off the group
     one, and each equation is evaluated once per value, a power value equal
     to the direct one included. Calls in one
-    thread on the same matrix object share that instance too while the thread
-    holds it (see ginverse._instance), so the weight-free facts of a are worked
-    out once for all of their weights, and the facts of a weight once per
-    weight value; a fresh matrix, even an equal one, starts fresh.
+    thread on an equal matrix share that instance too while the thread holds it
+    (see ginverse._instance), so the weight-free facts of a are worked out once
+    for all of their weights, and the facts of a weight once per weight value.
     """
     _check_n(n)
     a = _instance(a)
@@ -425,6 +425,17 @@ def _sampled_reports(space: EnumerationSpace, n: int, sample: int, seed: int):
         yield cross_check(a, w, w, n=n, sample=inner_sample, seed=inner_seed)
 
 
+def _exhaustive_reports(matrices, weights: list[Weight], p: int, n: int):
+    """cross_check on every matrix with e = f = w for each weight, matrix-major:
+    the calls on one matrix share the instance the thread holds for it, and the
+    sweep drops it once its weights are done, since it never returns to it."""
+    for a_raw in matrices:
+        a = _to_mat(a_raw, p)
+        for w in weights:
+            yield cross_check(a, w, w, n=n)
+        _release(a)
+
+
 def cross_check_sweep(
     p: int,
     dim: int,
@@ -443,10 +454,7 @@ def cross_check_sweep(
     if sample is None:
         matrices = space.matrices()  # an oversized space is refused before any weight is listed
         weights = [Weight(_to_mat(w, p)) for w in iter_invertible_symmetric(p, dim)]
-        # one Mat per matrix, passed for all its weights, so that they share the
-        # instance the thread holds for it
-        plain = (_to_mat(a_raw, p) for a_raw in matrices)
-        reports = (cross_check(a, w, w, n=n) for a in plain for w in weights)
+        reports = _exhaustive_reports(matrices, weights, p, n)
     else:
         _check_sample(sample, seed)
         reports = _sampled_reports(space, n, sample, seed)

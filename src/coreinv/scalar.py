@@ -234,12 +234,16 @@ class PrimeFieldElement(_Element):
         return PrimeFieldElement(-self.value, self.p)
 
     def __eq__(self, other):
+        # an int equals the element exactly when it is its residue, so that the
+        # element hashes as that int, as Fraction and GaussianRational do
         if isinstance(other, PrimeFieldElement):
             return self.p == other.p and self.value == other.value
+        if _is_int(other):
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

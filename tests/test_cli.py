@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreinv.characterize
 import coreinv.cli
 import coreinv.ginverse
 import coreinv.scalar
@@ -31,6 +32,7 @@ from coreinv import (
 )
 from coreinv.cli import main
 from coreinv.matrix import MAX_DIM
+from conftest import cold_start
 
 A_OBJ = {"backend": "Q", "dim": 2, "entries": [["1", "1"], ["0", "0"]]}
 NIL_OBJ = {"backend": "Q", "dim": 2, "entries": [["0", "1"], ["0", "0"]]}
@@ -254,6 +256,7 @@ def test_decomposition_verify_evaluates_each_equation_once(tmp_path, capsys, mon
     d = decompose_idempotent(a_mat, w, 2) if side == "core" else dual_decompose(a_mat, w, 2)
     a = write(tmp_path, "a.json", mat_to_json(a_mat))
     cert = write(tmp_path, "decomp.json", decomposition_to_json(d))
+    cold_start()  # the decoded a equals a_mat, whose instance building d filled
     evaluated.clear()
     code, out = run(capsys, ["verify", "--a", a, "--cert", cert])
     report = json.loads(out)
@@ -348,6 +351,42 @@ def test_ep_verdicts(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0 and payload["weighted_ep"] is True
     assert payload["p"]["entries"] == [["0", "0"], ["0", "1"]]
+
+
+def test_a_repeated_in_process_call_works_nothing_out_again(tmp_path, capsys, monkeypatch):
+    """`main` run twice in one thread on the same files: the second call decodes
+    an equal copy of each matrix, which finds the instance the first call left
+    held, so it runs no membership solve, evaluates no equation again and prints
+    the same bytes."""
+    worked = []
+
+    def counted(fn, what):
+        return lambda *args: worked.append(what) or fn(*args)
+
+    for module, name in (
+        (coreinv.ginverse, "solve_left"),
+        (coreinv.ginverse, "solve_right"),
+        (coreinv.characterize, "solve_right"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), "solve"))
+    for label, predicate in coreinv.ginverse._PREDICATES.items():
+        monkeypatch.setitem(coreinv.ginverse._PREDICATES, label, counted(predicate, "equation"))
+    diag = write(tmp_path, "d.json", {"backend": "Q", "dim": 2, "entries": [["2", "0"], ["0", "0"]]})
+    e = write(tmp_path, "e.json", {"backend": "Q", "dim": 2, "entries": [["1", "0"], ["0", "3"]]})
+    f = write(tmp_path, "f.json", {"backend": "Q", "dim": 2, "entries": [["2", "0"], ["0", "1"]]})
+    a = write(tmp_path, "a.json", A_OBJ)
+    cert = str(tmp_path / "cert.json")
+    assert main(["compute", "--kind", "ecore", "--a", a, "--e", e, "--out", cert]) == 0
+    for argv, first_works in (
+        (["ep", "--a", diag, "--e", e, "--f", f], "solve"),
+        (["verify", "--a", a, "--cert", cert, "--e", e], "equation"),
+    ):
+        cold_start()
+        worked.clear()
+        first = run(capsys, argv)
+        assert first[0] == 0 and first_works in worked, argv
+        worked.clear()
+        assert run(capsys, argv) == first and worked == [], argv
 
 
 def test_one_weight_file_is_decoded_into_one_weight(tmp_path, capsys, monkeypatch):
@@ -513,6 +552,7 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["compute", "--kind", "group", "--a", tri]) == 0
     capsys.readouterr()
     monkeypatch.setattr(coreinv.scalar, "_exact_quotient", skewed)
+    cold_start()  # so that the call divides again, not reads the held a^#
     code = main(["compute", "--kind", "group", "--a", tri])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

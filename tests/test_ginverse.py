@@ -31,6 +31,8 @@ from coreinv import (
     inv_14f,
     is_weighted_ep,
     lemma_r_core_check,
+    mat_from_json,
+    mat_to_json,
     random_group_invertible,
     random_mat,
     random_non_group_invertible,
@@ -42,6 +44,7 @@ from coreinv import (
 )
 from coreinv.ginverse import EQUATIONS, HELD_FACTS, HELD_MATRICES, MAX_POWER, _instance, _Instance
 from coreinv.oracle import EnumerationSpace, iter_invertible_symmetric
+from conftest import cold_start
 
 A = Mat(QQ, [[1, 1], [0, 0]])  # a non-Hermitian idempotent used throughout
 N = Mat(QQ, [[0, 1], [0, 0]])  # nilpotent, not group invertible
@@ -475,8 +478,8 @@ def test_e_core_on_a_weighted_ep_input_shares_the_products_of_its_labels(monkeyp
         a = w.inv * b.star() * Mat(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]) * b
         assert a.rank() == 2 and is_weighted_ep(a, w, w).weighted_ep
         formed.clear()
-        # another object: the instance held for a has every outcome already
-        assert not isinstance(e_core(Mat._of(field, a.n, a.form), w), NotInvertible)
+        cold_start()  # the instance held for a has every outcome already
+        assert not isinstance(e_core(a, w), NotInvertible)
         assert formed == {"(1)": 2, "(2)": 2, "(3e)": 1, "(6)": 0, "(7)": 0}
 
 
@@ -554,7 +557,8 @@ def test_a_value_shared_by_kinds_is_evaluated_once_per_label(work):
     # it: each certificate is verified again, but no label is evaluated again
     cross_check(a, w, w, n=2)
     assert (work["verify"], work["equations"]) == (12, 9)
-    # a fresh equal matrix starts fresh and evaluates them all again
+    # after a cold start an equal matrix evaluates them all again
+    cold_start()
     cross_check(Mat(f3, [[1, 1], [0, 1]]), w, w, n=2)
     assert (work["verify"], work["equations"]) == (18, 18)
 
@@ -575,14 +579,20 @@ def group_solves(monkeypatch):
 
 def test_consecutive_cross_checks_on_one_matrix_share_its_instance(work, group_solves):
     # a = [[1, 1], [0, 0]] = a^2 over F3; against all 18 weights one Mat solves
-    # a = a^2 x once, fresh equal matrices once each, with the same reports
+    # a = a^2 x once, equal matrices after a cold start once each, with the
+    # same reports
     f3, rows = GF(3), [[1, 1], [0, 0]]
     weights = [Weight(Mat(f3, w)) for w in iter_invertible_symmetric(3, 2)]
     a = Mat(f3, rows)
     held = [cross_check(a, w, w, n=2) for w in weights]
     assert len(group_solves) == 1
     products = work["mul"]
-    fresh = [cross_check(Mat(f3, rows), w, w, n=2) for w in weights]
+
+    def cold(w):
+        cold_start()
+        return cross_check(Mat(f3, rows), w, w, n=2)
+
+    fresh = [cold(w) for w in weights]
     assert len(group_solves) == 1 + 18
     assert held == fresh and all(r["ok"] for r in held)
     assert work["mul"] - products > products
@@ -611,24 +621,49 @@ def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
     assert len(held(a)._facts) == facts <= 20
 
 
+def test_an_equal_fresh_copy_of_a_held_matrix_runs_no_solve(work):
+    # a copy decoded from JSON is another object with a's value: the public calls
+    # on it find the instance the calls on a left held, and return equal results
+    a = random_group_invertible(4, QI, seed=3, rank=2)
+    e = random_weight(4, QI, seed=4)
+    calls = (
+        group_inverse,
+        lambda m: e_core(m, e),
+        lambda m: f_dual_core_via_power(m, e, 3),
+        lambda m: weighted_mp(m, e, e),
+        lambda m: is_weighted_ep(m, e, e),
+        lambda m: decompose_idempotent(m, e),
+    )
+    first = [call(a) for call in calls]
+    solves = work["solve"]
+    assert solves > 0
+    copy = mat_from_json(json.loads(json.dumps(mat_to_json(a))))
+    assert copy is not a and [call(copy) for call in calls] == first
+    assert work["solve"] == solves
+
+
 def held(a):
-    """The instance this thread holds for the matrix object a."""
-    entry = coreinv.ginverse._held.table[id(a)]
-    assert entry[0] is a
-    return entry[1]
+    """The instance this thread holds for the value of a."""
+    instance = coreinv.ginverse._held.table[a]
+    assert instance == a and instance is not a
+    return instance
 
 
-def test_an_equal_matrix_starts_fresh_and_an_interrupted_one_stays_held(group_solves):
+def test_an_equal_matrix_shares_the_held_instance_and_an_interrupted_one_stays_held(
+    group_solves,
+):
     f3, rows = GF(3), [[1, 1], [0, 0]]
     w = Weight.identity(f3, 2)
     a = Mat(f3, rows)
     first = cross_check(a, w, w, n=2)
     assert cross_check(a, w, w, n=2) == first and len(group_solves) == 1
-    # an equal matrix is another object: it starts fresh, and a stays held
-    assert cross_check(Mat(f3, rows), w, w, n=2) == first and len(group_solves) == 2
-    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 2
-    # a stays held while fewer than HELD_MATRICES other matrices come between
-    others = [Mat(f3, [[1, 1], [0, 1]]) for _ in range(HELD_MATRICES)]
+    # an equal matrix is another object with the same value: it shares the
+    # instance, and a stays held
+    assert cross_check(Mat(f3, rows), w, w, n=2) == first and len(group_solves) == 1
+    assert cross_check(a, w, w, n=2) == first and len(group_solves) == 1
+    # a stays held while fewer than HELD_MATRICES other values come between
+    # (distinct, and none equal to a: their last entry is 1)
+    others = [Mat(f3, [[k % 3, k // 3 % 3], [k // 9, 1]]) for k in range(HELD_MATRICES)]
     for b in others[1:]:
         cross_check(b, w, w, n=2)
     solves = len(group_solves)
@@ -655,6 +690,7 @@ def test_another_thread_does_not_share_the_held_instance(work):
         lambda a: decompose_idempotent(a, w),
     ):
         a = Mat(f3, [[1, 1], [0, 0]])
+        cold_start()  # the call before held an equal matrix
         result, full = spent(lambda: call(a))
         _, again = spent(lambda: call(a))
         assert again["solve"] < full["solve"] and again["mul"] < full["mul"]
@@ -665,15 +701,16 @@ def test_another_thread_does_not_share_the_held_instance(work):
 
 
 def test_distinct_matrices_leave_at_most_the_held_bound():
-    f3 = GF(3)
-    w = Weight.identity(f3, 2)
-    mats = [Mat(f3, [[1, 1], [0, 0]]) for _ in range(2000)]
+    w = Weight.identity(QQ, 2)
+    mats = [Mat(QQ, [[1, k], [0, 0]]) for k in range(2000)]
     for a in mats:
         e_core(a, w)
-    # the thread holds the last HELD_MATRICES of them, least recently used first
+    # the thread holds the last HELD_MATRICES of them, least recently used first,
+    # each under its own instance, not under the caller's matrix
     table = coreinv.ginverse._held.table
     assert HELD_MATRICES == 16
-    assert [m for m, _ in table.values()] == mats[-HELD_MATRICES:]
+    assert list(table) == mats[-HELD_MATRICES:]
+    assert all(isinstance(held, _Instance) and table[held] is held for held in table)
 
 
 def test_distinct_weights_keep_the_held_facts_within_the_cap():

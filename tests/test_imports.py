@@ -1,8 +1,9 @@
 """The package's import graph: module-level imports only, in one direction.
 
 The brute-force oracle stays independent of the solver code: from `ginverse`
-it takes only the kind enum, the negative result, the shared instance and the
-public constructors it cross-checks, and it never reads characterize or cli.
+it takes only the kind enum, the negative result, the shared instance and its
+release, and the public constructors it cross-checks, and it never reads
+characterize or cli.
 The benchmark's tracer binds package names from outside; they must resolve.
 """
 
@@ -24,6 +25,7 @@ ORACLE_FROM_GINVERSE = {
     "GInverseKind",
     "NotInvertible",
     "_instance",
+    "_release",
     "group_inverse",
     "inv_13e",
     "inv_14f",
@@ -78,6 +80,17 @@ def test_oracle_takes_only_constructors_from_ginverse():
         *(names for module, names in _package_imports(_tree("oracle")) if module == "ginverse")
     )
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
+
+
+def test_held_instances_are_keyed_by_value():
+    """ginverse calls no `id`, so the table of held instances, keyed by matrix
+    value, cannot drift back to keys of object identity."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree("ginverse"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert calls == []
 
 
 # The only readers of an instance's fact table: the accessor and the hand-out

@@ -41,6 +41,7 @@ from coreinv import (
 from coreinv.ginverse import _Instance
 from coreinv.matrix import MAX_DIM, SolveWitness
 from coreinv.scalar import MAX_ENTRY_DIGITS, _canonical
+from conftest import cold_start
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -944,15 +945,16 @@ def test_qi_constructions_match_element_reference_solves(monkeypatch):
     e = random_weight(12, QI, seed=2000)
     f = random_weight(12, QI, seed=2001)
 
-    def fresh():  # another object each call: a held instance would not solve again
-        return Mat._of(a.field, a.n, a.form)
+    def cold(call):  # a held instance would not solve again
+        cold_start()
+        return certificate_to_json(call())
 
     calls = (
-        lambda: e_core(fresh(), e),
-        lambda: f_dual_core(fresh(), f),
-        lambda: weighted_mp(fresh(), e, f),
+        lambda: e_core(a, e),
+        lambda: f_dual_core(a, f),
+        lambda: weighted_mp(a, e, f),
     )
-    got = [certificate_to_json(call()) for call in calls]
+    got = [cold(call) for call in calls]
     sides = []
 
     def solver(left):
@@ -964,5 +966,5 @@ def test_qi_constructions_match_element_reference_solves(monkeypatch):
 
     monkeypatch.setattr(coreinv.ginverse, "solve_right", solver(False))
     monkeypatch.setattr(coreinv.ginverse, "solve_left", solver(True))
-    assert [certificate_to_json(call()) for call in calls] == got
+    assert [cold(call) for call in calls] == got
     assert set(sides) == {False, True}

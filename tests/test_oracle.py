@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import coreinv.ginverse
 import coreinv.oracle
 from coreinv import (
     GF,
@@ -181,6 +182,25 @@ def test_sweep_f2_exhaustive(monkeypatch):
     assert report["mismatches"] == []
     # all the weights of one matrix share its instance
     assert len(checked) == 64 and len({id(a) for a in checked}) == 16
+
+
+def test_a_sweep_drops_each_matrix_once_its_weights_are_done(monkeypatch):
+    # the sweep never returns to a matrix, so the thread holds at most the one it
+    # is on, besides what it held before; that stays held
+    before = Mat(QQ, [[1, 1], [0, 0]])
+    e_core(before, Weight.identity(QQ, 2))
+    table = coreinv.ginverse._held.table
+    held = []
+    check = coreinv.oracle.cross_check
+
+    def spy(*args, **kwargs):
+        held.append(len(table))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(coreinv.oracle, "cross_check", spy)
+    assert cross_check_sweep(2, 2, n=2)["mismatches"] == []
+    assert len(held) == 64 and max(held) == 2
+    assert list(table) == [before]
 
 
 def test_sweep_refuses_large_space_without_sample(monkeypatch):

@@ -69,6 +69,14 @@ def test_fields_are_equal_by_type_and_modulus():
         assert f.one() * f.one() == f.one() == f.coerce("1")
 
 
+def test_a_prime_field_element_equals_the_int_of_its_residue():
+    one, two = GF(3).one(), GF(3).coerce(2)
+    assert one == 1 and 1 == one and one != 4 and two != -1 and one != GF(5).one()
+    assert {one, 1} == {1} and hash(two) == hash(2)
+    assert {one: "residue"}[1] == "residue"
+    assert (one == True) is False and (GF(2).zero() == False) is False  # a bool is no scalar
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         1 / Fraction(0)
