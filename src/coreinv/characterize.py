@@ -15,6 +15,7 @@ the uniqueness claims for the idempotent certificates.
 from __future__ import annotations
 
 import random as _random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +33,6 @@ from .ginverse import (
 )
 from .matrix import Mat, Weight, _rand_mat, mat_from_json, mat_to_json, solve_right
 from .oracle import brute_idempotent_certificates
-from .scalar import _is_int
 
 # Draws random_annihilator_witness makes before it gives up.
 _WITNESS_TRIES = 32
@@ -101,7 +101,7 @@ def _require(ok: bool, message: str):
 
 
 # The last precondition, which the caller checks on the unit `_validate_element`
-# returns: `_replay` by forming its inverse, `_validated` by its rank alone.
+# returns: `_replay` by forming its inverse, `_decompose` by its rank alone.
 _NOT_A_UNIT = "unit is not invertible"
 
 
@@ -132,36 +132,47 @@ def _validate_element(
     return expected
 
 
-def _idempotent(a: _Instance, e: Weight) -> Mat | NotInvertible:
-    """The canonical annihilating idempotent 1 - a a^{e-core}, or the e_core negative;
-    a a^{e-core} is the product verify formed to certify the value."""
-    cert = e_core(a, e)
+def _idempotent(a: _Instance, w: Weight, side: Side) -> Mat | NotInvertible:
+    """1 - a a^{e-core} (a a^{e-core} is the product verify formed to certify it), its
+    mirror 1 - a_{f-dual} a on the dual side, or the negative of the inverse."""
+    if side is Side.DUAL:
+        return _transport(_idempotent, a, w, Side.CORE)
+    cert = e_core(a, w)
     if isinstance(cert, NotInvertible):
         return cert
     return Mat.identity(a.field, a.n) - a._products(cert.value).get("ax")
 
 
-def _validated(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side, element):
-    """The decomposition of a built element with the unit its checks form."""
+@contextmanager
+def _built():
+    """A failed certificate check on an element built here is an internal error."""
+    try:
+        yield
+    except InvalidCertificateError as exc:
+        raise RuntimeError(f"internal error: a built decomposition fails: {exc}") from exc
+
+
+def _decompose(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side):
+    """The side's canonical idempotent and the flavor's unit, checked as on replay."""
+    _check_n(n)
+    a = _instance(a)
+    element = _idempotent(a, w, side)
     if isinstance(element, NotInvertible):
         return element
-    unit = _validate_element(a, w, element, n, flavor, side, None)
-    _require(unit.is_invertible(), _NOT_A_UNIT)
+    with _built():
+        unit = _validate_element(a, w, element, n, flavor, side, None)
+        _require(unit.is_invertible(), _NOT_A_UNIT)
     return Decomposition(flavor, side, element, unit, n)
 
 
 def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The canonical idempotent p = 1 - a a^{e-core} with its unit a^n + p."""
-    _check_n(n)
-    a = _instance(a)
-    return _validated(a, e, n, Flavor.IDEM_P, Side.CORE, _idempotent(a, e))
+    return _decompose(a, e, n, Flavor.IDEM_P, Side.CORE)
 
 
 def decompose_q(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
     """The same idempotent paired with the unit a^n (1 - q) + q."""
-    _check_n(n)
-    a = _instance(a)
-    return _validated(a, e, n, Flavor.IDEM_Q, Side.CORE, _idempotent(a, e))
+    return _decompose(a, e, n, Flavor.IDEM_Q, Side.CORE)
 
 
 def dual_decompose(
@@ -171,12 +182,10 @@ def dual_decompose(
 
     The mirror of the core-side decomposition of (a*, f^{-1}).
     """
-    _check_n(n)
     flavor = Flavor(flavor)
     if flavor not in (Flavor.IDEM_P, Flavor.IDEM_Q):
         raise ValueError("dual_decompose produces idempotent flavors only")
-    a = _instance(a)
-    return _validated(a, f, n, flavor, Side.DUAL, _transport(_idempotent, a, f))
+    return _decompose(a, f, n, flavor, Side.DUAL)
 
 
 # The core-side closed formulas, one per flavor, in terms of a, c = 1 - element
@@ -331,21 +340,13 @@ def ep_decompose(a: Mat, e: Weight, f: Weight, n: int = 1) -> Decomposition | No
     """
     _check_n(n)
     a = _instance(a)
-    report = is_weighted_ep(a, e, f)
-    if not report.weighted_ep:
+    if not is_weighted_ep(a, e, f):
         return NotInvertible("ep", "ep", "a is not weighted-EP for these weights")
-    p = report.p
-    unit = a.power(n) + p
-    # (f p)* = f p is the e check again when f is e's matrix
-    weights = ((e, "e"),) if f.value is e.value else ((e, "e"), (f, "f"))
-    for w, tag in weights:
-        if not (w.value * p).is_hermitian():
-            raise RuntimeError(f"internal error: ({tag} p)* != {tag} p for an EP element")
-    if not (a * p).is_zero() or not (p * a).is_zero():
-        raise RuntimeError("internal error: EP idempotent must annihilate a on both sides")
-    if not unit.is_invertible():
-        raise RuntimeError("internal error: a^n + p must be invertible for an EP element")
-    return Decomposition(Flavor.IDEM_P, Side.CORE, p, unit, n)
+    # 1 - a a^{e-core} = 1 - a^# a, the dual side's idempotent for f as well
+    d = _decompose(a, e, n, Flavor.IDEM_P, Side.CORE)
+    with _built():
+        _validate_element(a, f, d.element, n, Flavor.IDEM_P, Side.DUAL, None)
+    return d
 
 
 def ep_from_s(a: Mat, e: Weight, f: Weight, s: Mat, n: int = 1) -> Mat:
@@ -408,7 +409,7 @@ def random_annihilator_witness(
     if flavor not in (Flavor.ELEM_S, Flavor.ELEM_T):
         raise ValueError("witness generation applies to element flavors only")
     a = _instance(a)
-    p = _idempotent(a, w) if side is Side.CORE else _transport(_idempotent, a, w)
+    p = _idempotent(a, w, side)
     if isinstance(p, NotInvertible):
         raise ValueError("witness generation requires an invertible core instance")
     rng = _random.Random(seed)
@@ -443,6 +444,5 @@ def decomposition_from_json(obj) -> Decomposition:
         unit = mat_from_json(obj["unit"])
     except KeyError as exc:
         raise ValueError(f"decomposition missing field {exc}") from exc
-    if not _is_int(n):
-        raise ValueError(f"decomposition n must be an int, got {n!r}")
+    _check_n(n)
     return Decomposition(flavor, side, element, unit, n)

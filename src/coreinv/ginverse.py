@@ -106,7 +106,7 @@ _PREDICATES = {
     "(2)": lambda a, x, p, e, f: p.get("xax") == x,
     "(3e)": lambda a, x, p, e, f: (e.value * p.get("ax")).is_hermitian(),
     "(4f)": lambda a, x, p, e, f: (f.value * p.get("xa")).is_hermitian(),
-    "(5)": lambda a, x, p, e, f: p.get("ax") == p.get("xa"),
+    "(5)": lambda a, x, p, e, f: _commute(p),
     "(6)": lambda a, x, p, e, f: p.get("xaa") == a,
     "(7)": lambda a, x, p, e, f: p.get("axx") == x,
     "(8)": lambda a, x, p, e, f: p.get("aax") == a,
@@ -374,7 +374,7 @@ _held = threading.local()
 
 def _instance(a: Mat) -> _Instance:
     """The instance every public entry point works on. An instance, passed down
-    by a nested call or a mirror, is its own. A plain matrix gets the instance
+    by a nested call, a mirror or a sweep, is its own. A plain matrix gets the instance
     this thread holds for its value, so the thread's top-level calls on that
     value share every fact, whichever equal object each passes (a decoded copy
     included); it gets a fresh one when the held one has more than HELD_FACTS
@@ -393,14 +393,6 @@ def _instance(a: Mat) -> _Instance:
     if len(table) > HELD_MATRICES:
         del table[next(iter(table))]
     return held
-
-
-def _release(a: Mat) -> None:
-    """Drop the instance this thread holds for the value of a, if any, so that a
-    caller done with a value (a sweep past its weights) frees its facts at once."""
-    table = getattr(_held, "table", None)
-    if table is not None:
-        table.pop(a, None)
 
 
 def _group(a: _Instance) -> Mat | NotInvertible:
@@ -464,11 +456,9 @@ def f_dual_core(a: Mat, f: Weight) -> InverseCertificate | NotInvertible:
 
 
 def _check_n(n: int, least: int = 1):
-    """Reject an exponent n outside least..MAX_POWER, the one bound on every power."""
-    if not _is_int(n):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < least or n > MAX_POWER:
-        raise ValueError(f"n must satisfy {least} <= n <= {MAX_POWER}, got {n}")
+    """Reject an n that is not an int (a bool is not) in least..MAX_POWER: every power's bound."""
+    if not _is_int(n) or not least <= n <= MAX_POWER:
+        raise ValueError(f"n must satisfy {least} <= n <= {MAX_POWER} as an int, got {n!r}")
 
 
 def _e_core_via_power(a: _Instance, e: Weight, n: int):
@@ -567,8 +557,6 @@ def certificate_from_json(obj) -> InverseCertificate:
         value._compat(m)
     n = obj.get("n")
     if n is not None:
-        if not _is_int(n):
-            raise ValueError(f"certificate n must be an int or null, got {n!r}")
         _check_n(n, 2)  # only the power routes record an n
     return InverseCertificate(kind, value, witnesses, n)
 

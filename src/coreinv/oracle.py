@@ -18,11 +18,11 @@ from functools import lru_cache
 from itertools import product
 
 from .ginverse import (
-    MAX_POWER,
     GInverseKind,
     NotInvertible,
+    _check_n,
     _instance,
-    _release,
+    _Instance,
     e_core,
     e_core_via_power,
     f_dual_core,
@@ -225,13 +225,6 @@ def _weight_raws(kind: GInverseKind, a_raw, p, e: Weight | None, f: Weight | Non
     return tuple(raws)
 
 
-def _check_n(n: int):
-    """Reject an exponent n that is not an int in 1..MAX_POWER, the range every
-    other entry point accepts; a bool is not an int here."""
-    if not _is_int(n) or not 1 <= n <= MAX_POWER:
-        raise ValueError(f"n must be an int with 1 <= n <= {MAX_POWER}, got {n!r}")
-
-
 def _check_sample(sample: int, seed: int | None):
     """A sampled run needs a seed and at least one draw: checking nothing is not a pass."""
     if seed is None:
@@ -345,10 +338,10 @@ def cross_check(
     the direct ones as well. They all share one instance of a, so each
     prerequisite is solved once, the power memberships are read off the group
     one, and each equation is evaluated once per value, a power value equal
-    to the direct one included. Calls in one
-    thread on an equal matrix share that instance too while the thread holds it
-    (see ginverse._instance), so the weight-free facts of a are worked out once
-    for all of their weights, and the facts of a weight once per weight value.
+    to the direct one included. Calls on an equal matrix share that instance too,
+    the thread's while it holds it (see ginverse._instance) or the one a sweep
+    passes, so the weight-free facts of a are worked out once for all of their
+    weights, and the facts of a weight once per weight value.
     """
     _check_n(n)
     a = _instance(a)
@@ -419,21 +412,19 @@ def _sampled_reports(space: EnumerationSpace, n: int, sample: int, seed: int):
     p, dim, field = space.p, space.dim, GF(space.p)
     inner_sample = None if space.exhaustive else sample
     for _ in range(sample):
-        a = Mat(field, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
+        a = _Instance(Mat(field, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]))
         w = random_weight(dim, field, seed=rng.randrange(2**63))
         inner_seed = None if inner_sample is None else rng.randrange(2**63)
         yield cross_check(a, w, w, n=n, sample=inner_sample, seed=inner_seed)
 
 
 def _exhaustive_reports(matrices, weights: list[Weight], p: int, n: int):
-    """cross_check on every matrix with e = f = w for each weight, matrix-major:
-    the calls on one matrix share the instance the thread holds for it, and the
-    sweep drops it once its weights are done, since it never returns to it."""
+    """cross_check on every matrix with e = f = w for each weight, matrix-major: the
+    calls on one matrix share its instance, dropped once its weights are done."""
     for a_raw in matrices:
-        a = _to_mat(a_raw, p)
+        a = _Instance(_to_mat(a_raw, p))
         for w in weights:
             yield cross_check(a, w, w, n=n)
-        _release(a)
 
 
 def cross_check_sweep(
@@ -447,7 +438,8 @@ def cross_check_sweep(
 
     Exhaustive mode visits every matrix and every invertible symmetric weight;
     sampled mode draws `sample` >= 1 seeded random (matrix, weight) instances
-    and requires a seed.
+    and requires a seed. Either hands each matrix an instance of its own, as a
+    nested call does, so the sweep leaves the thread's held instances as they were.
     """
     _check_n(n)
     space = EnumerationSpace(p, dim)

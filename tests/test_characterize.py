@@ -2,6 +2,7 @@
 
 import pytest
 
+import coreinv.characterize
 from coreinv import (
     GInverseKind,
     GF,
@@ -14,10 +15,15 @@ from coreinv import (
     NotInvertible,
     Side,
     Weight,
+    brute_idempotent_certificates,
+    certificate_from_json,
+    certificate_to_json,
     core_from_pu,
     core_from_qw,
     core_from_s,
     core_from_t,
+    cross_check,
+    cross_check_sweep,
     decompose_idempotent,
     decompose_q,
     decomposition_from_json,
@@ -40,6 +46,7 @@ from coreinv import (
     inv_13e,
     inv_14f,
     is_weighted_ep,
+    lemma_r_core_check,
     random_annihilator_witness,
     random_group_invertible,
     random_mat,
@@ -50,6 +57,7 @@ from coreinv import (
     verify,
     weighted_mp,
 )
+from coreinv.ginverse import MAX_POWER
 
 A = Mat(QQ, [[1, 1], [0, 0]])
 I2 = Weight.identity(QQ, 2)
@@ -292,6 +300,23 @@ def test_ep_decompose_examples():
     assert isinstance(ep_decompose(A, I2, I2, 1), NotInvertible)
 
 
+def test_a_built_decomposition_that_fails_its_checks_is_an_internal_error(monkeypatch):
+    # the identity is an idempotent, Hermitian for e = 1, that does not annihilate a
+    h = Mat(QQ, [[1, 0], [0, 0]])  # weighted-EP for e = f = 1
+    monkeypatch.setattr(
+        coreinv.characterize, "_idempotent", lambda a, w, side: Mat.identity(a.field, a.n)
+    )
+    for build in (
+        lambda: decompose_idempotent(h, I2),
+        lambda: decompose_q(h, I2),
+        lambda: dual_decompose(h, I2),
+        lambda: dual_decompose(h, I2, flavor=Flavor.IDEM_Q),
+        lambda: ep_decompose(h, I2, I2),
+    ):
+        with pytest.raises(RuntimeError, match="^internal error"):
+            build()
+
+
 def test_ep_from_s():
     a = Mat(QQ, [[2, 0], [0, 0]])
     e = Weight(Mat(QQ, [[1, 0], [0, 3]]))
@@ -438,3 +463,44 @@ def test_calls_on_one_held_matrix_give_what_fresh_copies_give(field, monkeypatch
             assert len(products) < spent_cold
             ep_reports += warm[8].weighted_ep
     assert ep_reports > 0
+
+
+def _exponent_entry_points():
+    """(least n, call of n) for each public entry point that takes an exponent."""
+    a, f3 = Mat(QQ, [[1, 1], [0, 0]]), GF(3)
+    a3, e3 = Mat(f3, [[1, 1], [0, 0]]), Weight.identity(f3, 2)
+    cert = certificate_to_json(e_core_via_power(a, I2, 2))
+    d = decomposition_to_json(decompose_idempotent(a, I2))
+    s = Mat(QQ, [[0, 0], [-1, 1]])
+    return [
+        (2, lambda n: e_core_via_power(a, I2, n)),
+        (2, lambda n: f_dual_core_via_power(a, I2, n)),
+        (2, lambda n: lemma_r_core_check(a, I2, n)),
+        (2, lambda n: certificate_from_json({**cert, "n": n})),
+        (1, lambda n: decompose_idempotent(a, I2, n)),
+        (1, lambda n: decompose_q(a, I2, n)),
+        (1, lambda n: dual_decompose(a, I2, n)),
+        (1, lambda n: ep_decompose(a, I2, I2, n)),
+        (1, lambda n: uniqueness_audit(a, I2, n, Flavor.IDEM_P)),
+        (1, lambda n: uniqueness_audit(a3, e3, n, Flavor.IDEM_P)),
+        (1, lambda n: random_annihilator_witness(a, I2, n, seed=1)),
+        (1, lambda n: core_from_s(a, I2, s, n)),
+        (1, lambda n: core_from_t(a, I2, s, n)),
+        (1, lambda n: dual_from_s(a, I2, s, n)),
+        (1, lambda n: dual_from_t(a, I2, s, n)),
+        (1, lambda n: ep_from_s(a, I2, I2, s, n)),
+        (1, lambda n: cross_check(a3, e3, e3, n=n)),
+        (1, lambda n: cross_check_sweep(2, 2, n=n)),
+        (1, lambda n: cross_check_sweep(2, 2, n=n, sample=1, seed=1)),
+        (1, lambda n: brute_idempotent_certificates(a3, e3, n, Flavor.IDEM_P)),
+        (1, lambda n: decomposition_from_json({**d, "n": n})),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_POWER + 1, True, 1.0, "2"], ids=repr)
+def test_every_exponent_entry_point_refuses_a_bad_n_with_one_message(n):
+    for least, call in _exponent_entry_points():
+        with pytest.raises(ValueError) as caught:
+            call(n)
+        message = f"n must satisfy {least} <= n <= {MAX_POWER} as an int, got {n!r}"
+        assert str(caught.value) == message

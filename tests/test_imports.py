@@ -1,8 +1,9 @@
 """The package's import graph: module-level imports only, in one direction.
 
 The brute-force oracle stays independent of the solver code: from `ginverse`
-it takes only the kind enum, the negative result, the shared instance and its
-release, and the public constructors it cross-checks, and it never reads
+it takes only the kind enum, the negative result, the exponent check, the
+shared instance and its class (a sweep hands each matrix an instance of its
+own), and the public constructors it cross-checks, and it never reads
 characterize or cli.
 The benchmark's tracer binds package names from outside; they must resolve.
 """
@@ -21,11 +22,11 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 ORDER = ("scalar", "matrix", "ginverse", "oracle", "characterize", "cli", "__init__")
 
 ORACLE_FROM_GINVERSE = {
-    "MAX_POWER",
     "GInverseKind",
     "NotInvertible",
+    "_check_n",
     "_instance",
-    "_release",
+    "_Instance",
     "group_inverse",
     "inv_13e",
     "inv_14f",
@@ -80,6 +81,33 @@ def test_oracle_takes_only_constructors_from_ginverse():
         *(names for module, names in _package_imports(_tree("oracle")) if module == "ginverse")
     )
     assert names <= ORACLE_FROM_GINVERSE, names - ORACLE_FROM_GINVERSE
+
+
+def _defines(name, func):
+    """Whether the module `name` defines a function `func` at any depth."""
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == func
+        for node in ast.walk(_tree(name))
+    )
+
+
+def test_only_ginverse_defines_the_exponent_check():
+    assert [name for name in ORDER if _defines(name, "_check_n")] == ["ginverse"]
+
+
+def test_only_the_element_check_tests_the_conditions_of_a_characterization():
+    """In characterize, the Hermitian, annihilation and idempotence tests are made
+    by `_validate_element` alone, so a built decomposition is checked by the one
+    path that checks a replayed certificate."""
+    callers = {
+        (func.name, inner.func.attr)
+        for func in ast.walk(_tree("characterize"))
+        if isinstance(func, ast.FunctionDef)
+        for inner in ast.walk(func)
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+        and inner.func.attr in ("is_hermitian", "is_zero", "is_idempotent")
+    }
+    assert {func for func, _ in callers} == {"_validate_element"}, callers
 
 
 def test_held_instances_are_keyed_by_value():

@@ -184,9 +184,9 @@ def test_sweep_f2_exhaustive(monkeypatch):
     assert len(checked) == 64 and len({id(a) for a in checked}) == 16
 
 
-def test_a_sweep_drops_each_matrix_once_its_weights_are_done(monkeypatch):
-    # the sweep never returns to a matrix, so the thread holds at most the one it
-    # is on, besides what it held before; that stays held
+def test_a_sweep_holds_no_matrix_in_the_thread_table(monkeypatch):
+    # the sweep hands each matrix an instance of its own, so the thread holds
+    # only what it held before, and that stays held
     before = Mat(QQ, [[1, 1], [0, 0]])
     e_core(before, Weight.identity(QQ, 2))
     table = coreinv.ginverse._held.table
@@ -199,8 +199,30 @@ def test_a_sweep_drops_each_matrix_once_its_weights_are_done(monkeypatch):
 
     monkeypatch.setattr(coreinv.oracle, "cross_check", spy)
     assert cross_check_sweep(2, 2, n=2)["mismatches"] == []
-    assert len(held) == 64 and max(held) == 2
+    assert len(held) == 64 and max(held) == 1
     assert list(table) == [before]
+
+
+@pytest.mark.parametrize("sample, seed", [(None, None), (8, 1)], ids=["exhaustive", "sampled"])
+def test_a_sweep_leaves_the_instance_held_for_a_matrix_it_visits(monkeypatch, sample, seed):
+    # [[1, 1], [0, 0]] lies in M_2(F_2): the sweep visits an equal matrix, and
+    # the instance the caller held for it is neither replaced nor dropped
+    before = Mat(F2, [[1, 1], [0, 0]])
+    e_core(before, E2)
+    table = coreinv.ginverse._held.table
+    instance = table[before]
+    held = []
+    check = coreinv.oracle.cross_check
+
+    def spy(*args, **kwargs):
+        held.append(len(table))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(coreinv.oracle, "cross_check", spy)
+    report = cross_check_sweep(2, 2, n=2, sample=sample, seed=seed)
+    assert report["mismatches"] == [] and report["checked"] == len(held)
+    assert set(held) == {1}
+    assert list(table) == [before] and table[before] is instance
 
 
 def test_sweep_refuses_large_space_without_sample(monkeypatch):
