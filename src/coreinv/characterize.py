@@ -105,31 +105,40 @@ def _require(ok: bool, message: str):
 _NOT_A_UNIT = "unit is not invertible"
 
 
+def _weighted(a: _Instance, key, make, w: Weight):
+    """a's fact for key and the weight w, keyed by the weight's backend as well: F_3
+    and F_5 forms are both tuples of ints, and a weight of another backend is refused."""
+    return a._fact((key, w.value.field), make, w)
+
+
 def _validate_element(
-    a: Mat, w: Weight, element: Mat, n: int, flavor: Flavor, side: Side, unit: Mat | None
+    a: _Instance, w: Weight, element: Mat, n: int, flavor: Flavor, side: Side, unit: Mat | None
 ) -> Mat:
-    """Check the clause's preconditions but the last (_NOT_A_UNIT); returns the unit."""
-    _check_n(n)
-    a._compat(element)
-    if unit is not None:
-        a._compat(unit)
-    name = flavor.value
+    """Check the clause's preconditions but the last (_NOT_A_UNIT); returns the unit.
+    n, dims and backends are checked by the caller; each element test is a fact of a."""
+    name, form = flavor.value, element.form
     expected = unit_for(a, element, n, flavor, side)
     unit_ok = unit is None or unit == expected
     if flavor in (Flavor.IDEM_P, Flavor.IDEM_Q):
-        _require(element.is_idempotent(), f"{name} must be idempotent")
+        idempotent = a._fact(("idempotent", form), lambda: element.is_idempotent())
+        _require(idempotent, f"{name} must be idempotent")
     else:  # the element flavors check their unit first
         _require(unit_ok, "unit does not match its defining formula")
-    _require(
-        (w.value * element).is_hermitian(),
-        f"weighted element must be Hermitian: (w {name})* != w {name}",
-    )
+    hermitian = _weighted(a, ("hermitian", form), lambda: (w.value * element).is_hermitian(), w)
+    _require(hermitian, f"weighted element must be Hermitian: (w {name})* != w {name}")
     if side is Side.CORE:
-        _require((element * a).is_zero(), f"{name} a != 0")
+        zero, message = lambda: (element * a).is_zero(), f"{name} a != 0"
     else:
-        _require((a * element).is_zero(), f"a {name} != 0")
+        zero, message = lambda: (a * element).is_zero(), f"a {name} != 0"
+    _require(a._fact(("annihilates", side, form), zero), message)
     _require(unit_ok, "unit does not match its defining formula")
     return expected
+
+
+def _core(a: _Instance, w: Weight, side: Side) -> InverseCertificate | NotInvertible:
+    """The certified e-core of (a, w), or the f-dual core on the dual side, once per weight."""
+    core = e_core if side is Side.CORE else f_dual_core
+    return _weighted(a, ("core", side), lambda: core(a, w), w)
 
 
 def _idempotent(a: _Instance, w: Weight, side: Side) -> Mat | NotInvertible:
@@ -137,7 +146,7 @@ def _idempotent(a: _Instance, w: Weight, side: Side) -> Mat | NotInvertible:
     mirror 1 - a_{f-dual} a on the dual side, or the negative of the inverse."""
     if side is Side.DUAL:
         return _transport(_idempotent, a, w, Side.CORE)
-    cert = e_core(a, w)
+    cert = _core(a, w, Side.CORE)
     if isinstance(cert, NotInvertible):
         return cert
     return Mat.identity(a.field, a.n) - a._products(cert.value).get("ax")
@@ -153,16 +162,21 @@ def _built():
 
 
 def _decompose(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side):
-    """The side's canonical idempotent and the flavor's unit, checked as on replay."""
+    """The side's canonical idempotent and the flavor's unit, checked as on replay;
+    built once per weight on the instance."""
     _check_n(n)
     a = _instance(a)
-    element = _idempotent(a, w, side)
-    if isinstance(element, NotInvertible):
-        return element
-    with _built():
-        unit = _validate_element(a, w, element, n, flavor, side, None)
-        _require(unit.is_invertible(), _NOT_A_UNIT)
-    return Decomposition(flavor, side, element, unit, n)
+
+    def build():
+        element = _idempotent(a, w, side)
+        if isinstance(element, NotInvertible):
+            return element
+        with _built():
+            unit = _validate_element(a, w, element, n, flavor, side, None)
+            _require(unit.is_invertible(), _NOT_A_UNIT)
+        return Decomposition(flavor, side, element, unit, n)
+
+    return _weighted(a, ("decompose", flavor, side, n), build, w)
 
 
 def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
@@ -200,15 +214,26 @@ _FORMULAS = {
 
 
 def _replay(a, w, flavor, side, element, n, unit) -> Mat:
+    """The certificate's inverse, once per certificate and weight on the instance; a
+    replay that raises holds nothing."""
     a = _instance(a)
-    unit_inv = _validate_element(a, w, element, n, flavor, side, unit).inverse()
-    _require(unit_inv is not None, _NOT_A_UNIT)
-    star = (lambda m: m) if side is Side.CORE else Mat.star
-    b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
-    first, rest = _FORMULAS[flavor]
-    value = star(first(b, c, u) if n == 1 else rest(b.power(n - 1), c, u))
-    kind = GInverseKind.E_CORE if side is Side.CORE else GInverseKind.F_DUAL_CORE
-    return _certified(kind, a, (value, {}), e=w, f=w).value
+    _check_n(n)
+    a._compat(element)
+    if unit is not None:
+        a._compat(unit)
+
+    def rebuild():
+        unit_inv = _validate_element(a, w, element, n, flavor, side, unit).inverse()
+        _require(unit_inv is not None, _NOT_A_UNIT)
+        star = (lambda m: m) if side is Side.CORE else Mat.star
+        b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
+        first, rest = _FORMULAS[flavor]
+        value = star(first(b, c, u) if n == 1 else rest(b.power(n - 1), c, u))
+        kind = GInverseKind.E_CORE if side is Side.CORE else GInverseKind.F_DUAL_CORE
+        return _certified(kind, a, (value, {}), e=w, f=w).value
+
+    key = ("replay", flavor, side, n, element.form, None if unit is None else unit.form)
+    return _weighted(a, key, rebuild, w)
 
 
 def replay(a: Mat, w: Weight, d: Decomposition) -> Mat:
@@ -277,10 +302,10 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     guaranteed invertible whenever the core inverse exists.
     """
     a = _instance(a)
-    cert = e_core(a, e)
+    cert = _core(a, e, Side.CORE)
     if isinstance(cert, NotInvertible):
         return cert
-    value = _gram_value(a, e, Mat.identity(a.field, a.n) - a._products(cert.value).get("ax"))
+    value = _weighted(a, "gram_formula", lambda: _gram_value(a, e, _idempotent(a, e, Side.CORE)), e)
     if value is None:
         raise RuntimeError("internal error: Gram matrix must be invertible here")
     if value != cert.value:
@@ -300,11 +325,12 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     matrix ring), and the recovered inverse is checked against the direct one.
     """
     a = _instance(a)
+    a._compat(p)
     _validate_element(a, e, p, 1, Flavor.IDEM_P, Side.CORE, None)
     recovered = _gram_value(a, e, p)
     if recovered is None:
         return False
-    cert = e_core(a, e)
+    cert = _core(a, e, Side.CORE)
     if isinstance(cert, NotInvertible) or cert.value != recovered:
         raise RuntimeError(
             "internal error: invertible Gram matrix must certify the core inverse"
@@ -315,8 +341,8 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
 def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
     """Weighted-EP test: both weighted core inverses exist and coincide."""
     a = _instance(a)  # both share a^#
-    ec = e_core(a, e)
-    fc = f_dual_core(a, f)
+    ec = _core(a, e, Side.CORE)
+    fc = _core(a, f, Side.DUAL)
     ok = (
         not isinstance(ec, NotInvertible)
         and not isinstance(fc, NotInvertible)

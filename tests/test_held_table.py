@@ -17,26 +17,32 @@ from coreinv import (
     QI,
     QQ,
     Flavor,
+    Decomposition,
     GInverseKind,
     Mat,
     NotInvertible,
     Side,
     Weight,
+    core_from_s,
     cross_check,
     decompose_idempotent,
     decompose_q,
     dual_decompose,
+    dual_from_t,
+    dual_gram_formula,
     e_core,
     e_core_via_power,
     ep_decompose,
     f_dual_core,
     f_dual_core_via_power,
+    gram_formula,
     group_inverse,
     inv_13e,
     inv_14f,
     is_weighted_ep,
     mat_from_json,
     mat_to_json,
+    random_annihilator_witness,
     random_group_invertible,
     random_mat,
     random_non_group_invertible,
@@ -98,6 +104,8 @@ CALLS = {
     "f_dual_core_via_power": lambda a, e, f, n, x: f_dual_core_via_power(a, f, n + 1),
     "verify": lambda a, e, f, n, x: [verify(kind, a, x, e, f) for kind in GInverseKind],
     "is_weighted_ep": lambda a, e, f, n, x: is_weighted_ep(a, e, f),
+    "gram_formula": lambda a, e, f, n, x: gram_formula(a, e),
+    "dual_gram_formula": lambda a, e, f, n, x: dual_gram_formula(a, f),
     **{name: lambda a, e, f, n, x, make=make: make(a, e, f, n) for name, make in DECOMPOSE.items()},
 }
 
@@ -115,7 +123,37 @@ def _replay(kind):
     return call
 
 
+def _tampered_replay(kind):
+    """replay of a's own certificate from decompose `kind` with the identity added
+    to its unit, which it refuses, after its valid certificate replayed."""
+
+    def call(a, e, f, n, x):
+        d = DECOMPOSE[kind](a, e, f, n)
+        if isinstance(d, NotInvertible):
+            return d
+        w = e if d.side is Side.CORE else f
+        bad = Decomposition(d.flavor, d.side, d.element, d.unit + Mat.identity(a.field, a.n), d.n)
+        return replay(a, w, d), _outcome(lambda: replay(a, w, bad))
+
+    return call
+
+
+def _witness_replay(side, flavor, rebuild):
+    """rebuild from the element witness drawn for (a, w, n) with the seed n, where w
+    is e on the core and f on the dual side; the draw refuses an a without the
+    side's inverse (ValueError)."""
+
+    def call(a, e, f, n, x):
+        w = e if side is Side.CORE else f
+        return rebuild(a, w, random_annihilator_witness(a, w, n, n, side, flavor), n)
+
+    return call
+
+
 CALLS.update({f"replay {kind}": _replay(kind) for kind in DECOMPOSE})
+CALLS.update({f"tampered replay {kind}": _tampered_replay(kind) for kind in DECOMPOSE})
+CALLS["core_from_s"] = _witness_replay(Side.CORE, Flavor.ELEM_S, core_from_s)
+CALLS["dual_from_t"] = _witness_replay(Side.DUAL, Flavor.ELEM_T, dual_from_t)
 
 
 def _outcome(call):
@@ -211,7 +249,7 @@ def test_held_instances_give_the_results_of_cold_calls():
     run_state_machine_as_test(
         HeldTable,
         settings=settings(
-            max_examples=16,
+            max_examples=40,
             stateful_step_count=40,
             deadline=None,
             database=None,

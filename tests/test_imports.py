@@ -110,6 +110,19 @@ def test_only_the_element_check_tests_the_conditions_of_a_characterization():
     assert {func for func, _ in callers} == {"_validate_element"}, callers
 
 
+def test_only_the_held_core_reads_the_core_constructors():
+    """In characterize, `_core` alone calls (or names) e_core and f_dual_core, so
+    every characterization reads the certified core the instance holds."""
+    readers = {
+        func.name
+        for func in ast.walk(_tree("characterize"))
+        if isinstance(func, ast.FunctionDef)
+        for inner in ast.walk(func)
+        if isinstance(inner, ast.Name) and inner.id in ("e_core", "f_dual_core")
+    }
+    assert readers == {"_core"}, readers
+
+
 def test_held_instances_are_keyed_by_value():
     """ginverse calls no `id`, so the table of held instances, keyed by matrix
     value, cannot drift back to keys of object identity."""
