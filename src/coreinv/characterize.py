@@ -3,13 +3,15 @@
 A weighted core inverse exists exactly when a certain annihilating idempotent
 turns a^n into a unit. This module goes both ways: `decompose_*` extracts the
 idempotent/unit certificate from a computed inverse, and `replay` (with its
-`*_from_*` shorthands) turns a certificate back into the inverse through one
-closed formula per flavor, validating every certificate precondition first and
-failing loudly on violations. Dual-side results are the core-side ones for
-(a*, f^{-1}) carried back through the involution. It also
-carries the Gram-matrix formulas (exact analogues valid in any Dedekind-finite
-ring, hence in every matrix ring here), weighted-EP detection, and an audit of
-the uniqueness claims for the idempotent certificates.
+`*_from_*` shorthands) turns a certificate back into the inverse, validating
+every certificate precondition first and failing loudly on violations. The
+inverse is the certified one the instance holds, checked against one closed
+formula per flavor, written as an equation in the unit so that no matrix is
+inverted. Dual-side results are the core-side ones for (a*, f^{-1}) carried
+back through the involution. It also carries the Gram-matrix formulas (exact
+analogues valid in any Dedekind-finite ring, hence in every matrix ring here),
+weighted-EP detection, and an audit of the uniqueness claims for the idempotent
+certificates.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ginverse import (
-    GInverseKind,
     InverseCertificate,
     NotInvertible,
     _Instance,
-    _certified,
     _check_n,
     _instance,
     _transport,
@@ -101,14 +101,13 @@ def _require(ok: bool, message: str):
 
 
 # The last precondition, which the caller checks on the unit `_validate_element`
-# returns: `_replay` by forming its inverse, `_decompose` by its rank alone.
+# returns, by `_unit`.
 _NOT_A_UNIT = "unit is not invertible"
 
 
-def _weighted(a: _Instance, key, make, w: Weight):
-    """a's fact for key and the weight w, keyed by the weight's backend as well: F_3
-    and F_5 forms are both tuples of ints, and a weight of another backend is refused."""
-    return a._fact((key, w.value.field), make, w)
+def _unit(a: _Instance, unit: Mat) -> bool:
+    """Whether the unit is invertible, decided by its rank once per unit form on a."""
+    return a._fact(("unit", unit.form), unit.is_invertible)
 
 
 def _validate_element(
@@ -124,7 +123,7 @@ def _validate_element(
         _require(idempotent, f"{name} must be idempotent")
     else:  # the element flavors check their unit first
         _require(unit_ok, "unit does not match its defining formula")
-    hermitian = _weighted(a, ("hermitian", form), lambda: (w.value * element).is_hermitian(), w)
+    hermitian = a._fact(("hermitian", form), lambda: (w.value * element).is_hermitian(), w)
     _require(hermitian, f"weighted element must be Hermitian: (w {name})* != w {name}")
     if side is Side.CORE:
         zero, message = lambda: (element * a).is_zero(), f"{name} a != 0"
@@ -138,7 +137,7 @@ def _validate_element(
 def _core(a: _Instance, w: Weight, side: Side) -> InverseCertificate | NotInvertible:
     """The certified e-core of (a, w), or the f-dual core on the dual side, once per weight."""
     core = e_core if side is Side.CORE else f_dual_core
-    return _weighted(a, ("core", side), lambda: core(a, w), w)
+    return a._fact(("core", side), lambda: core(a, w), w)
 
 
 def _idempotent(a: _Instance, w: Weight, side: Side) -> Mat | NotInvertible:
@@ -173,10 +172,10 @@ def _decompose(a: Mat, w: Weight, n: int, flavor: Flavor, side: Side):
             return element
         with _built():
             unit = _validate_element(a, w, element, n, flavor, side, None)
-            _require(unit.is_invertible(), _NOT_A_UNIT)
+            _require(_unit(a, unit), _NOT_A_UNIT)
         return Decomposition(flavor, side, element, unit, n)
 
-    return _weighted(a, ("decompose", flavor, side, n), build, w)
+    return a._fact(("decompose", flavor, side, n), build, w)
 
 
 def decompose_idempotent(a: Mat, e: Weight, n: int = 1) -> Decomposition | NotInvertible:
@@ -202,20 +201,21 @@ def dual_decompose(
     return _decompose(a, f, n, flavor, Side.DUAL)
 
 
-# The core-side closed formulas, one per flavor, in terms of a, c = 1 - element
-# and the unit's inverse u: the first for n = 1, the second for n >= 2 with
-# m = a^{n-1}. The dual side evaluates them on (a*, element*, u*) and stars back.
+# The core-side closed formulas, one per flavor, each as the equation (lhs, rhs)
+# that the core x satisfies exactly when it is the formula's value, the unit u
+# being invertible. b = a, c = 1 - element: the first for n = 1, the second for
+# n >= 2 with m = b^{n-1}. The dual side checks them on (a*, element*, u*, x*).
 _FORMULAS = {
-    Flavor.IDEM_P: (lambda a, c, u: u * c, lambda m, c, u: m * u),
-    Flavor.ELEM_S: (lambda a, c, u: u * a * u, lambda m, c, u: m * u),
-    Flavor.IDEM_Q: (lambda a, c, u: c * u, lambda m, c, u: m * c * u),
-    Flavor.ELEM_T: (lambda a, c, u: u * a * c * u, lambda m, c, u: m * c * u),
+    Flavor.IDEM_P: (lambda b, c, u, x: (u * x, c), lambda m, c, u, x: (x * u, m)),
+    Flavor.ELEM_S: (lambda b, c, u, x: (u * x * u, b), lambda m, c, u, x: (x * u, m)),
+    Flavor.IDEM_Q: (lambda b, c, u, x: (x * u, c), lambda m, c, u, x: (x * u, m * c)),
+    Flavor.ELEM_T: (lambda b, c, u, x: (u * x * u, b * c), lambda m, c, u, x: (x * u, m * c)),
 }
 
 
 def _replay(a, w, flavor, side, element, n, unit) -> Mat:
-    """The certificate's inverse, once per certificate and weight on the instance; a
-    replay that raises holds nothing."""
+    """The certificate's inverse, once per certificate and weight on the instance: the
+    held core, checked against the flavor's formula. A replay that raises holds nothing."""
     a = _instance(a)
     _check_n(n)
     a._compat(element)
@@ -223,25 +223,31 @@ def _replay(a, w, flavor, side, element, n, unit) -> Mat:
         a._compat(unit)
 
     def rebuild():
-        unit_inv = _validate_element(a, w, element, n, flavor, side, unit).inverse()
-        _require(unit_inv is not None, _NOT_A_UNIT)
+        u = _validate_element(a, w, element, n, flavor, side, unit)
+        _require(_unit(a, u), _NOT_A_UNIT)
+        cert = _core(a, w, side)
+        if isinstance(cert, NotInvertible):
+            raise RuntimeError(f"internal error: a valid certificate has no inverse: {cert.reason}")
         star = (lambda m: m) if side is Side.CORE else Mat.star
-        b, c, u = star(a), Mat.identity(a.field, a.n) - star(element), star(unit_inv)
+        b, c = star(a), Mat.identity(a.field, a.n) - star(element)
+        u, x = star(u), star(cert.value)
         first, rest = _FORMULAS[flavor]
-        value = star(first(b, c, u) if n == 1 else rest(b.power(n - 1), c, u))
-        kind = GInverseKind.E_CORE if side is Side.CORE else GInverseKind.F_DUAL_CORE
-        return _certified(kind, a, (value, {}), e=w, f=w).value
+        lhs, rhs = first(b, c, u, x) if n == 1 else rest(b.power(n - 1), c, u, x)
+        if lhs != rhs:
+            raise RuntimeError(f"internal error: the {flavor.value} formula fails on the inverse")
+        return cert.value
 
     key = ("replay", flavor, side, n, element.form, None if unit is None else unit.form)
-    return _weighted(a, key, rebuild, w)
+    return a._fact(key, rebuild, w)
 
 
 def replay(a: Mat, w: Weight, d: Decomposition) -> Mat:
     """Rebuild the weighted core (w = e) or dual core (w = f) inverse from a certificate.
 
     Every precondition is checked first, the unit before the element for the
-    flavors s and t, and a violation raises InvalidCertificateError. The result
-    is verified on the equations of the certificate's own side for (a, w).
+    flavors s and t, and a violation raises InvalidCertificateError; the unit is
+    tested by its rank. The result is the certified inverse of the certificate's
+    own side for (a, w), checked to satisfy the flavor's formula in the unit.
     """
     return _replay(a, w, d.flavor, d.side, d.element, d.n, d.unit)
 
@@ -289,27 +295,32 @@ def dual_from_t(a: Mat, f: Weight, t: Mat, n: int = 1) -> Mat:
 
 
 def _gram_value(a: _Instance, e: Weight, p: Mat) -> Mat | None:
-    """(a* e a + e p)^{-1} a* e, or None when the Gram matrix is singular."""
+    """The held e-core x, checked as (a* e a + e p) x = a* e, or None when that Gram
+    matrix is singular. An invertible one certifies the core inverse."""
     ae, gram = a.gram(e)
-    gram_inv = (gram + e.value * p).inverse()
-    return None if gram_inv is None else gram_inv * ae
+    g = gram + e.value * p
+    if not g.is_invertible():
+        return None
+    cert = _core(a, e, Side.CORE)
+    if isinstance(cert, NotInvertible) or g * cert.value != ae:
+        raise RuntimeError("internal error: invertible Gram matrix must certify the core inverse")
+    return cert.value
 
 
 def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     """The weighted core inverse as (a* e a + e p)^{-1} a* e.
 
     Valid because matrix rings are Dedekind-finite; the Gram matrix is
-    guaranteed invertible whenever the core inverse exists.
+    guaranteed invertible whenever the core inverse exists. It is tested by its
+    rank, and the direct inverse is checked to solve the formula's equation.
     """
     a = _instance(a)
     cert = _core(a, e, Side.CORE)
     if isinstance(cert, NotInvertible):
         return cert
-    value = _weighted(a, "gram_formula", lambda: _gram_value(a, e, _idempotent(a, e, Side.CORE)), e)
+    value = a._fact("gram_formula", lambda: _gram_value(a, e, _idempotent(a, e, Side.CORE)), e)
     if value is None:
         raise RuntimeError("internal error: Gram matrix must be invertible here")
-    if value != cert.value:
-        raise RuntimeError("internal error: Gram formula disagrees with direct construction")
     return value
 
 
@@ -322,20 +333,12 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     """Whether a* e a + e p is invertible for a valid annihilating idempotent p.
 
     A positive answer certifies core invertibility (Dedekind-finiteness of the
-    matrix ring), and the recovered inverse is checked against the direct one.
+    matrix ring), and the direct inverse is checked to solve the formula's equation.
     """
     a = _instance(a)
     a._compat(p)
     _validate_element(a, e, p, 1, Flavor.IDEM_P, Side.CORE, None)
-    recovered = _gram_value(a, e, p)
-    if recovered is None:
-        return False
-    cert = _core(a, e, Side.CORE)
-    if isinstance(cert, NotInvertible) or cert.value != recovered:
-        raise RuntimeError(
-            "internal error: invertible Gram matrix must certify the core inverse"
-        )
-    return True
+    return _gram_value(a, e, p) is not None
 
 
 def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:
@@ -443,8 +446,7 @@ def random_annihilator_witness(
         h = _rand_mat(rng, a.n, a.field)
         m = w.value * p * h * p
         s = w.inv * (m + m.star())
-        unit = unit_for(a, s, n, flavor, side)
-        if unit.is_invertible():
+        if _unit(a, unit_for(a, s, n, flavor, side)):
             return s
     raise RuntimeError(f"witness generation failed after {_WITNESS_TRIES} attempts")
 

@@ -190,6 +190,9 @@ def verify(
     kind = GInverseKind(kind)
     e, f = _weights_used(kind, e, f)
     a._compat(x)
+    for w in (e, f):  # before an outcome keyed by the weight's form is read
+        if w is not None:
+            a._compat(w.value)
     a = _instance(a)
     p = a._products(x)
     return VerifyReport(kind, tuple((label, p.holds(label, a, e, f)) for label in EQUATIONS[kind]))
@@ -288,9 +291,14 @@ class _Instance(Mat):
 
     def _fact(self, key, make, w: Weight | None = None):
         """make() once per instance for this side, key (a name or a value's form)
-        and the form of the weight w. Hashing a form is a C tuple hash: about
+        and the form of the weight w, which is checked against a first: F_3 and
+        F_5 forms are both tuples of ints. Hashing a form is a C tuple hash: about
         1 µs at dim 8 over Q(i), against about 340 µs for one product there."""
-        key = (self._dual, key) if w is None else (self._dual, key, w.value.form)
+        if w is None:
+            key = (self._dual, key)
+        else:
+            self._compat(w.value)
+            key = (self._dual, key, w.value.form)
         fact = self._facts.get(key)
         if fact is None:
             fact = self._facts[key] = make()

@@ -321,6 +321,21 @@ def test_a_built_decomposition_that_fails_its_checks_is_an_internal_error(monkey
             build()
 
 
+def test_a_held_core_that_fails_a_valid_certificate_is_an_internal_error(monkeypatch):
+    """A replay or Gram formula whose certificate passes every check, but whose held
+    core is missing or fails the formula's equation, meets a broken invariant."""
+    d = decompose_idempotent(A, I2, 1)
+    wrong = (NotInvertible("ecore", "group", "broken"), certificate_from_json(
+        certificate_to_json(e_core(A, I2)) | {"value": mat_to_json(Mat.zeros(QQ, 2))}
+    ))
+    for core in wrong:
+        monkeypatch.setattr(coreinv.characterize, "_core", lambda a, w, side, core=core: core)
+        for call in (lambda: replay(A, I2, d), lambda: gram_converse_check(A, I2, d.element)):
+            cold_start()
+            with pytest.raises(RuntimeError, match="^internal error"):
+                call()
+
+
 def test_ep_from_s():
     a = Mat(QQ, [[2, 0], [0, 0]])
     e = Weight(Mat(QQ, [[1, 0], [0, 3]]))
@@ -585,6 +600,62 @@ def test_a_repeated_characterization_on_an_equal_copy_works_nothing_out_again(fi
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
+def test_replays_and_gram_formulas_check_the_held_core_and_invert_nothing(field, monkeypatch):
+    """With the cores held, a replay of each flavor and side, the Gram formulas and
+    the Gram converse check form no inverse: a unit is tested by its rank and the
+    core checked against the formula. A sampled witness ranks its unit once, for
+    the sampler and the replay that follows it."""
+    work = _count_work(monkeypatch)
+    replayed = set()
+    for a, e, f in _characterize_instances(field)[:2]:
+        for n in (1, 2):
+            certs = [(e, decompose_idempotent(a, e, n)), (e, decompose_q(a, e, n))]
+            certs += [(f, dual_decompose(a, f, n, flavor)) for flavor in (Flavor.IDEM_P, Flavor.IDEM_Q)]
+            cold_start()
+            ep = is_weighted_ep(a, e, f)  # holds the e-core and the f-dual core
+            cores = {Side.CORE: ep.e_core, Side.DUAL: ep.f_dual_core}
+            work.clear()
+            for w, d in certs:
+                if isinstance(d, Decomposition):
+                    assert replay(a, w, d) == cores[d.side].value
+                    replayed.add((d.flavor, d.side))
+            assert gram_formula(a, e) == cores[Side.CORE].value
+            dual = cores[Side.DUAL]  # a negative on F_3 for f = 1
+            assert dual_gram_formula(a, f) == getattr(dual, "value", dual)
+            assert gram_converse_check(a, e, certs[0][1].element)
+            for side, flavor, rebuild, w in (
+                (Side.CORE, Flavor.ELEM_S, core_from_s, e),
+                (Side.DUAL, Flavor.ELEM_T, dual_from_t, f),
+            ):
+                if isinstance(cores[side], NotInvertible):
+                    continue
+                s = random_annihilator_witness(a, w, n, seed=n, side=side, flavor=flavor)
+                assert rebuild(a, w, s, n) == cores[side].value
+                replayed.add((flavor, side))
+                unit = coreinv.characterize.unit_for(a, s, n, flavor, side)
+                assert work.count(("rank", unit.form)) == 1
+            assert [entry for entry in work if entry[0] == "inverse"] == [], (str(a), n)
+    assert len(replayed) == 6
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["cold", "core held"])
+def test_a_zero_element_on_a_singular_a_is_refused_as_no_unit(held):
+    """The element 0 passes every element check of a p-flavor certificate, so on a
+    singular a the unit a^n is what refuses it, whether or not the core is held."""
+    zero = Mat.zeros(QQ, 2)
+    for a in (A, Mat(QQ, [[0, 1], [0, 0]])):  # with and without a core inverse
+        for side in Side:
+            for n in (1, 2):
+                cold_start()
+                if held:
+                    is_weighted_ep(a, I2, I2)  # holds the e-core and the f-dual core
+                d = Decomposition(Flavor.IDEM_P, side, zero, a.power(n), n)
+                with pytest.raises(InvalidCertificateError) as caught:
+                    replay(a, I2, d)
+                assert str(caught.value) == "unit is not invertible"
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
 def test_ep_decompose_with_f_equal_to_e_forms_only_a_p_on_the_dual_side(field, monkeypatch):
     """Once the core side is held, the dual-side check of the EP idempotent p for
     an f equal to e repeats neither the idempotence nor the Hermitian test: it
@@ -645,9 +716,6 @@ def test_a_weight_of_another_prime_field_finds_no_held_characterization():
     a, w3, w5 = Mat(GF(3), [[1, 0], [0, 0]]), Weight.identity(GF(3), 2), Weight.identity(GF(5), 2)
     d = decompose_idempotent(a, w3, 1)
     held, other = _characterizations(w3, w3, 1), _characterizations(w5, w5, 1)
-    # is_weighted_ep reads e_core and f_dual_core, which ginverse keys by the
-    # weight's form alone (ROADMAP Known defects)
-    del held["is_weighted_ep"]
     held["replay"], other["replay"] = lambda a: replay(a, w3, d), lambda a: replay(a, w5, d)
     for name, hold_call in held.items():
         for hold in (False, True):

@@ -12,6 +12,7 @@ from coreinv import (
     GF,
     QI,
     QQ,
+    BackendMismatchError,
     GInverseKind,
     Mat,
     NotInvertible,
@@ -800,6 +801,38 @@ def test_an_equal_weight_under_another_weight_object_evaluates_no_label_again(wo
     assert (work["verify"], work["equations"]) == (verified + 2, evaluated)
     assert direct.value == powered.value == again.value
     assert (powered.n, again.n, powered.witnesses.keys()) == (2, 2, {"s"})
+
+
+def test_a_weight_of_another_prime_field_finds_no_held_fact():
+    """F_3 and F_5 forms are both tuples of ints, so an F_5 weight can have the form
+    of a held F_3 one: every weighted constructor, both power routes and verify
+    refuse it, cold and with the F_3 result held."""
+    a = Mat(GF(3), [[1, 1], [0, 0]])
+    w3, w5 = Weight.identity(GF(3), 2), Weight.identity(GF(5), 2)
+    x = e_core(a, w3).value
+    calls = {
+        "inv_13e": lambda w: inv_13e(a, w),
+        "inv_14f": lambda w: inv_14f(a, w),
+        "weighted_mp": lambda w: weighted_mp(a, w, w),
+        "e_core": lambda w: e_core(a, w),
+        "f_dual_core": lambda w: f_dual_core(a, w),
+        "e_core_via_power": lambda w: e_core_via_power(a, w, 2),
+        "f_dual_core_via_power": lambda w: f_dual_core_via_power(a, w, 2),
+        "lemma_r_core_check": lambda w: lemma_r_core_check(a, w, 2),
+        **{
+            f"verify {k.value}": lambda w, k=k: verify(k, a, x, e=w, f=w)
+            for k in GInverseKind
+            if k is not GInverseKind.GROUP  # reads no weight
+        },
+    }
+    for name, call in calls.items():
+        for hold in (False, True):
+            cold_start()
+            if hold:
+                call(w3)
+            with pytest.raises(BackendMismatchError):
+                call(w5)
+                pytest.fail(name)
 
 
 def test_constructions_leave_no_cyclic_garbage():

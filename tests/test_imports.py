@@ -123,6 +123,18 @@ def test_only_the_held_core_reads_the_core_constructors():
     assert readers == {"_core"}, readers
 
 
+def test_characterize_inverts_no_matrix():
+    """characterize calls no `inverse` method: a unit or Gram matrix is tested by
+    its rank, and a formula's value is checked against the held core."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree("characterize"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+    ]
+    assert calls == []
+
+
 def test_held_instances_are_keyed_by_value():
     """ginverse calls no `id`, so the table of held instances, keyed by matrix
     value, cannot drift back to keys of object identity."""
