@@ -30,13 +30,15 @@ import weakref
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
-from .matrix import Mat, SolveWitness, Weight, mat_from_json, mat_to_json, solve_left, solve_right
+from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
 from .scalar import _is_int
 
 MAX_POWER = 8
 # The bounds on the instances a thread holds across top-level calls (see _instance).
 HELD_MATRICES = 16
 HELD_FACTS = 256
+# What _Instance._fact finds for a key it does not hold: a fact may be None.
+_ABSENT = object()
 
 
 class GInverseKind(str, Enum):
@@ -255,18 +257,16 @@ class _Instance(Mat):
     while _instance holds it, across a thread's calls on an equal matrix.
     Its facts are kept in one table, shared with its mirror star(), the instance
     of a*, and keyed by the side each belongs to, its name and the form of the
-    weight it depends on: the powers (a^2 among them), the power-membership
-    solves, the projector a^# a and the group inverse, per weight w the Gram
-    pair (a* w, a* w a), the solve of a = s (a*)^n w a per n and the
-    uncertified one-sided builder result, and the products and equation
-    outcomes of each value (see verify). Each is formed on its first use by
-    one fixed route, so it is worked out once per instance, and an equal
-    weight under another object finds its facts.
-    The mirror reads its powers, solves, projector and group inverse off the
-    core side: (a*)^k = (a^k)*, a power membership of a* is the opposite one of
-    a, starred, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided result
-    for f^-1 is the {1,4f} result of (a, f) before it is starred back, so
-    inv_14f and the dual constructions share that entry.
+    weight it depends on: the powers (a^2 among them), the memberships (see
+    member), the projector a^# a and the group inverse, per weight w the Gram
+    pair (a* w, a* w a) and the uncertified one-sided builder result, and the
+    products and equation outcomes of each value (see verify). Each is formed
+    on its first use by one fixed route, so it is worked out once per instance,
+    and an equal weight under another object finds its facts.
+    The mirror reads its powers, projector and group inverse off the core side:
+    (a*)^k = (a^k)*, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided
+    result for f^-1 is the {1,4f} result of (a, f) before it is starred back,
+    so inv_14f and the dual constructions share that entry.
 
     The instance of a keeps its mirror, which points back weakly, so the two form
     no cycle; a mirror kept past its core makes a fresh view of a over the same
@@ -299,8 +299,8 @@ class _Instance(Mat):
         else:
             self._compat(w.value)
             key = (self._dual, key, w.value.form)
-        fact = self._facts.get(key)
-        if fact is None:
+        fact = self._facts.get(key, _ABSENT)
+        if fact is _ABSENT:
             fact = self._facts[key] = make()
         return fact
 
@@ -316,17 +316,24 @@ class _Instance(Mat):
         # a plain matrix of a's form, so that the entry does not point back here
         return self._fact(x.form, lambda: _Products(Mat._of(self.field, self.n, self.form), x))
 
-    def solve_power(self, k: int, side: str) -> SolveWitness:
-        """The witness of a = a^k x (side "right") or of a = y a^k (side "left"),
-        solved once per k and side. On the mirror, x (a*)^k = a* is the core's
-        a = a^k x*, and the RREF of conjugated rows is the conjugate of their RREF,
-        so the core's solution starred is exactly the mirror's own, free variables
-        included."""
-        if self._dual:
-            w = self.star().solve_power(k, "left" if side == "right" else "right")
-            return w if w.solution is None else SolveWitness(w.solution.star())
-        solve = solve_right if side == "right" else solve_left
-        return self._fact(("solve", side, k), lambda: solve(self.power(k), self))
+    def member(self, side: str, route: tuple, w: Weight | None = None) -> Mat | None:
+        """The witness y of a = y g (side "left": a in R g) or x of a = g x (side
+        "right": a in g R), or None when a is not a member, solved once per side,
+        route and weight value. The route ("power", k) gives g = a^k, and
+        ("gram", n) gives g = (a*)^{n-1} (a* w a), formed on the Gram pair, so
+        at n = 1 it is the Gram matrix itself."""
+
+        def make():
+            kind, k = route
+            if kind == "power":
+                g = self.power(k)
+            else:
+                g = self.gram(w)[1]
+                if k > 1:
+                    g = self.star().power(k - 1) * g
+            return (solve_left if side == "left" else solve_right)(g, self).solution
+
+        return self._fact(("member", side, route), make, w)
 
     def group_invertible(self) -> bool:
         """Whether a^# exists, from the one solve of a = a^2 x. Over a field a is in
@@ -334,14 +341,14 @@ class _Instance(Mat):
         in R a^n and in a^n R for any n >= 2 (the ranks of the powers stop falling
         once two agree); a* is group invertible exactly when a is."""
         core = self.star() if self._dual else self
-        return core.solve_power(2, "right").consistent
+        return core.member("right", ("power", 2)) is not None
 
     def projector(self) -> Mat:
         """a^# a, for a group-invertible a: a x for the x of a = a^2 x, since
         a x = a^# a^2 x = a^# a. The mirror's is its star: (a*)^# a* = (a a^#)*."""
         if self._dual:
             return self.star().projector().star()
-        return self._fact("projector", lambda: self * self.solve_power(2, "right").solution)
+        return self._fact("projector", lambda: self * self.member("right", ("power", 2)))
 
     def group(self) -> Mat | NotInvertible:
         """a^# = (a^# a) x from the x of a = a^2 x, formed once: a^# a x = a^# a^# a
@@ -362,15 +369,6 @@ class _Instance(Mat):
             return aw, aw * self
 
         return self._fact("gram", make, w)
-
-    def solve_power_gram(self, w: Weight, n: int) -> SolveWitness:
-        """The witness of a = s (a*)^n w a, solved once per n and weight value, with
-        (a*)^n w a formed as (a*)^{n-1} (a* w a), where (a*)^1 is the mirror."""
-
-        def make():
-            return solve_left(self.star().power(n - 1) * self.gram(w)[1], self)
-
-        return self._fact(("power_gram", n), make, w)
 
 
 # Per thread, since an instance's entries are filled without a lock: each held
@@ -406,7 +404,7 @@ def _instance(a: Mat) -> _Instance:
 def _group(a: _Instance) -> Mat | NotInvertible:
     if not a.group_invertible():
         return NotInvertible(GInverseKind.GROUP.value, "a^2R", "a not in a^2 R")
-    return a.projector() * a.solve_power(2, "right").solution
+    return a.projector() * a.member("right", ("power", 2))
 
 
 def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
@@ -415,17 +413,16 @@ def group_inverse(a: Mat) -> InverseCertificate | NotInvertible:
     g = a.group()
     if isinstance(g, NotInvertible):
         return g
-    witnesses = {"x": a.solve_power(2, "right").solution, "y": a.solve_power(2, "left").solution}
+    witnesses = {"x": a.member("right", ("power", 2)), "y": a.member("left", ("power", 2))}
     if witnesses["y"] is None:
         raise RuntimeError("internal error: a in a^2 R must lie in R a^2")
     return _certified(GInverseKind.GROUP, a, (g, witnesses))
 
 
 def _inv_13e(a: _Instance, e: Weight):
-    w = solve_left(a.gram(e)[1], a)
-    if not w.consistent:
+    x = a.member("left", ("gram", 1), e)
+    if x is None:
         return NotInvertible(GInverseKind.ONE_THREE_E.value, "Ra*ea", "a not in R a* e a")
-    x = w.solution
     return x.star() * e.value, {"x": x}
 
 
@@ -470,14 +467,11 @@ def _check_n(n: int, least: int = 1):
 
 
 def _e_core_via_power(a: _Instance, e: Weight, n: int):
-    sw = a.solve_power_gram(e, n)
-    if not sw.consistent:
-        return NotInvertible(
-            GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a"
-        )
+    s = a.member("left", ("gram", n), e)
+    if s is None:
+        return NotInvertible(GInverseKind.E_CORE.value, "R(a*)^nea", f"a not in R (a*)^{n} e a")
     if not a.group_invertible():  # a in R a^n exactly when a in a^2 R
         return NotInvertible(GInverseKind.E_CORE.value, "Ra^n", f"a not in R a^{n}")
-    s = sw.solution
     return a.power(n - 1) * s.star() * e.value, {"s": s}
 
 
@@ -526,17 +520,18 @@ def lemma_r_core_check(a: Mat, e: Weight, n: int) -> tuple[bool, bool]:
     """Two equivalent memberships, decided independently by exact solves.
 
     Returns (a in R a* e a and a in a^n R, a in R (a*)^n e a); the two booleans
-    agree for every input, which the test suite asserts. The first membership is
-    the {1,3e} builder's solve and the second the power route's, so a call on a
-    shared instance solves each once.
+    agree for every input, which the test suite asserts. Each membership is the
+    instance's (see _Instance.member), the one the {1,3e} builder, the group
+    inverse or the power route reads, so a call on a shared instance solves each
+    once and forms no {1,3e} value.
     """
     _check_n(n, 2)
     a = _instance(a)
     first = (
-        not isinstance(a.one_sided(e), NotInvertible) and a.solve_power(n, "right").consistent
+        a.member("left", ("gram", 1), e) is not None
+        and a.member("right", ("power", n)) is not None
     )
-    second = a.solve_power_gram(e, n).consistent
-    return first, second
+    return first, a.member("left", ("gram", n), e) is not None
 
 
 def certificate_to_json(cert: InverseCertificate) -> dict:

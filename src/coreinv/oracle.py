@@ -31,7 +31,7 @@ from .ginverse import (
     weighted_mp,
 )
 from .matrix import MAX_DIM, Mat, Weight, mat_to_json, random_weight, weight_to_json
-from .scalar import GF, _is_int
+from .scalar import GF, SUPPORTED_PRIMES, _is_int
 
 EXHAUSTIVE_BOUND = 10**6
 
@@ -51,6 +51,8 @@ class EnumerationSpace:
         # refused before `count`, p^(dim^2), is ever formed
         if not _is_int(self.dim) or not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must satisfy 1 <= dim <= {MAX_DIM}, got {self.dim!r}")
+        if not _is_int(self.p) or self.p not in SUPPORTED_PRIMES:
+            raise ValueError(f"unsupported prime modulus {self.p!r}; supported: {SUPPORTED_PRIMES}")
 
     @property
     def count(self) -> int:

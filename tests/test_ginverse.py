@@ -280,6 +280,31 @@ def test_lemma_r_core_check_booleans_agree():
             assert first == second
 
 
+def test_lemma_r_core_check_reads_the_memberships_the_constructors_hold(work):
+    """After inv_13e, the power route and group_inverse on one value, the lemma's
+    three memberships are held facts: it makes no solve and forms no product."""
+    a = random_group_invertible(3, QI, seed=42, rank=2)
+    e = random_weight(3, QI, seed=43, definite=True)
+    nilpotent = Mat(QI, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for m, expected in ((a, (True, True)), (nilpotent, (False, False))):
+        inv_13e(m, e)
+        e_core_via_power(m, e, 2)
+        group_inverse(m)
+        solves, products = work["solve"], work["mul"]
+        assert lemma_r_core_check(m, e, 2) == expected
+        assert (work["solve"], work["mul"]) == (solves, products)
+
+
+def test_a_cold_lemma_r_core_check_forms_no_one_sided_value(work):
+    """A cold lemma solves its three memberships and forms only what they need:
+    the Gram pair a* e and (a* e) a, a^2, and (a*)^1 (a* e a); no {1,3e} value x* e."""
+    a = random_group_invertible(3, QI, seed=42, rank=2)
+    e = random_weight(3, QI, seed=43, definite=True)
+    products = work["mul"]  # what drawing a and e formed
+    assert lemma_r_core_check(a, e, 2) == (True, True)
+    assert (work["solve"], work["mul"] - products) == (3, 4)
+
+
 def test_star_duality_via_inverse_weight():
     # x is the dual core inverse for (a, f) exactly when star(x) is the core
     # inverse for (star(a), f^{-1}); transport goes through the inverse weight,
@@ -740,8 +765,9 @@ def test_distinct_weights_keep_a_values_outcomes_within_the_cap():
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(3)], ids=str)
 def test_mirror_power_solve_equals_a_fresh_solve(field, work):
-    """The mirror reads a* = x (a*)^k and a* = (a*)^k x off the core's opposite
-    solve, starred; the witness is exactly the one a fresh solve pins."""
+    """The mirror's memberships a* = y (a*)^k and a* = (a*)^k x are facts of its own
+    side, each solved once on (a*)^k = (a^k)*; the witness is exactly the one a
+    fresh solve pins."""
     inconsistent = 0
     for seed in range(4):
         for a in (
@@ -756,14 +782,14 @@ def test_mirror_power_solve_equals_a_fresh_solve(field, work):
                 for side, solve in (("left", solve_left), ("right", solve_right)):
                     fresh = solve(s.power(k), s)
                     solves = work["solve"]
-                    got = mirror.solve_power(k, side)
-                    assert work["solve"] == solves + 1  # the core's solve, once
-                    assert mirror.solve_power(k, side).solution == got.solution
+                    got = mirror.member(side, ("power", k))
+                    assert work["solve"] == solves + 1  # the mirror's solve, once
+                    assert mirror.member(side, ("power", k)) == got
                     assert work["solve"] == solves + 1
-                    assert got.consistent == fresh.consistent
+                    assert (got is not None) == fresh.consistent
                     if fresh.consistent:
-                        assert got.solution == fresh.solution
-                        assert got.solution.form == fresh.solution.form
+                        assert got == fresh.solution
+                        assert got.form == fresh.solution.form
                     else:
                         inconsistent += 1
     assert inconsistent > 0
@@ -888,7 +914,7 @@ def test_a_mirror_kept_past_its_core_works_alone(field):
             mirror = _Instance(a).star()  # nothing else holds the core: it is gone
             for k in (2, 3):
                 for side, solve in (("left", solve_left), ("right", solve_right)):
-                    assert mirror.solve_power(k, side).solution == solve(s.power(k), s).solution
+                    assert mirror.member(side, ("power", k)) == solve(s.power(k), s).solution
             expected = group_inverse(s)
             invertible = not isinstance(expected, NotInvertible)
             assert mirror.group_invertible() is invertible

@@ -40,6 +40,7 @@ from coreinv import (
     inv_13e,
     inv_14f,
     is_weighted_ep,
+    lemma_r_core_check,
     mat_from_json,
     mat_to_json,
     random_annihilator_witness,
@@ -102,6 +103,7 @@ CALLS = {
     "f_dual_core": lambda a, e, f, n, x: f_dual_core(a, f),
     "e_core_via_power": lambda a, e, f, n, x: e_core_via_power(a, e, n + 1),
     "f_dual_core_via_power": lambda a, e, f, n, x: f_dual_core_via_power(a, f, n + 1),
+    "lemma_r_core_check": lambda a, e, f, n, x: lemma_r_core_check(a, e, n + 1),
     "verify": lambda a, e, f, n, x: [verify(kind, a, x, e, f) for kind in GInverseKind],
     "is_weighted_ep": lambda a, e, f, n, x: is_weighted_ep(a, e, f),
     "gram_formula": lambda a, e, f, n, x: gram_formula(a, e),

@@ -165,6 +165,21 @@ def test_only_the_fact_accessor_reads_the_fact_table():
     assert readers == FACT_TABLE_READERS, readers ^ FACT_TABLE_READERS
 
 
+def test_only_the_membership_fact_solves():
+    """In ginverse, `_Instance.member` alone names solve_left or solve_right, so
+    every solve of the instance is one membership a in R g or a in g R, held
+    once per side, route of g and weight value."""
+    solvers = set()
+    for node in _tree("ginverse").body:
+        is_class = isinstance(node, ast.ClassDef)
+        for part in node.body if is_class else [node]:
+            name = getattr(part, "name", f"line {part.lineno}")
+            if any(isinstance(inner, ast.Name) and inner.id in ("solve_left", "solve_right")
+                   for inner in ast.walk(part)):
+                solvers.add(f"{node.name}.{name}" if is_class else name)
+    assert solvers == {"_Instance.member"}, solvers
+
+
 def test_verify_forms_products_by_their_routes_and_compares_forms():
     """Each product of a value is formed by its route in `_ROUTES`, never in a
     `_Products` method, so what is formed does not depend on which label read

@@ -245,6 +245,17 @@ def test_sweep_refuses_a_dim_outside_the_bound(monkeypatch):
                 cross_check_sweep(3, dim, sample=sample, seed=seed)
 
 
+def test_sweep_refuses_a_p_outside_the_supported_primes(monkeypatch):
+    # refused before the size of the space is formed, so no sweep checks nothing
+    monkeypatch.setattr(EnumerationSpace, "count", property(lambda space: 1 / 0))
+    for p in (0, 1, -3, 4, True, 2.0):
+        with pytest.raises(ValueError, match="unsupported prime modulus"):
+            EnumerationSpace(p, 2)
+        for sample, seed in ((None, None), (1, 1)):
+            with pytest.raises(ValueError, match="unsupported prime modulus"):
+                cross_check_sweep(p, 2, sample=sample, seed=seed)
+
+
 def test_sweep_sampled():
     report = cross_check_sweep(5, 3, sample=3, seed=11)
     assert report["checked"] == 3
