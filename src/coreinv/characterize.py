@@ -27,7 +27,7 @@ from .ginverse import (
     _Instance,
     _check_n,
     _instance,
-    _transport,
+    _mirror,
     e_core,
     f_dual_core,
 )
@@ -141,14 +141,12 @@ def _core(a: _Instance, w: Weight, side: Side) -> InverseCertificate | NotInvert
 
 
 def _idempotent(a: _Instance, w: Weight, side: Side) -> Mat | NotInvertible:
-    """1 - a a^{e-core} (a a^{e-core} is the product verify formed to certify it), its
-    mirror 1 - a_{f-dual} a on the dual side, or the negative of the inverse."""
-    if side is Side.DUAL:
-        return _transport(_idempotent, a, w, Side.CORE)
-    cert = _core(a, w, Side.CORE)
+    """1 - a a^{e-core}, or 1 - a_{f-dual} a on the dual side, from the held core of
+    the side and the product verify formed to certify it; or the core's negative."""
+    cert = _core(a, w, side)
     if isinstance(cert, NotInvertible):
         return cert
-    return Mat.identity(a.field, a.n) - a._products(cert.value).get("ax")
+    return Mat.identity(a.field, a.n) - a._products(cert.value).get("ax" if side is Side.CORE else "xa")
 
 
 @contextmanager
@@ -294,16 +292,33 @@ def dual_from_t(a: Mat, f: Weight, t: Mat, n: int = 1) -> Mat:
     return _replay(a, f, Flavor.ELEM_T, Side.DUAL, t, n, None)
 
 
-def _gram_value(a: _Instance, e: Weight, p: Mat) -> Mat | None:
-    """The held e-core x, checked as (a* e a + e p) x = a* e, or None when that Gram
-    matrix is singular. An invertible one certifies the core inverse."""
+def _gram_check(a: _Instance, e: Weight, p: Mat, core) -> bool:
+    """Whether the Gram matrix a* e a + e p is invertible. An invertible one certifies
+    the core inverse, so it must send x = core() (None if there is none) to a* e."""
     ae, gram = a.gram(e)
     g = gram + e.value * p
     if not g.is_invertible():
-        return None
-    cert = _core(a, e, Side.CORE)
-    if isinstance(cert, NotInvertible) or g * cert.value != ae:
+        return False
+    x = core()
+    if x is None or g * x != ae:
         raise RuntimeError("internal error: invertible Gram matrix must certify the core inverse")
+    return True
+
+
+def _gram_formula(a: Mat, w: Weight, side: Side) -> Mat | NotInvertible:
+    """The held core of the side, checked once per weight against the Gram formula: on
+    the dual side the formula of the mirror (a*, f^{-1}), whose core inverse is y*."""
+    a = _instance(a)
+    cert = _core(a, w, side)
+    if isinstance(cert, NotInvertible):
+        return cert
+    (b, v), star = ((a, w), lambda m: m) if side is Side.CORE else (_mirror(a, w), Mat.star)
+
+    def check():
+        return _gram_check(b, v, star(_idempotent(a, w, side)), lambda: star(cert.value))
+
+    if not b._fact("gram_formula", check, v):
+        raise RuntimeError("internal error: Gram matrix must be invertible here")
     return cert.value
 
 
@@ -314,19 +329,12 @@ def gram_formula(a: Mat, e: Weight) -> Mat | NotInvertible:
     guaranteed invertible whenever the core inverse exists. It is tested by its
     rank, and the direct inverse is checked to solve the formula's equation.
     """
-    a = _instance(a)
-    cert = _core(a, e, Side.CORE)
-    if isinstance(cert, NotInvertible):
-        return cert
-    value = a._fact("gram_formula", lambda: _gram_value(a, e, _idempotent(a, e, Side.CORE)), e)
-    if value is None:
-        raise RuntimeError("internal error: Gram matrix must be invertible here")
-    return value
+    return _gram_formula(a, e, Side.CORE)
 
 
 def dual_gram_formula(a: Mat, f: Weight) -> Mat | NotInvertible:
     """The weighted dual core inverse f^{-1} a* (a f^{-1} a* + q f^{-1})^{-1}, mirrored."""
-    return _transport(gram_formula, _instance(a), f)
+    return _gram_formula(a, f, Side.DUAL)
 
 
 def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
@@ -338,7 +346,7 @@ def gram_converse_check(a: Mat, e: Weight, p: Mat) -> bool:
     a = _instance(a)
     a._compat(p)
     _validate_element(a, e, p, 1, Flavor.IDEM_P, Side.CORE, None)
-    return _gram_value(a, e, p) is not None
+    return _gram_check(a, e, p, lambda: getattr(_core(a, e, Side.CORE), "value", None))
 
 
 def is_weighted_ep(a: Mat, e: Weight, f: Weight) -> EPReport:

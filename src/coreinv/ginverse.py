@@ -29,6 +29,7 @@ import threading
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from operator import itemgetter
 
 from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
 from .scalar import _is_int
@@ -81,7 +82,7 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return all(ok for _, ok in self.results)
+        return all(map(_OUTCOME, self.results))
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -99,6 +100,12 @@ EQUATIONS: dict[GInverseKind, tuple[str, ...]] = {
     GInverseKind.E_CORE: ("(1)", "(2)", "(3e)", "(6)", "(7)"),
     GInverseKind.F_DUAL_CORE: ("(1)", "(2)", "(4f)", "(8)", "(9)"),
 }
+
+_OUTCOME = itemgetter(1)
+# One shared object per distinct (label, bool) outcome tuple: at most 2^5 per kind.
+_OUTCOMES: dict[tuple, tuple] = {}
+# The weights each kind's equations use: e serves (3e) and f serves (4f).
+_USES = {kind: ("(3e)" in labels, "(4f)" in labels) for kind, labels in EQUATIONS.items()}
 
 # Each label's predicate over the products of the value x that _Products holds.
 # Exact associativity makes every route to a product the same matrix, so each
@@ -136,23 +143,13 @@ _ROUTES = {
 }
 
 
-def _weights_used(kind: GInverseKind, e: Weight | None, f: Weight | None):
-    """(e, f) with None for a weight the kind's equations do not use: e serves
-    (3e) and f serves (4f). A weight they use that is missing raises ValueError."""
-    labels = EQUATIONS[kind]
-    for label, w, name in (("(3e)", e, "e"), ("(4f)", f, "f")):
-        if label in labels and w is None:
-            raise ValueError(f"kind {kind.value} requires the weight {name}")
-    return (e if "(3e)" in labels else None, f if "(4f)" in labels else None)
-
-
 class _Products:
     """One value x of a: the products verify's labels compare, each formed on its
-    first read by its route in _ROUTES, and the outcome of each label, evaluated
-    at most once per weight value it uses. Both are kept in one dict, a product
-    under its name and an outcome under its label, or its label and the form of
-    its weight; an outcome is kept only while the dict holds fewer than
-    HELD_FACTS entries, so fresh weights cannot grow it without bound."""
+    first read by its route in _ROUTES, and the outcomes, each evaluated at most once
+    per weight value it uses, all in one dict: a product under its name, a label's
+    outcome under its label (and its weight's form), a kind's (label, bool) pairs
+    under its labels and its weights' forms. An outcome is kept only while the dict
+    holds fewer than HELD_FACTS entries, so fresh weights cannot grow it without bound."""
 
     __slots__ = ("a", "x", "_known")
 
@@ -165,16 +162,27 @@ class _Products:
             m = self._known[name] = _ROUTES[name](self)
         return m
 
-    def holds(self, label: str, a: _Instance, e: Weight | None, f: Weight | None) -> bool:
-        w = e if label == "(3e)" else f if label == "(4f)" else None
-        key = label if w is None else (label, w.value.form)
-        known = self._known
-        ok = known.get(key)
-        if ok is None:
-            ok = _PREDICATES[label](a, self.x, self, e, f)
+    def outcomes(self, kind, a: _Instance, e: Weight | None, f: Weight | None) -> tuple:
+        """The (label, bool) pairs of the kind's equations, for the weights it uses."""
+        labels, known = EQUATIONS[kind], self._known  # labels: plain strs, never GC-tracked
+        key = (labels, None if e is None else e.value.form, None if f is None else f.value.form)
+        results = known.get(key)
+        if results is None:
+            pairs = []
+            for label in labels:
+                w = e if label == "(3e)" else f if label == "(4f)" else None
+                held = label if w is None else (label, w.value.form)
+                ok = known.get(held)
+                if ok is None:
+                    ok = _PREDICATES[label](a, self.x, self, e, f)
+                    if len(known) < HELD_FACTS:
+                        known[held] = ok
+                pairs.append((label, ok))
+            results = tuple(pairs)
+            results = _OUTCOMES.setdefault(results, results)
             if len(known) < HELD_FACTS:
-                known[key] = ok
-        return ok
+                known[key] = results
+        return results
 
 
 def verify(
@@ -188,16 +196,18 @@ def verify(
 
     On one instance of a (see _instance) each equation is evaluated once per
     value of x and of each weight, whatever kinds ask for it, on products
-    formed once per value, each by one fixed route (see _Products)."""
-    kind = GInverseKind(kind)
-    e, f = _weights_used(kind, e, f)
-    a._compat(x)
-    for w in (e, f):  # before an outcome keyed by the weight's form is read
-        if w is not None:
-            a._compat(w.value)
+    formed once per value, each by one fixed route (see _Products). A weight the
+    kind's equations do not use is ignored; one they use that is missing raises."""
+    kind = kind if kind.__class__ is GInverseKind else GInverseKind(kind)  # a member: no enum call
+    uses_e, uses_f = _USES[kind]
+    if uses_e and e is None or uses_f and f is None:
+        raise ValueError(f"kind {kind.value} requires the weight {'e' if uses_e and e is None else 'f'}")
+    e, f = e if uses_e else None, f if uses_f else None
+    for m in (x, e and e.value, f and f.value):  # before an outcome keyed by a form is read
+        if m is not None and (m.field is not a.field or m.n != a.n):  # fields are shared objects
+            a._compat(m)
     a = _instance(a)
-    p = a._products(x)
-    return VerifyReport(kind, tuple((label, p.holds(label, a, e, f)) for label in EQUATIONS[kind]))
+    return VerifyReport(kind, a._products(x).outcomes(kind, a, e, f))
 
 
 def _certified(
@@ -242,14 +252,18 @@ def _star_back(built, names=_DUAL):
         return NotInvertible(*(names.get(t, t) for t in (built.kind, built.failed, built.reason)))
     if isinstance(built, Mat):
         return built.star()
-    if isinstance(built, dict):
-        return {names.get(name, name): m.star() for name, m in built.items()}
-    return tuple(_star_back(part, names) for part in built)
+    value, witnesses = built
+    return value.star(), {names.get(name, name): m.star() for name, m in witnesses.items()}
+
+
+def _mirror(a: Mat, f: Weight):
+    """(a*, f^-1), on which the dual side of (a, f) is built; f^-1 is not validated again."""
+    return a.star(), f.inverse()
 
 
 def _transport(build, a: Mat, f: Weight, *args):
-    """The dual-side result build(a*, f^-1, ...)*; f^-1 is not validated again."""
-    return _star_back(build(a.star(), f.inverse(), *args))
+    """The dual-side result build(a*, f^-1, ...)*."""
+    return _star_back(build(*_mirror(a, f), *args))
 
 
 class _Instance(Mat):
@@ -259,14 +273,14 @@ class _Instance(Mat):
     of a*, and keyed by the side each belongs to, its name and the form of the
     weight it depends on: the powers (a^2 among them), the memberships (see
     member), the projector a^# a and the group inverse, per weight w the Gram
-    pair (a* w, a* w a) and the uncertified one-sided builder result, and the
-    products and equation outcomes of each value (see verify). Each is formed
-    on its first use by one fixed route, so it is worked out once per instance,
-    and an equal weight under another object finds its facts.
+    pair (a* w, a* w a) and the uncertified one-sided value, and the products
+    and equation outcomes of each value (see verify). Each is formed on its
+    first use by one fixed route, so it is worked out once per instance, and an
+    equal weight under another object finds its facts.
     The mirror reads its powers, projector and group inverse off the core side:
     (a*)^k = (a^k)*, (a*)^# a* = (a^# a)* and (a*)^# = (a^#)*. Its one-sided
-    result for f^-1 is the {1,4f} result of (a, f) before it is starred back,
-    so inv_14f and the dual constructions share that entry.
+    value for f^-1 is the {1,4f} value of (a, f) before it is starred back, so
+    inv_14f and the dual constructions share that entry.
 
     The instance of a keeps its mirror, which points back weakly, so the two form
     no cycle; a mirror kept past its core makes a fresh view of a over the same
@@ -297,8 +311,10 @@ class _Instance(Mat):
         if w is None:
             key = (self._dual, key)
         else:
-            self._compat(w.value)
-            key = (self._dual, key, w.value.form)
+            w = w.value
+            if w.field is not self.field or w.n != self.n:
+                self._compat(w)
+            key = (self._dual, key, w.form)
         fact = self._facts.get(key, _ABSENT)
         if fact is _ABSENT:
             fact = self._facts[key] = make()
@@ -358,8 +374,11 @@ class _Instance(Mat):
         return self._fact("group", lambda: _group(self))
 
     def one_sided(self, w: Weight):
-        """The uncertified {1,3e} builder result (value, witnesses) for the weight w."""
-        return self._fact("13e", lambda: _inv_13e(self, w), w)
+        """The uncertified {1,3e} builder result (value, witnesses) for w; only the value is held."""
+        value = self._fact("13e", lambda: _inv_13e(self, w), w)
+        if isinstance(value, NotInvertible):
+            return value
+        return value, {"x": self.member("left", ("gram", 1), w)}
 
     def gram(self, w: Weight) -> tuple[Mat, Mat]:
         """The Gram pair (a* w, a* w a) of the weight w."""
@@ -423,7 +442,7 @@ def _inv_13e(a: _Instance, e: Weight):
     x = a.member("left", ("gram", 1), e)
     if x is None:
         return NotInvertible(GInverseKind.ONE_THREE_E.value, "Ra*ea", "a not in R a* e a")
-    return x.star() * e.value, {"x": x}
+    return x.star() * e.value
 
 
 def inv_13e(a: Mat, e: Weight) -> InverseCertificate | NotInvertible:

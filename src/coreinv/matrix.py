@@ -107,7 +107,8 @@ class Mat:
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        self._compat(other)
+        if other.field is not self.field or other.n != self.n:  # the common case calls nothing
+            self._compat(other)
         return Mat._of(self.field, self.n, self.field.mul(self.form, other.form))
 
     def transpose(self) -> "Mat":

@@ -76,7 +76,7 @@ class EnumerationSpace:
 
 def _mmul(x, y, p):
     cols = tuple(zip(*y))
-    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in x)
+    return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in cols]) for row in x])
 
 
 def _madd(x, y, p):
@@ -153,10 +153,19 @@ _KIND_LABELS = {
 }
 
 
+# A set of kinds is an int, the sum of its kinds' bits; _WEIGHTED[2·(3e) + (4f)] is
+# the set of weighted labels that hold under that outcome of (3e) and (4f).
+_BIT = {kind: 1 << i for i, kind in enumerate(_KIND_LABELS)}
+_WEIGHTED = (frozenset(), frozenset({"(4f)"}), frozenset({"(3e)"}), frozenset({"(3e)", "(4f)"}))
+
+
 def _inner_inverses(a, p, candidates):
-    """The candidates x with a·x·a = a, each as (x, a·x, x·a, labels of the
-    weight-free equations (2), (5), (6), (7), (8), (9) that x satisfies)."""
-    found, seen = [], {}
+    """The candidates x with a·x·a = a as (axs, xas, entries): the distinct a·x and
+    x·a among them, and per x the entry (x, i, j, kinds) with a·x = axs[i], x·a =
+    xas[j] and kinds[2·(3e) + (4f)] the set of kinds x solves under that outcome,
+    from the weight-free equations it satisfies. Tuples of ints throughout, which
+    the garbage collector stops tracking."""
+    axs, xas, entries = {}, {}, []
     for x in candidates:
         ax = _mmul(a, x, p)
         if _mmul(ax, a, p) != a:
@@ -170,12 +179,13 @@ def _inner_inverses(a, p, candidates):
             ("(8)", _mmul(a, ax, p) == a),
             ("(9)", _mmul(x, xa, p) == x),
         )
-        labels = frozenset(label for label, ok in holds if ok)
-        # the inner inverses of one a share few distinct a·x, x·a and label sets;
-        # a cached pass keeps one copy of each
-        ax, xa, labels = (seen.setdefault(v, v) for v in (ax, xa, labels))
-        found.append((x, ax, xa, labels))
-    return tuple(found)
+        free = {label for label, ok in holds if ok}
+        kinds = tuple(
+            sum(_BIT[kind] for kind, labels in _KIND_LABELS.items() if labels <= free | weighted)
+            for weighted in _WEIGHTED
+        )
+        entries.append((x, axs.setdefault(ax, len(axs)), xas.setdefault(xa, len(xas)), kinds))
+    return tuple(axs), tuple(xas), tuple(entries)
 
 
 # Sweeps visit the space a-major, so each a is searched once for all its
@@ -185,28 +195,22 @@ def _all_inner_inverses(a, p):
     return _inner_inverses(a, p, EnumerationSpace(p, len(a)).matrices())
 
 
-def _solutions(a, p, e, f, inner):
-    """Each kind's solutions among the inner inverses `inner` of a, as sets of raw
-    matrices; a kind whose weight is None is left out."""
-    kinds = [
-        kind
-        for kind, labels in _KIND_LABELS.items()
-        if (e is not None or "(3e)" not in labels) and (f is not None or "(4f)" not in labels)
-    ]
+def _solutions(a, p, e, f, inner, kinds):
+    """Each of the kinds' solutions among the inner inverses `inner` of a (see
+    _inner_inverses), as sets of raw matrices; a weight no kind uses may be None."""
+    axs, xas, entries = inner
     # a·x and x·a take few distinct values among the inner inverses of one a,
     # so (3e) and (4f) are decided once per distinct product
-    sym_e = {} if e is None else {m: _hermitian(_mmul(e, m, p)) for m in {i[1] for i in inner}}
-    sym_f = {} if f is None else {m: _hermitian(_mmul(f, m, p)) for m in {i[2] for i in inner}}
+    sym_e = [e is not None and _hermitian(_mmul(e, m, p)) for m in axs]
+    sym_f = [f is not None and _hermitian(_mmul(f, m, p)) for m in xas]
     found = {kind: set() for kind in kinds}
-    for x, ax, xa, free in inner:
-        holds = set(free)
-        if sym_e.get(ax):
-            holds.add("(3e)")
-        if sym_f.get(xa):
-            holds.add("(4f)")
-        for kind in kinds:
-            if _KIND_LABELS[kind] <= holds:
-                found[kind].add(x)
+    asked = sum(map(_BIT.get, found))
+    for x, i, j, masks in entries:
+        solves = masks[2 * sym_e[i] + sym_f[j]] & asked
+        if solves:
+            for kind, xs in found.items():
+                if solves & _BIT[kind]:
+                    xs.add(x)
     return found
 
 
@@ -235,11 +239,11 @@ def _check_sample(sample: int, seed: int | None):
         raise ValueError("sample must be at least 1")
 
 
-def _brute(a, p, e, f, sample: int | None, seed: int | None):
-    """Every kind's brute solution set (see _solutions) from one pass over the
-    candidates: all of M_n(F_p), or `sample` seeded draws from it."""
+def _brute(a, p, e, f, kinds, sample: int | None, seed: int | None):
+    """The brute solution set of each of the kinds (see _solutions) from one pass
+    over the candidates: all of M_n(F_p), or `sample` seeded draws from it."""
     if sample is None:
-        return _solutions(a, p, e, f, _all_inner_inverses(a, p))
+        return _solutions(a, p, e, f, _all_inner_inverses(a, p), kinds)
     _check_sample(sample, seed)
     rng = _random.Random(seed)
     n = len(a)
@@ -247,7 +251,7 @@ def _brute(a, p, e, f, sample: int | None, seed: int | None):
         tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
         for _ in range(sample)
     )
-    return _solutions(a, p, e, f, _inner_inverses(a, p, draws))
+    return _solutions(a, p, e, f, _inner_inverses(a, p, draws), kinds)
 
 
 def brute_solutions(
@@ -266,7 +270,7 @@ def brute_solutions(
     kind = GInverseKind(kind)
     a_raw, p = _raw(a)
     e_raw, f_raw = _weight_raws(kind, a_raw, p, e, f)
-    return {_to_mat(x, p) for x in _brute(a_raw, p, e_raw, f_raw, sample, seed)[kind]}
+    return {_to_mat(x, p) for x in _brute(a_raw, p, e_raw, f_raw, (kind,), sample, seed)[kind]}
 
 
 @lru_cache(maxsize=None)
@@ -310,18 +314,18 @@ def _compare(kind, constructed, brute: set, own: set):
     those of the constructed values that satisfy the kind's equations, raw. A
     value passes when it solves the equations and no other solution turns up;
     where `own` is an exhaustive `brute`, that is brute == {value}."""
-    negative = isinstance(constructed, NotInvertible)
-    if negative:
+    if isinstance(constructed, NotInvertible):
         ok = not brute
     else:
         value, _ = _raw(constructed.value)
         ok = value in own and brute <= {value}
-    return {
-        "kind": kind.value,
-        "constructed": None if negative else mat_to_json(constructed.value),
-        "brute_count": len(brute),
-        "ok": ok,
-    }
+    return _entry(kind.value, constructed, len(brute), ok)
+
+
+def _entry(name: str, result, brute_count: int | None, ok: bool) -> dict:
+    negative = isinstance(result, NotInvertible)
+    constructed = None if negative else mat_to_json(result.value)
+    return {"kind": name, "constructed": constructed, "brute_count": brute_count, "ok": ok}
 
 
 def cross_check(
@@ -355,22 +359,19 @@ def cross_check(
         GInverseKind.F_DUAL_CORE: f_dual_core(a, f),
         GInverseKind.WEIGHTED_MP: weighted_mp(a, e, f),
     }
-    brute = _brute(a_raw, p, e_raw, f_raw, sample, seed)
+    brute = _brute(a_raw, p, e_raw, f_raw, constructed, sample, seed)
     own = brute  # an exhaustive pass holds every solution
     if sample is not None:
-        values = {
-            _raw(r.value)[0] for r in constructed.values() if not isinstance(r, NotInvertible)
-        }
-        own = _solutions(a_raw, p, e_raw, f_raw, _inner_inverses(a_raw, p, values))
+        values = {_raw(r.value)[0] for r in constructed.values() if not isinstance(r, NotInvertible)}
+        own = _solutions(a_raw, p, e_raw, f_raw, _inner_inverses(a_raw, p, values), constructed)
     checks = [_compare(kind, r, brute[kind], own[kind]) for kind, r in constructed.items()]
     if n >= 2:
         powered = e_core_via_power(a, e, n)
         checks.append(_power_entry("ecore_power", constructed[GInverseKind.E_CORE], powered))
         powered = f_dual_core_via_power(a, f, n)
         checks.append(_power_entry("fdual_power", constructed[GInverseKind.F_DUAL_CORE], powered))
-    ok = all(c["ok"] for c in checks)
     return {
-        "ok": ok,
+        "ok": all(c["ok"] for c in checks),
         "a": mat_to_json(a),
         "e": weight_to_json(e),
         "f": weight_to_json(f),
@@ -380,18 +381,9 @@ def cross_check(
 
 
 def _power_entry(name, direct, powered):
-    direct_neg = isinstance(direct, NotInvertible)
-    powered_neg = isinstance(powered, NotInvertible)
-    if direct_neg or powered_neg:
-        ok = direct_neg and powered_neg
-    else:
-        ok = direct.value == powered.value
-    return {
-        "kind": name,
-        "constructed": None if powered_neg else mat_to_json(powered.value),
-        "brute_count": None,
-        "ok": ok,
-    }
+    negative = isinstance(direct, NotInvertible), isinstance(powered, NotInvertible)
+    ok = all(negative) if any(negative) else direct.value == powered.value
+    return _entry(name, powered, None, ok)
 
 
 def iter_invertible_symmetric(p: int, dim: int):

@@ -13,6 +13,7 @@ from coreinv import (
     QI,
     QQ,
     BackendMismatchError,
+    DimensionMismatchError,
     GInverseKind,
     Mat,
     NotInvertible,
@@ -647,6 +648,41 @@ def test_fresh_equal_weights_keep_the_held_instance_bounded(work):
     assert len(held(a)._facts) == facts <= 20
 
 
+def test_a_warm_cross_check_forms_only_its_value_builds(work):
+    # every fact a second cross_check on one instance reads is held: it solves
+    # nothing and evaluates no equation, though each of its 6 certificates is
+    # verified again. On a = [[1, 1], [0, 0]], where every kind exists, it forms
+    # only the 8 products of the value builds (see the test above) and returns
+    # the first call's report
+    f3 = GF(3)
+    w = Weight.identity(f3, 2)
+    a = _instance(Mat(f3, [[1, 1], [0, 0]]))
+    first = cross_check(a, w, w, n=2)
+    before = dict(work)
+    assert cross_check(a, w, w, n=2) == first
+    spent = {key: work[key] - before[key] for key in work}
+    assert spent == {"solve": 0, "verify": 6, "equations": 0, "mul": 8}
+
+
+def test_verify_holds_each_kinds_outcome_per_weight_value(work):
+    # one value x, two weights with another (3e) outcome: each call returns the
+    # report of its own weight, a repeat evaluates nothing, and the kind named by
+    # its string gives the report of the member
+    a, x = Mat(QQ, [[1, 1], [0, 0]]), Mat(QQ, [[1, 0], [0, 0]])
+    w1, w2 = I2, Weight(Mat(QQ, [[1, 1], [1, 2]]))
+    first = verify(GInverseKind.E_CORE, a, x, e=w1)
+    assert first.ok and work["equations"] == 5
+    second = verify(GInverseKind.E_CORE, a, x, e=w2)
+    assert second.failed == ("(3e)",) and work["equations"] == 6  # (3e) under w2 alone
+    assert verify(GInverseKind.E_CORE, a, x, e=w1) == first
+    named = verify("ecore", a, x, e=w2)
+    assert named == second and named.kind is GInverseKind.E_CORE
+    assert work["equations"] == 6
+    for w, report in ((w2, second), (w1, first)):
+        cold_start()
+        assert verify(GInverseKind.E_CORE, a, x, e=w) == report
+
+
 def test_an_equal_fresh_copy_of_a_held_matrix_runs_no_solve(work):
     # a copy decoded from JSON is another object with a's value: the public calls
     # on it find the instance the calls on a left held, and return equal results
@@ -859,6 +895,41 @@ def test_a_weight_of_another_prime_field_finds_no_held_fact():
             with pytest.raises(BackendMismatchError):
                 call(w5)
                 pytest.fail(name)
+
+
+def test_a_weight_of_another_dim_is_refused_cold_and_warm():
+    """A weight's field and dim are checked by identity first: a weight of
+    another dim is still refused with the same text, cold and with the facts of
+    a's own weight held."""
+    f3 = GF(3)
+    a = Mat(f3, [[1, 1], [0, 0]])
+    w2, w3 = Weight.identity(f3, 2), Weight.identity(f3, 3)
+    x = e_core(a, w2).value
+    calls = {
+        "inv_13e": lambda w: inv_13e(a, w),
+        "inv_14f": lambda w: inv_14f(a, w),
+        "weighted_mp": lambda w: weighted_mp(a, w, w),
+        "e_core": lambda w: e_core(a, w),
+        "f_dual_core": lambda w: f_dual_core(a, w),
+        "e_core_via_power": lambda w: e_core_via_power(a, w, 2),
+        "f_dual_core_via_power": lambda w: f_dual_core_via_power(a, w, 2),
+        "lemma_r_core_check": lambda w: lemma_r_core_check(a, w, 2),
+        **{
+            f"verify {k.value}": lambda w, k=k: verify(k, a, x, e=w, f=w)
+            for k in GInverseKind
+            if k is not GInverseKind.GROUP  # reads no weight
+        },
+    }
+    for name, call in calls.items():
+        texts = []
+        for hold in (False, True):
+            cold_start()
+            if hold:
+                call(w2)
+            with pytest.raises(DimensionMismatchError) as refused:
+                call(w3)
+            texts.append(str(refused.value))
+        assert texts == ["dimension mismatch: 2 vs 3"] * 2, name
 
 
 def test_constructions_leave_no_cyclic_garbage():
