@@ -32,12 +32,11 @@ from enum import Enum
 from operator import itemgetter
 
 from .matrix import Mat, Weight, mat_from_json, mat_to_json, solve_left, solve_right
-from .scalar import _is_int
+from .scalar import HELD_FACTS, _is_int
 
 MAX_POWER = 8
-# The bounds on the instances a thread holds across top-level calls (see _instance).
+# The bounds on the instances a thread holds across top-level calls (see _instance): this and HELD_FACTS.
 HELD_MATRICES = 16
-HELD_FACTS = 256
 # What _Instance._fact finds for a key it does not hold: a fact may be None.
 _ABSENT = object()
 

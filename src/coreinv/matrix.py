@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .scalar import (
     GF,
+    HELD_FACTS,
     QI,
     QQ,
     BackendMismatchError,
@@ -179,9 +180,17 @@ class SolveWitness:
 
 
 def _solve(field: ScalarField, n: int, lhs, rhs) -> tuple | None:
-    """The form of the pinned x with lhs x = rhs, given as the forms of n-by-n
-    matrices (`ScalarField.solve`); None if inconsistent."""
+    """The form of the pinned x with lhs x = rhs, given as the forms of n-by-n matrices
+    (`ScalarField.solve`, memoized up to `field.memo_dim`); None if inconsistent."""
+    if n <= field.memo_dim:
+        return _fp_solve(field.p, lhs, rhs)
     return field.solve(field.augment(lhs, rhs), n)
+
+
+@lru_cache(maxsize=HELD_FACTS)
+def _fp_solve(p: int, lhs: tuple, rhs: tuple) -> tuple | None:
+    field = GF(p)
+    return field.solve(field.augment(lhs, rhs), len(lhs))
 
 
 def solve_right(a: Mat, b: Mat) -> SolveWitness:
@@ -219,20 +228,21 @@ class Weight:
     Invertibility is checked by rank; the inverse is formed on its first read,
     so a weight whose inverse no call reads costs no `[W | I]` reduction."""
 
-    __slots__ = ("value", "_inv")
+    __slots__ = ("value", "_inv", "_mirror")
 
     def __init__(self, value: Mat):
         if not value.is_hermitian():
             raise ValueError("weight must be Hermitian")
         if not value.is_invertible():
             raise ValueError("weight must be invertible")
-        self.value, self._inv = value, None
+        self.value, self._inv, self._mirror = value, None, None
 
     @classmethod
     def identity(cls, field: ScalarField, n: int) -> "Weight":
         """The identity weight: Hermitian and its own inverse, so not validated."""
         w = object.__new__(cls)
         w.value = w._inv = Mat.identity(field, n)
+        w._mirror = None
         return w
 
     @property
@@ -243,10 +253,12 @@ class Weight:
         return self._inv
 
     def inverse(self) -> "Weight":
-        """The weight w^{-1}; Hermitian and invertible because w is, so not validated again."""
-        w = object.__new__(Weight)
-        w.value, w._inv = self.inv, self.value
-        return w
+        """The weight w^{-1}, made once per weight; Hermitian and invertible because w is,
+        so not validated again. It does not hold w back, so no reference cycle forms."""
+        if self._mirror is None:
+            w = self._mirror = object.__new__(Weight)
+            w.value, w._inv, w._mirror = self.inv, self.value, None
+        return self._mirror
 
     def __eq__(self, other):
         if not isinstance(other, Weight):

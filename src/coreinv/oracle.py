@@ -31,9 +31,7 @@ from .ginverse import (
     weighted_mp,
 )
 from .matrix import MAX_DIM, Mat, Weight, mat_to_json, random_weight, weight_to_json
-from .scalar import GF, SUPPORTED_PRIMES, _is_int
-
-EXHAUSTIVE_BOUND = 10**6
+from .scalar import EXHAUSTIVE_BOUND, GF, SUPPORTED_PRIMES, _is_int
 
 
 class SpaceTooLargeError(ValueError):

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 from operator import add, mul
 
 SUPPORTED_PRIMES = (2, 3, 5)
+# The largest space M_n(F_p) the oracle enumerates whole (oracle.EnumerationSpace).
+EXHAUSTIVE_BOUND = 10**6
+# The facts an instance holds (ginverse._instance), and the entries of each F_p kernel memo.
+HELD_FACTS = 256
 
 # Digits allowed in a decoded entry's numerator and denominator: CPython's
 # default int/str conversion limit.
@@ -335,6 +341,7 @@ class ScalarField:
 
     tag: str
     p = None  # the modulus of a prime field
+    memo_dim = 0  # the largest n whose products and solves are memoized (PrimeField)
 
     def zero(self):
         return self.coerce(0)
@@ -793,6 +800,9 @@ class PrimeField(ScalarField):
             raise ValueError(f"unsupported prime modulus {p}; supported: {SUPPORTED_PRIMES}")
         self.p = p
         self._elements = tuple(PrimeFieldElement(k, p) for k in range(p))
+        # `_fp_mul` and `matrix._fp_solve` memoize at the dims the oracle enumerates whole,
+        # p^(n^2) <= EXHAUSTIVE_BOUND, where a sweep repeats them; past these little repeats.
+        self.memo_dim = next(n for n in count(1) if p ** ((n + 1) ** 2) > EXHAUSTIVE_BOUND)
 
     def coerce(self, value):
         _reject_float(value)
@@ -835,8 +845,7 @@ class PrimeField(ScalarField):
         return tuple([tuple([elements[v] for v in row]) for row in form])
 
     def mul(self, x, y):
-        p, cols = self.p, list(zip(*y))
-        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in x])
+        return (_fp_mul if len(x) <= self.memo_dim else _fp_mul.__wrapped__)(self.p, x, y)
 
     def add(self, x, y):
         p = self.p
@@ -871,6 +880,13 @@ class PrimeField(ScalarField):
 
     def __repr__(self):
         return f"F{self.p}"
+
+
+@lru_cache(maxsize=HELD_FACTS)
+def _fp_mul(p: int, x: tuple, y: tuple) -> tuple:
+    """The product of two square F_p forms; a hit returns the shared immutable form."""
+    cols = list(zip(*y))
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in x])
 
 
 QQ = RationalField()

@@ -213,7 +213,7 @@ def test_verify_forms_products_by_their_routes_and_compares_forms():
 MATRIX_FIELD_HOOKS = {
     "augment", "solve", "rank",
     "to_form", "to_rows", "coerce", "decode", "encode_form", "zero", "one", "random",
-    "mul", "add", "neg", "transpose", "star", "is_zero", "tag", "p",
+    "mul", "add", "neg", "transpose", "star", "is_zero", "tag", "p", "memo_dim",
 }
 
 

@@ -2,7 +2,10 @@
 
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from math import gcd, log2
 
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import coreinv.ginverse
+import coreinv.matrix
+import coreinv.oracle
 import coreinv.scalar
 from coreinv import (
     GF,
@@ -23,6 +28,7 @@ from coreinv import (
     PrimeFieldElement,
     Weight,
     certificate_to_json,
+    cross_check_sweep,
     e_core,
     f_dual_core,
     left_annihilator_basis,
@@ -968,3 +974,127 @@ def test_qi_constructions_match_element_reference_solves(monkeypatch):
     monkeypatch.setattr(coreinv.ginverse, "solve_left", solver(True))
     assert [cold(call) for call in calls] == got
     assert set(sides) == {False, True}
+
+
+# The F_p kernel memos: products (`scalar._fp_mul`) and solves (`matrix._fp_solve`).
+MEMOS = (coreinv.scalar._fp_mul, coreinv.matrix._fp_solve)
+
+
+def _space(p, n):
+    return [Mat(GF(p), [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in product(range(p), repeat=n * n)]
+
+
+def _sample(p, n, k, seed):
+    return random.Random(seed).sample(_space(p, n), k) if p ** (n * n) > k else _space(p, n)
+
+
+@pytest.mark.parametrize(
+    "p, n, pairs",
+    [
+        (2, 2, [(x, y) for x in _space(2, 2) for y in _space(2, 2)]),
+        (3, 2, list(zip(_sample(3, 2, 120, 1), _sample(3, 2, 120, 2)))),
+        (2, 3, list(zip(_sample(2, 3, 120, 3), _sample(2, 3, 120, 4)))),
+    ],
+    ids=["F2-dim2-all", "F3-dim2", "F2-dim3"],
+)
+def test_memoized_products_match_the_oracle_product_cold_and_warm(p, n, pairs):
+    assert len(pairs) <= coreinv.scalar.HELD_FACTS  # so the second pass finds every pair held
+    coreinv.scalar._fp_mul.cache_clear()
+    for label in ("cold", "warm"):
+        before = coreinv.scalar._fp_mul.cache_info()
+        for x, y in pairs:
+            assert (x * y).form == coreinv.oracle._mmul(x.form, y.form, p), (label, x, y)
+        after = coreinv.scalar._fp_mul.cache_info()
+        grew = (after.misses - before.misses) if label == "cold" else (after.hits - before.hits)
+        assert grew == len({(x.form, y.form) for x, y in pairs}), label
+
+
+def test_memoized_solves_give_the_pinned_witness_cold_and_warm():
+    """Every system a x = b and x a = b over M_2(F_2), consistent or not, solves to
+    the element reference's pinned witness, or None, on a cold and a warm memo."""
+    field, space = GF(2), _space(2, 2)
+    systems = [(a, b) for a in space for b in space[::3]]
+    want = {}
+    for a, b in systems:
+        for left in (False, True):
+            witness = ref_solve(a, b, left).solution
+            want[a, b, left] = None if witness is None else witness.form
+    assert None in want.values() and len(set(want.values())) > 2
+    coreinv.matrix._fp_solve.cache_clear()
+    for label in ("cold", "warm"):
+        for a, b in systems:
+            for left, solve in ((False, solve_right), (True, solve_left)):
+                got = solve(a, b).solution
+                assert (None if got is None else got.form) == want[a, b, left], (label, a, b, left)
+    assert coreinv.matrix._fp_solve.cache_info().hits > 0
+    assert Mat(field, [[1, 1], [0, 1]]).inverse() == Mat(field, [[1, 1], [0, 1]])
+    assert Mat(field, [[1, 1], [1, 1]]).inverse() is None
+
+
+def test_equal_forms_over_different_primes_keep_their_own_products_and_solves():
+    for memo in MEMOS:
+        memo.cache_clear()
+    rows = [[2, 1], [1, 2]]
+    ones = [[1, 0], [0, 1]]
+    for _ in range(2):  # the second round reads every answer from the memos
+        for p in (3, 5):
+            m = Mat(GF(p), rows)
+            assert m * m == Mat(GF(p), [[5 % p, 4 % p], [4 % p, 5 % p]])
+            assert (m * Mat(GF(p), ones)).form == m.form
+            inverse = m.inverse()
+            if p == 3:  # det = 3 = 0: singular over F_3
+                assert inverse is None and solve_right(m, Mat(GF(p), ones)).solution is None
+            else:
+                assert inverse == Mat(GF(p), [[4, 3], [3, 4]]) and m * inverse == Mat.identity(GF(p), 2)
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS)
+
+
+def test_memos_never_pass_their_bound():
+    field = GF(3)
+    space = _space(3, 2)
+    for x, y in zip(space, space[1:] + space[:1]):
+        for z in (x * y, x * x):
+            solve_right(x, z)
+            solve_left(y, z)
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == coreinv.scalar.HELD_FACTS and info.currsize <= info.maxsize
+    assert field.memo_dim == 3
+
+
+def test_only_fp_forms_within_the_dim_rule_enter_a_memo():
+    """The rule p^(n^2) <= EXHAUSTIVE_BOUND: all of M_n(F_p) is one the oracle can
+    enumerate. Q, Q(i) and larger F_p matrices bypass both memos."""
+    assert [GF(p).memo_dim for p in (2, 3, 5)] == [4, 3, 2]
+    assert QQ.memo_dim == QI.memo_dim == 0
+    for p in (2, 3, 5):
+        n = GF(p).memo_dim
+        assert p ** (n * n) <= coreinv.oracle.EXHAUSTIVE_BOUND < p ** ((n + 1) * (n + 1))
+    for memo in MEMOS:
+        memo.cache_clear()
+    big = [random_mat(GF(p).memo_dim + 1, GF(p), seed=p) for p in (2, 3, 5)]
+    for m in big + [random_mat(2, QQ, seed=1), random_mat(2, QI, seed=1)]:
+        m * m, m.inverse(), solve_left(m, m), left_annihilator_basis(m)
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    small = random_mat(2, GF(5), seed=1)
+    small * small, small.inverse()
+    assert [memo.cache_info().currsize for memo in MEMOS] == [1, 1]
+
+
+def test_threads_sweeping_at_once_report_what_one_thread_does():
+    """The memos are shared by every thread: sweeps that fill them at once, with
+    frequent thread switches, still report what a sweep alone does."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    alone = cross_check_sweep(3, 2, n=2)
+    for memo in MEMOS:
+        memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(cross_check_sweep, 3, 2, n=2) for _ in range(3)]
+            reports = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [alone] * 3 and alone["checked"] == 1458 and alone["mismatches"] == []
